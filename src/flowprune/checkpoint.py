@@ -17,12 +17,18 @@ Layout (all integers little-endian):
 Metadata (stage name, iteration, config hash, ...) rides along as one
 reserved tensor named ``__meta__json`` holding the UTF-8 bytes of a JSON
 object, one byte per float64 value.
+
+Saving is atomic: the container is written to a temporary file in the target
+directory and renamed over the target, so a reader sees either the previous
+file or the complete new one, never a truncated write.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +74,18 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray],
     for name in items:
         body += _encode_tensor(name, np.asarray(items[name]))
     body += struct.pack("<Q", _fnv1a(body))
-    Path(path).write_bytes(body)
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -5,8 +5,8 @@ Subcommands:
     prune     run the prune pipeline from a pretrained checkpoint
     sample    draw DDIM samples from a checkpoint into a tensor container
     evaluate  recompute quality metrics for a checkpoint
-    table1    criterion comparison (magnitude / taylor / gradient-flow /
-              one-shot diff-pruning analogue), medians over seeds
+    table1    criterion comparison (magnitude / taylor / gradient-flow),
+              medians over seeds
     table2    schedule ablation at a fixed criterion, six method rows
     fig2      per-iteration quality traces for gradient-flow vs taylor
 
@@ -195,6 +195,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: invalid: {exc}", file=sys.stderr)
         return 5
+    except FloatingPointError as exc:
+        print(f"error: numeric: {exc}", file=sys.stderr)
+        return 6
     json.dump(summary, sys.stdout, indent=2, default=float)
     print()
     return 0

@@ -61,26 +61,36 @@ def magnitude_scores(model: NoisePredictor) -> ImportanceScores:
     return ImportanceScores(criterion="magnitude", per_param=per)
 
 
-def taylor_scores_from_record(record, inputs, names) -> dict[str, np.ndarray]:
-    """|effective weight * dL/dw| for one loss record."""
-    grads = engine.gradient(record, inputs, names)
+def taylor_scores_from_record(
+    record, inputs, names, values: dict | None = None
+) -> dict[str, np.ndarray]:
+    """|effective weight * dL/dw| for one loss record.
+
+    ``values`` are node values already computed for ``inputs`` (see
+    ``engine.gradient``).
+    """
+    grads = engine.gradient(record, inputs, names, values)
     return {n: np.abs(np.asarray(inputs[n]) * grads[n]) for n in names}
 
 
 def gradient_flow_scores_from_record(record, inputs, names,
                                      hvp_method: str = "exact",
-                                     prefactor: dict | None = None) -> dict:
+                                     prefactor: dict | None = None,
+                                     values: dict | None = None) -> dict:
     """(effective weight) * (H g) for one loss record; signed.
 
     H and g are taken at the weights fed through ``inputs``; ``prefactor``
     (the effective weights) defaults to those same values. Scoring a masked
     model feeds the dense weights and passes weight*mask as the prefactor,
     so a mask of p scales a unit's score by exactly p and mask changes do
-    not feed back into the curvature measurement.
+    not feed back into the curvature measurement. ``values`` are node values
+    already computed for ``inputs``; the gradient extends them and the HVP
+    reuses the forward and gradient nodes.
     """
-    grads = engine.gradient(record, inputs, names)
+    values = {} if values is None else values
+    grads = engine.gradient(record, inputs, names, values)
     hg = engine.hessian_vector_product(record, inputs, names, grads,
-                                       method=hvp_method)
+                                       method=hvp_method, values=values)
     pre = prefactor or {n: np.asarray(inputs[n]) for n in names}
     return {n: np.asarray(pre[n]) * hg[n] for n in names}
 
@@ -94,7 +104,10 @@ def taylor_scores(model: NoisePredictor, sched: DiffusionSchedule,
     acc = {n: np.zeros_like(model.params[n]) for n in names}
     for batch in batches:
         ctx = loss(model, sched, batch)
-        per = taylor_scores_from_record(ctx.record, ctx.inputs, names)
+        per = taylor_scores_from_record(ctx.record, ctx.inputs, names,
+                                        ctx.values)
+        # free this batch's node values before the next forward
+        del ctx
         for n in names:
             acc[n] += per[n]
     per = {n: acc[n] / len(batches) for n in names}
@@ -118,7 +131,9 @@ def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
     for batch in batches:
         ctx = loss(model, sched, batch, masked=False)
         per = gradient_flow_scores_from_record(ctx.record, ctx.inputs, names,
-                                               hvp_method, prefactor)
+                                               hvp_method, prefactor,
+                                               ctx.values)
+        del ctx
         for n in names:
             acc[n] += per[n]
     per = {n: acc[n] / len(batches) for n in names}
@@ -127,8 +142,9 @@ def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
                                         "hvp_method": hvp_method})
 
 
-def gradient_flow_delta_from_record(record, inputs, names) -> float:
-    grads = engine.gradient(record, inputs, names)
+def gradient_flow_delta_from_record(record, inputs, names,
+                                    values: dict | None = None) -> float:
+    grads = engine.gradient(record, inputs, names, values)
     return float(sum(np.sum(g * g) for g in grads.values()))
 
 
@@ -137,7 +153,7 @@ def gradient_flow_delta(model: NoisePredictor, sched: DiffusionSchedule,
     """Squared gradient norm of the loss over all trainable parameters."""
     ctx = loss(model, sched, batch)
     return gradient_flow_delta_from_record(ctx.record, ctx.inputs,
-                                           list(model.params))
+                                           list(model.params), ctx.values)
 
 
 def compute_scores(criterion: str, model: NoisePredictor,

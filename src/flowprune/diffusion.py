@@ -69,15 +69,33 @@ def noisy_sample(sched: DiffusionSchedule, x0: np.ndarray, t: np.ndarray,
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
+# Embedding rows of timesteps 0, 1, ..., n-1 per dim, grown on demand. Each
+# row is computed once by the same elementwise formula, so a gathered row has
+# the bits a direct evaluation at that timestep would give.
+_TEMB_TABLES: dict[int, np.ndarray] = {}
+
+
 def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
-    """Sinusoidal embedding, [len(t), dim]; dim must be even."""
-    half = dim // 2
-    if half == 1:
-        freqs = np.ones(1)
-    else:
-        freqs = np.exp(-np.log(10000.0) * np.arange(half) / (half - 1))
-    args = np.asarray(t, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(args), np.cos(args)], axis=1)
+    """Sinusoidal embedding of integer timesteps >= 0, [len(t), dim]; dim
+    must be even. Rows are gathered from a per-dim table."""
+    if dim % 2:
+        raise ValueError("embedding dim must be even")
+    t = np.asarray(t)
+    if t.ndim != 1 or t.dtype.kind not in "iu" or t.min(initial=0) < 0:
+        raise ValueError("timesteps must be a 1-D array of integers >= 0")
+    table = _TEMB_TABLES.get(dim, np.empty((0, dim)))
+    need = int(t.max(initial=-1)) + 1
+    if need > len(table):
+        half = dim // 2
+        if half == 1:
+            freqs = np.ones(1)
+        else:
+            freqs = np.exp(-np.log(10000.0) * np.arange(half) / (half - 1))
+        steps = np.arange(len(table), need, dtype=np.float64)
+        args = steps[:, None] * freqs[None, :]
+        rows = np.concatenate([np.sin(args), np.cos(args)], axis=1)
+        table = _TEMB_TABLES[dim] = np.concatenate([table, rows])
+    return table.take(t, axis=0)
 
 
 class NoisePredictor:
@@ -191,11 +209,18 @@ class NoisePredictor:
 
 @dataclass
 class LossContext:
-    """A loss value plus the record/inputs that produced it."""
+    """A loss value plus the record, inputs and node values that produced it.
+
+    ``values`` holds the forward pass's node values for ``inputs``; pass it to
+    ``engine.gradient`` / ``engine.hessian_vector_product`` on the same
+    inputs to skip replaying the forward. It keeps every intermediate alive,
+    so drop the context once its gradients are taken.
+    """
 
     value: float
     record: Record
     inputs: dict[str, np.ndarray]
+    values: dict
 
 
 def loss(model: NoisePredictor, sched: DiffusionSchedule,
@@ -205,8 +230,9 @@ def loss(model: NoisePredictor, sched: DiffusionSchedule,
     feed["x"] = noisy_sample(sched, batch.x0, batch.t, batch.eps)
     feed["temb"] = time_embedding(batch.t, model.temb_dim)
     feed["eps"] = batch.eps
-    value = float(engine.forward(rec, feed))
-    return LossContext(value=value, record=rec, inputs=feed)
+    values: dict = {}
+    value = float(engine.forward(rec, feed, values))
+    return LossContext(value=value, record=rec, inputs=feed, values=values)
 
 
 def draw_batch(data: np.ndarray, sched: DiffusionSchedule, batch: int,
@@ -278,7 +304,7 @@ def loss_and_grads(model: NoisePredictor, sched: DiffusionSchedule,
         raise ValueError(f"unknown grad_mode {grad_mode!r}")
     ctx = loss(model, sched, batch)
     wrt = list(model.params)
-    grads = engine.gradient(ctx.record, ctx.inputs, wrt)
+    grads = engine.gradient(ctx.record, ctx.inputs, wrt, ctx.values)
     if grad_mode == "masked":
         for name in model.weight_names:
             grads[name] = grads[name] * model.masked[name].mask

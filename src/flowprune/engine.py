@@ -11,6 +11,18 @@ cross-check.
 
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.
+
+One replay serves a whole forward -> gradient -> HVP chain. ``forward`` and
+``gradient`` take a ``values`` dict (node id -> array) and add the nodes they
+evaluate to it; a later call on the same inputs skips every node already
+there, so the gradient evaluates only backward nodes and the exact HVP only
+double-backward nodes. Reuse gives the same bits as a fresh replay, because
+each node is computed by the same operation either way. The values are valid
+for exactly the feed they were computed from: an input fed a different array
+raises ``ValueError``, but a fed array changed in place is not detected, so
+drop the dict before updating parameters. It holds every intermediate of the
+chain, so keep it no longer than the chain; the HVP evaluates into a copy so
+its double-backward nodes are freed when it returns.
 """
 
 from __future__ import annotations
@@ -247,8 +259,21 @@ class Record:
         self._plan_cache[targets] = plan
         return plan
 
-    def evaluate(self, targets: tuple, inputs: Mapping[str, np.ndarray]) -> dict:
-        vals: dict[int, np.ndarray] = {}
+    def evaluate(
+        self,
+        targets: tuple,
+        inputs: Mapping[str, np.ndarray],
+        values: dict | None = None,
+    ) -> dict:
+        """Node id -> value for every node ``targets`` need.
+
+        ``values`` is a dict returned by an earlier call on this record with
+        the same ``inputs``. Nodes already in it are reused, not evaluated
+        again; the newly evaluated nodes are added to it in place. An input
+        fed a different array than the one in ``values`` raises
+        ``ValueError``.
+        """
+        vals: dict[int, np.ndarray] = {} if values is None else values
         for nid in self._plan(targets):
             node = self.nodes[nid]
             op = node.op
@@ -262,7 +287,15 @@ class Record:
                         f"input {name!r} has shape {arr.shape}, record expects "
                         f"{node.shape}"
                     )
-                vals[nid] = arr
+                known = vals.get(nid)
+                if known is None:
+                    vals[nid] = arr
+                elif known is not arr and not np.array_equal(known, arr):
+                    raise ValueError(
+                        f"reused values were computed for a different {name!r}"
+                    )
+            elif nid in vals:
+                continue
             elif op == "const":
                 vals[nid] = self.consts[nid]
             elif op == "matmul":
@@ -477,24 +510,37 @@ def _require_output(record: Record) -> int:
     return record.output
 
 
-def forward(record: Record, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Replay the record on ``inputs`` and return its output tensor."""
+def forward(
+    record: Record, inputs: Mapping[str, np.ndarray], values: dict | None = None
+) -> np.ndarray:
+    """Replay the record on ``inputs`` and return its output tensor.
+
+    Pass an empty dict as ``values`` to keep the node values for a later
+    :func:`gradient` or :func:`hessian_vector_product` on the same inputs.
+    """
     out = _require_output(record)
-    vals = record.evaluate((out,), inputs)
+    vals = record.evaluate((out,), inputs, values)
     return _check_finite(vals[out], "forward output")
 
 
 def gradient(
-    record: Record, inputs: Mapping[str, np.ndarray], wrt: Iterable[str]
+    record: Record,
+    inputs: Mapping[str, np.ndarray],
+    wrt: Iterable[str],
+    values: dict | None = None,
 ) -> dict[str, np.ndarray]:
-    """Gradients of the scalar output w.r.t. the named inputs."""
+    """Gradients of the scalar output w.r.t. the named inputs.
+
+    ``values`` from an earlier call on the same inputs is reused and extended
+    with the backward nodes.
+    """
     out = _require_output(record)
     if record.nodes[out].shape != ():
         raise ValueError("gradient requires a scalar record output")
     wrt_ids, names = record._wrt_ids(wrt)
     grads = record._build_grad(out, wrt_ids)
     targets = tuple(grads[w] for w in wrt_ids)
-    vals = record.evaluate(targets, inputs)
+    vals = record.evaluate(targets, inputs, values)
     return {
         name: _check_finite(vals[grads[wid]], f"gradient[{name}]")
         for name, wid in zip(names, wrt_ids)
@@ -508,12 +554,18 @@ def hessian_vector_product(
     v: Mapping[str, np.ndarray],
     method: str = "exact",
     fd_step: float | None = None,
+    values: dict | None = None,
 ) -> dict[str, np.ndarray]:
     """H @ v for the Hessian of the scalar output w.r.t. the named inputs.
 
     ``method="exact"`` differentiates the gradient graph (double backprop);
     ``method="fd"`` uses central differences of the gradient along ``v`` with
     step ``fd_step`` (default ``1e-4 * (1 + max|theta|)``).
+
+    The exact method reuses ``values`` from an earlier call on the same
+    inputs but evaluates into a copy, so the double-backward nodes do not
+    outlive this call. The fd method feeds perturbed inputs and ignores
+    ``values``.
     """
     out = _require_output(record)
     if record.nodes[out].shape != ():
@@ -533,7 +585,9 @@ def hessian_vector_product(
         for name in names:
             feed[f"__hvp_v:{name}"] = v[name]
         targets = tuple(hv[name] for name in names)
-        vals = record.evaluate(targets, feed)
+        vals = record.evaluate(
+            targets, feed, None if values is None else dict(values)
+        )
         return {
             name: _check_finite(vals[hv[name]], f"hvp[{name}]") for name in names
         }

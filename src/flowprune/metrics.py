@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.ndimage
 
 from .masking import MASK_ATOL, MaskedParam
@@ -65,10 +64,14 @@ def frechet_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
     cov_a = np.cov(a, rowvar=False) + _COV_EPS * np.eye(dim)
     cov_b = np.cov(b, rowvar=False) + _COV_EPS * np.eye(dim)
-    root, _ = scipy.linalg.sqrtm(cov_a @ cov_b, disp=False)
-    root = np.real(root)
+    # Tr((S_a S_b)^{1/2}) = sum sqrt(eig(sqrt(S_a) S_b sqrt(S_a))); the
+    # matrix is symmetric PSD, so eigvalsh applies and rounding below 0 clips.
+    w, u = np.linalg.eigh(cov_a)
+    sqrt_a = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+    lam = np.linalg.eigvalsh(sqrt_a @ cov_b @ sqrt_a)
+    tr_root = float(np.sum(np.sqrt(np.maximum(lam, 0.0))))
     diff = mu_a - mu_b
-    return float(diff @ diff + np.trace(cov_a + cov_b - 2.0 * root))
+    return float(diff @ diff + np.trace(cov_a + cov_b) - 2.0 * tr_root)
 
 
 def ssim(img_a: np.ndarray, img_b: np.ndarray) -> float:

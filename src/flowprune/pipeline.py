@@ -323,16 +323,13 @@ def result_row(experiment: str, method: str, criterion: str, mode: str,
 
 # Experiment arms. The comparisons run in the structural (row-group) regime,
 # where one-shot pruning carries a real information-loss cost: baselines are
-# one-shot prunes with their criterion (magnitude / taylor unstructured rows
-# vs diff-pruning's per-layer structured rows), "ours" is the full
-# progressive-soft loop with its criterion driving both the soft steps and
-# the final prune.
+# one-shot row-group prunes with their criterion (magnitude / taylor), "ours"
+# is the full progressive-soft loop with its criterion driving both the soft
+# steps and the final prune.
 TABLE1_ARMS = [
     Arm("magnitude", "magnitude", "one-shot",
         final_criterion="magnitude", final_granularity="row-group"),
     Arm("taylor", "taylor", "one-shot",
-        final_criterion="taylor", final_granularity="row-group"),
-    Arm("diff-pruning", "taylor", "one-shot",
         final_criterion="taylor", final_granularity="row-group"),
     Arm("gradient-flow", "gradient-flow", "progressive-soft",
         granularity="row-group", final_criterion="gradient-flow",

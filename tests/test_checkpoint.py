@@ -1,3 +1,5 @@
+import builtins
+import io
 import struct
 
 import numpy as np
@@ -112,3 +114,44 @@ def test_resume_bit_identical_next_loss(tmp_path):
     assert np.float64(ref_trace[0][1]).tobytes() == np.float64(
         got_trace[0][1]
     ).tobytes()
+
+
+class _FailingFile:
+    """File stand-in that writes the first half of a buffer, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("simulated write failure")
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.arange(4.0)}, {"stage": "old"})
+    before = path.read_bytes()
+
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailingFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+    with pytest.raises(OSError, match="simulated"):
+        save_checkpoint(path, {"a": np.arange(1000.0)}, {"stage": "new"})
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    tensors, meta = load_checkpoint(path)
+    assert meta == {"stage": "old"}

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flowprune.checkpoint import load_checkpoint
+from flowprune.checkpoint import load_checkpoint, save_checkpoint
 from flowprune.cli import main
 from flowprune.config import RunConfig
 
@@ -115,3 +115,23 @@ def test_missing_checkpoint_error(capsys, small_cfg_path, tmp_path):
                         "--checkpoint", str(tmp_path / "ghost.ckpt"))
     assert code != 0
     assert out.err.startswith("error: config:")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "numeric")
+    path = tmp_path / "numeric.cfg"
+    cfg.save(path)
+    code, out = run_cli(capsys, "pretrain", "--config", str(path))
+    assert code == 0
+    tensors, meta = load_checkpoint(json.loads(out.out)["checkpoints"][0])
+    tensors["layer0.w"][0, 0] = np.inf
+    bad = tmp_path / "inf.ckpt"
+    save_checkpoint(bad, tensors, meta)
+    code, out = run_cli(capsys, "evaluate", "--config", str(path),
+                        "--checkpoint", str(bad))
+    assert code == 6
+    err_lines = [l for l in out.err.splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: numeric: non-finite values")

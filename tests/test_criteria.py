@@ -14,7 +14,7 @@ from flowprune.criteria import (
     taylor_scores_from_record,
 )
 from flowprune.datasets import DatasetSpec, generate
-from flowprune.diffusion import NoisePredictor, make_schedule
+from flowprune.diffusion import NoisePredictor, loss, make_schedule
 from flowprune.masking import apply_mask_update
 from flowprune.seeding import make_rng
 
@@ -211,6 +211,31 @@ class TestDeterminismAndMasks:
             s = compute_scores(crit, model, sched, data, seed=12,
                                n_batches=1, batch_size=16)
             np.testing.assert_array_equal(s.per_param["layer1.w"][:4], 0.0)
+
+    def test_gradient_flow_matches_fresh_replays(self):
+        """Reusing forward and gradient values gives the bits of separate
+        forward, gradient and HVP replays."""
+        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=4)
+        model.masked["layer1.w"].mask = make_rng(5, "m").uniform(
+            size=model.params["layer1.w"].shape)
+        sched = make_schedule(50, 0.001, 0.05)
+        data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+        batches = score_batches(model, sched, data, seed=3, n_batches=3,
+                                batch_size=32)
+        got = gradient_flow_scores(model, sched, batches)
+
+        names = model.weight_names
+        want = {n: np.zeros_like(model.params[n]) for n in names}
+        for batch in batches:
+            ctx = loss(model, sched, batch, masked=False)
+            g = engine.gradient(ctx.record, ctx.inputs, names)
+            hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names,
+                                               g)
+            for n in names:
+                want[n] += model.masked[n].effective() * hg[n]
+        for n in names:
+            want[n] /= len(batches)
+            assert got.per_param[n].tobytes() == want[n].tobytes()
 
     def test_unknown_criterion_rejected(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)

@@ -244,3 +244,61 @@ def test_loss_and_grads_applies_mask_chain_rule():
     model.masked["layer0.w"].mask = np.zeros_like(model.params["layer0.w"])
     _, grads = loss_and_grads(model, sched, batch)
     np.testing.assert_array_equal(grads["layer0.w"], 0.0)
+
+
+def test_loss_and_grads_matches_fresh_replay_at_default_width():
+    model = NoisePredictor(dim=2, hidden=128, depth=4, temb_dim=64, seed=3)
+    rng = make_rng(1, "reuse")
+    for p in model.masked_params():
+        p.mask = rng.uniform(size=p.mask.shape)
+    sched = make_schedule(1000, 1e-4, 0.02)
+    data = generate(DatasetSpec("ring-mixture", 512, seed=0))
+    batch = draw_batch(data, sched, 128, rng)
+    value, grads = loss_and_grads(model, sched, batch)
+
+    ctx = loss(model, sched, batch)
+    fresh_value = float(engine.forward(ctx.record, ctx.inputs))
+    fresh = engine.gradient(ctx.record, ctx.inputs, list(model.params))
+    assert value == fresh_value
+    assert grads.keys() == fresh.keys()
+    for name, g in fresh.items():
+        if name in model.masked:
+            g = g * model.masked[name].mask
+        assert grads[name].tobytes() == g.tobytes()
+
+
+def direct_time_embedding(t, dim):
+    half = dim // 2
+    if half == 1:
+        freqs = np.ones(1)
+    else:
+        freqs = np.exp(-np.log(10000.0) * np.arange(half) / (half - 1))
+    args = np.asarray(t, dtype=np.float64)[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(args), np.cos(args)], axis=1)
+
+
+class TestTimeEmbedding:
+    @pytest.mark.parametrize("dim", [2, 6, 64])
+    def test_table_rows_match_direct_formula_across_growth(self, dim,
+                                                           monkeypatch):
+        from flowprune import diffusion
+
+        monkeypatch.setattr(diffusion, "_TEMB_TABLES", {})
+        rng = make_rng(2, "temb")
+        small = rng.integers(0, 10, 37)
+        first = time_embedding(small, dim)
+        assert len(diffusion._TEMB_TABLES[dim]) == small.max() + 1
+        large = np.concatenate([rng.integers(0, 1000, 200), [999]])
+        grown = time_embedding(large, dim)
+        assert len(diffusion._TEMB_TABLES[dim]) == 1000
+        again = time_embedding(small, dim)
+        for t, got in ((small, first), (large, grown), (small, again)):
+            want = direct_time_embedding(t, dim)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [np.array([1, -1]), np.array([0.5]),
+                                   np.zeros((2, 2), dtype=np.int64)])
+    def test_bad_timesteps_rejected(self, t):
+        with pytest.raises(ValueError):
+            time_embedding(t, 4)

@@ -308,3 +308,73 @@ class TestGraphExtension:
 
             fd = fd_gradient(f, feed[name].copy())
             assert rel_err(grads[name], fd) < 1e-4
+
+
+def mlp_record_and_feed(seed=7):
+    rng = np.random.default_rng(seed)
+    rec = Record()
+    x = rec.input("x", (6, 3))
+    w1 = rec.input("w1", (4, 3))
+    b1 = rec.input("b1", (4,))
+    w2 = rec.input("w2", (1, 4))
+    h = rec.silu(rec.linear(x, w1, b1))
+    rec.set_output(rec.affine(rec.sum_sq(rec.linear(h, w2)), 1 / 6.0))
+    feed = {
+        "x": rng.normal(size=(6, 3)),
+        "w1": rng.normal(size=(4, 3)) * 0.5,
+        "b1": rng.normal(size=(4,)) * 0.1,
+        "w2": rng.normal(size=(1, 4)) * 0.5,
+    }
+    return rec, feed
+
+
+class TestValueReuse:
+    WRT = ["w1", "b1", "w2"]
+
+    def test_gradient_evaluates_no_forward_node_again(self):
+        rec, feed = mlp_record_and_feed()
+        values = {}
+        out = forward(rec, feed, values)
+        fwd = dict(values)
+        grads = gradient(rec, feed, self.WRT, values)
+        # every forward value is the very array the forward pass produced
+        assert all(values[nid] is arr for nid, arr in fwd.items())
+        assert set(values) > set(fwd)
+        fresh = gradient(rec, feed, self.WRT)
+        for k in self.WRT:
+            assert grads[k].tobytes() == fresh[k].tobytes()
+        assert forward(rec, feed).tobytes() == out.tobytes()
+
+    def test_hvp_reuse_is_bit_identical_and_leaves_values(self):
+        rec, feed = mlp_record_and_feed()
+        values = {}
+        forward(rec, feed, values)
+        g = gradient(rec, feed, self.WRT, values)
+        kept = dict(values)
+        hv = hessian_vector_product(rec, feed, self.WRT, g, values=values)
+        fresh = hessian_vector_product(rec, feed, self.WRT, gradient(
+            rec, feed, self.WRT))
+        for k in self.WRT:
+            assert hv[k].tobytes() == fresh[k].tobytes()
+        assert values.keys() == kept.keys()
+
+    def test_values_from_a_different_feed_rejected(self):
+        rec, feed = mlp_record_and_feed()
+        values = {}
+        forward(rec, feed, values)
+        other = dict(feed, x=feed["x"] + 1.0)
+        with pytest.raises(ValueError, match="different 'x'"):
+            gradient(rec, other, self.WRT, values)
+        v = {k: np.ones_like(feed[k]) for k in self.WRT}
+        with pytest.raises(ValueError, match="different 'x'"):
+            hessian_vector_product(rec, other, self.WRT, v, values=values)
+
+    def test_equal_copy_of_feed_accepted(self):
+        rec, feed = mlp_record_and_feed()
+        values = {}
+        forward(rec, feed, values)
+        copy = {k: np.array(a) for k, a in feed.items()}
+        got = gradient(rec, copy, self.WRT, values)
+        fresh = gradient(rec, feed, self.WRT)
+        for k in self.WRT:
+            assert got[k].tobytes() == fresh[k].tobytes()
