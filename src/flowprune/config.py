@@ -8,19 +8,26 @@ Grammar (one entry per line):
 Keys match ``[A-Za-z_][A-Za-z0-9_.]*``. Values are typed by syntax: ``true``
 / ``false`` are booleans, integer and float literals are numeric, quoted
 strings are strings, and a comma-separated sequence is a list of scalars.
-Serialization quotes every string, so configs round-trip losslessly.
+``#`` and ``,`` inside a quoted string are literal characters. Serialization
+quotes every string, so configs round-trip losslessly. ``RunConfig`` checks
+each value against the type of its field when it is loaded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+# the line up to its first '#' outside double quotes
+_BODY_RE = re.compile(r'(?:"[^"]*"|[^"#])*')
+# a comma followed by an even number of quotes, so outside any string
+_COMMA_RE = re.compile(r',(?=(?:[^"]*"[^"]*")*[^"]*$)')
 
 
 class ConfigError(ValueError):
@@ -42,10 +49,18 @@ def _parse_scalar(token: str):
     return token
 
 
+def _matches(value, kind: type) -> bool:
+    """An int literal is valid for a float field; a boolean only for bool."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
 def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
+        if '"' in value:
+            raise ConfigError(f"string {value!r} contains a double quote")
         return f'"{value}"'
     if isinstance(value, float):
         return repr(value)
@@ -55,7 +70,10 @@ def _format_scalar(value) -> str:
 def parse_kv(text: str) -> dict:
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BODY_RE.match(raw).group()
+        if raw[len(line):].startswith('"'):
+            raise ConfigError(f"line {lineno}: unterminated string")
+        line = line.strip()
         if not line:
             continue
         if "=" not in line:
@@ -63,8 +81,9 @@ def parse_kv(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not _KEY_RE.match(key):
             raise ConfigError(f"line {lineno}: bad key {key!r}")
-        if "," in value:
-            out[key] = [_parse_scalar(tok) for tok in value.split(",")]
+        tokens = _COMMA_RE.split(value)
+        if len(tokens) > 1:
+            out[key] = [_parse_scalar(tok) for tok in tokens]
         else:
             out[key] = _parse_scalar(value)
     return out
@@ -128,15 +147,20 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         items = parse_kv(text)
-        known = {f.name for f in fields(cls)}
-        unknown = set(items) - known
+        declared = {f.name: f.type for f in fields(cls)}
+        unknown = set(items) - set(declared)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**items)
-        if isinstance(cfg.seeds, int):
-            cfg.seeds = [cfg.seeds]
-        cfg.seeds = [int(s) for s in cfg.seeds]
-        return cfg
+        hints = typing.get_type_hints(cls)
+        for key, value in items.items():
+            kind, values = hints[key], [value]
+            if typing.get_origin(kind) is list:
+                # a single scalar stands for a one-element list
+                values = items[key] = value if isinstance(value, list) else [value]
+                (kind,) = typing.get_args(kind)
+            if not all(_matches(v, kind) for v in values):
+                raise ConfigError(f"{key}: expected {declared[key]}, got {value!r}")
+        return cls(**items)
 
     @classmethod
     def load(cls, path) -> "RunConfig":

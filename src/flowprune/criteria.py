@@ -14,7 +14,7 @@ stratified evenly over [0, T); the batch seed fully determines the scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ CRITERIA = ("magnitude", "taylor", "gradient-flow")
 class ImportanceScores:
     criterion: str
     per_param: dict[str, np.ndarray]
-    batch_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, arr in self.per_param.items():
@@ -111,8 +110,7 @@ def taylor_scores(model: NoisePredictor, sched: DiffusionSchedule,
         for n in names:
             acc[n] += per[n]
     per = {n: acc[n] / len(batches) for n in names}
-    return ImportanceScores(criterion="taylor", per_param=per,
-                            batch_info={"n_batches": len(batches)})
+    return ImportanceScores(criterion="taylor", per_param=per)
 
 
 def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
@@ -137,9 +135,7 @@ def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
         for n in names:
             acc[n] += per[n]
     per = {n: acc[n] / len(batches) for n in names}
-    return ImportanceScores(criterion="gradient-flow", per_param=per,
-                            batch_info={"n_batches": len(batches),
-                                        "hvp_method": hvp_method})
+    return ImportanceScores(criterion="gradient-flow", per_param=per)
 
 
 def gradient_flow_delta_from_record(record, inputs, names,

@@ -43,24 +43,6 @@ class MaskState:
     pruned_units: int = 0
     total_units: int = 0
 
-    def kept_key(self) -> frozenset:
-        """Hashable identity of the kept set, for churn/overlap diagnostics."""
-        out = []
-        for name in sorted(self.kept):
-            out.extend((name, int(i)) for i in np.flatnonzero(self.kept[name]))
-        return frozenset(out)
-
-
-def _unit_view(param: MaskedParam, granularity: str) -> int:
-    """Number of maskable units in a param under the granularity."""
-    if granularity == "element":
-        return param.weights.size
-    if granularity == "row-group":
-        return param.weights.shape[0]
-    if granularity == "column-group":
-        return param.weights.shape[1]
-    raise ValueError(f"unknown granularity {granularity!r}")
-
 
 def _unit_scores(score: np.ndarray, granularity: str) -> np.ndarray:
     """Per-unit scores: elements as-is, groups as member sums."""
@@ -103,18 +85,23 @@ def soft_sparsity(params: list[MaskedParam], p: float) -> float:
     return hits / total
 
 
-def ranked_units(scores: dict[str, np.ndarray], params: list[MaskedParam],
-                 granularity: str) -> list[tuple[float, str, int]]:
-    """All units sorted ascending by (score, name, index); the tie rule."""
-    entries = []
-    for par in params:
-        unit = _unit_scores(np.asarray(scores[par.name], dtype=np.float64),
-                            granularity)
-        entries.extend(
-            (float(v), par.name, i) for i, v in enumerate(unit)
-        )
-    entries.sort()
-    return entries
+def _ranked_keep(unit_scores: dict[str, np.ndarray],
+                 s_t: float) -> dict[str, np.ndarray]:
+    """Boolean keep array per parameter from one pooled ranking.
+
+    The lowest floor(s_t * units) units are dropped in ascending
+    (score, name, index) order, the tie rule: pooling in name order and
+    sorting stably leaves equal scores in (name, index) order.
+    """
+    names = sorted(unit_scores)
+    if not names:
+        return {}
+    pooled = np.concatenate([unit_scores[n] for n in names])
+    order = np.argsort(pooled, kind="stable")
+    keep = np.ones(pooled.size, dtype=bool)
+    keep[order[: int(np.floor(s_t * pooled.size))]] = False
+    bounds = np.cumsum([unit_scores[n].size for n in names])[:-1]
+    return dict(zip(names, np.split(keep, bounds)))
 
 
 def apply_mask_update(
@@ -153,31 +140,21 @@ def apply_mask_update(
             par.mask = np.ones_like(par.weights)
             par.granularity = granularity
 
-    def prune_set(pool: list[tuple[float, str, int]]) -> set:
-        n_prune = int(np.floor(s_t * len(pool)))
-        return {(name, idx) for _, name, idx in pool[:n_prune]}
-
+    units = {
+        par.name: _unit_scores(np.asarray(scores[par.name], dtype=np.float64),
+                               granularity)
+        for par in active
+    }
     if per_layer:
-        drop = set()
-        for par in active:
-            pool = ranked_units({par.name: scores[par.name]}, [par], granularity)
-            drop |= prune_set(pool)
+        keep = {n: _ranked_keep({n: u}, s_t)[n] for n, u in units.items()}
     else:
-        pool = ranked_units(scores, active, granularity)
-        drop = prune_set(pool)
+        keep = _ranked_keep(units, s_t)
 
-    total = 0
     for par in active:
-        n_units = _unit_view(par, granularity)
-        total += n_units
-        keep = np.ones(n_units, dtype=bool)
-        for i in range(n_units):
-            if (par.name, i) in drop:
-                keep[i] = False
-        _write_mask(par, keep, p_t, granularity)
-        state.kept[par.name] = keep
-    state.pruned_units = len(drop)
-    state.total_units = total
+        _write_mask(par, keep[par.name], p_t, granularity)
+        state.kept[par.name] = keep[par.name]
+    state.pruned_units = sum(int(np.count_nonzero(~k)) for k in keep.values())
+    state.total_units = sum(k.size for k in keep.values())
     return state
 
 

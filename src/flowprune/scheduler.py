@@ -110,21 +110,15 @@ def energy_flow(scores: ImportanceScores, s_t: float, p_t: float) -> float:
     """Norm of the mask-space descent step: kept units contribute 1,
     soft-pruned units contribute 1 - p_t.
 
-    Kept units are the top (1 - s_t) fraction by normalized importance,
-    with the same floor(s_t * d) count and tie order as the mask update.
+    The mask update soft-prunes floor(s_t * d) of the d units, so the norm
+    depends only on that count, not on which units the ranking picks.
     """
     pooled = scores.pooled()
-    norm = float(np.linalg.norm(pooled))
-    if norm <= 0.0:
+    if float(np.linalg.norm(pooled)) <= 0.0:
         raise ValueError("energy_flow needs a nonzero score vector")
-    normalized = pooled / norm
-    d = normalized.size
+    d = pooled.size
     n_prune = int(np.floor(s_t * d))
-    order = np.lexsort((np.arange(d), normalized))
-    indicator = np.ones(d)
-    indicator[order[:n_prune]] = 0.0
-    entries = 1.0 - p_t * (1.0 - indicator)
-    return float(np.linalg.norm(entries))
+    return float(np.sqrt((d - n_prune) + n_prune * (1.0 - p_t) ** 2))
 
 
 @dataclass
@@ -191,17 +185,15 @@ def run_progressive_soft(
             n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
             hvp_method=plan.hvp_method,
         )
-        grouped = plan.granularity != "element"
-        state = apply_mask_update(
-            model.masked_params(), scores.per_param, step.s_t, step.p_t,
-            granularity=plan.granularity,
-            per_layer=plan.per_layer or grouped,
-            exclude=model.output_weight_names if grouped else (),
-        )
-        kept = state.kept_key()
+        state = _update_masks(model, scores, step.s_t, step.p_t,
+                              plan.granularity, plan.per_layer,
+                              grouped_per_layer=True)
         # units whose kept/pruned status changed since the last update
-        churn = state.pruned_units if prev_kept is None else len(kept ^ prev_kept)
-        prev_kept = kept
+        churn = state.pruned_units if prev_kept is None else sum(
+            int(np.count_nonzero(prev_kept[n] != k))
+            for n, k in state.kept.items()
+        )
+        prev_kept = state.kept
         diag_batch = score_batches(
             model, sched, data, _score_seed(seed, t), n_batches=1,
             batch_size=plan.score_batch_size,
@@ -221,6 +213,21 @@ def run_progressive_soft(
 
 def _score_seed(seed: int, t: int) -> int:
     return (int(seed) * 1_000_003 + t) & 0x7FFFFFFF
+
+
+def _update_masks(model: NoisePredictor, scores: ImportanceScores, s_t: float,
+                  p_t: float, granularity: str, per_layer: bool,
+                  grouped_per_layer: bool) -> MaskState:
+    """Mask update under the grouped-prune policy: group-granular pruning
+    skips the output projection and ranks per layer when
+    ``grouped_per_layer``; element pruning follows ``per_layer``."""
+    grouped = granularity != "element"
+    return apply_mask_update(
+        model.masked_params(), scores.per_param, s_t, p_t,
+        granularity=granularity,
+        per_layer=grouped_per_layer if grouped else per_layer,
+        exclude=model.output_weight_names if grouped else (),
+    )
 
 
 def final_hard_prune(
@@ -245,13 +252,9 @@ def final_hard_prune(
         n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
         hvp_method=plan.hvp_method,
     )
-    grouped = plan.final_granularity != "element"
-    state = apply_mask_update(
-        model.masked_params(), scores.per_param, plan.s, 0.0,
-        granularity=plan.final_granularity,
-        per_layer=plan.final_per_layer if grouped else plan.per_layer,
-        exclude=model.output_weight_names if grouped else (),
-    )
+    state = _update_masks(model, scores, plan.s, 0.0, plan.final_granularity,
+                          plan.per_layer,
+                          grouped_per_layer=plan.final_per_layer)
     after_kept = sum(
         int(np.count_nonzero((np.abs(p.mask) > 0.5) & before[p.name]))
         for p in model.masked_params()

@@ -1,6 +1,8 @@
 import builtins
 import io
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +14,24 @@ from flowprune.checkpoint import (
     save_checkpoint,
 )
 from flowprune.seeding import make_rng
+
+
+def fnv1a(data: bytes) -> int:
+    """The 64-bit FNV-1a checksum that format version 1 used."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def v1_container(tensors: dict) -> bytes:
+    """A format-version-1 file: float64 tensors, FNV-1a trailer."""
+    body = MAGIC + struct.pack("<II", 1, len(tensors))
+    for name, arr in tensors.items():
+        raw, arr = name.encode("utf-8"), np.asarray(arr, dtype="<f8")
+        body += struct.pack(f"<H{len(raw)}sBB{arr.ndim}Q", len(raw), raw, 0,
+                            arr.ndim, *arr.shape) + arr.tobytes()
+    return body + struct.pack("<Q", fnv1a(body))
 
 
 def test_empty_roundtrip(tmp_path):
@@ -45,7 +65,7 @@ def test_payload_bytes_are_ieee754(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(MAGIC)
     version, count = struct.unpack_from("<II", raw, 8)
-    assert (version, count) == (1, 1)
+    assert (version, count) == (2, 1)
     nlen = struct.unpack_from("<H", raw, 16)[0]
     assert raw[18 : 18 + nlen] == b"w"
     dtype_code, rank = struct.unpack_from("<BB", raw, 18 + nlen)
@@ -63,6 +83,52 @@ def test_checksum_detects_corruption(tmp_path):
     raw[-12] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_version_1_file_rejected(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(v1_container({"w": np.arange(3.0)}))
+    with pytest.raises(CheckpointError, match="unsupported version 1"):
+        load_checkpoint(path)
+
+
+def test_metadata_is_uint8_tensor_with_crc32_trailer(tmp_path):
+    path = tmp_path / "meta.ckpt"
+    meta = {"stage": "pretrain", "iteration": 3}
+    save_checkpoint(path, {}, meta)
+    raw = path.read_bytes()
+    name = b"__meta__json"
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    assert struct.unpack_from("<IIH", raw, 8) == (2, 1, len(name))
+    assert raw[18 : 18 + len(name)] == name
+    off = 18 + len(name)
+    assert struct.unpack_from("<BBQ", raw, off) == (1, 1, len(blob))
+    assert raw[off + 10 : -8] == blob
+    assert struct.unpack("<Q", raw[-8:])[0] == zlib.crc32(raw[:-8])
+
+
+def test_any_flipped_byte_rejected(tmp_path):
+    # header, tensor payload, metadata and trailer bytes alike
+    path = tmp_path / "flip.ckpt"
+    save_checkpoint(path, {"w": np.arange(2.0)}, {"stage": "x"})
+    good = path.read_bytes()
+    for pos in range(len(good)):
+        raw = bytearray(good)
+        raw[pos] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_tensor_count_mismatch_with_valid_checksum_rejected(tmp_path, count):
+    path = tmp_path / "count.ckpt"
+    save_checkpoint(path, {"w": np.arange(2.0)})
+    body = bytearray(path.read_bytes()[:-8])
+    body[12:16] = struct.pack("<I", count)  # the file holds one tensor
+    path.write_bytes(bytes(body) + struct.pack("<Q", zlib.crc32(body)))
+    with pytest.raises(CheckpointError, match="malformed container"):
         load_checkpoint(path)
 
 

@@ -6,6 +6,7 @@ import pytest
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
 from flowprune.cli import main
 from flowprune.config import RunConfig
+from test_checkpoint import v1_container
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,19 @@ def test_missing_checkpoint_error(capsys, small_cfg_path, tmp_path):
                         "--checkpoint", str(tmp_path / "ghost.ckpt"))
     assert code != 0
     assert out.err.startswith("error: config:")
+
+
+def test_version_1_checkpoint_is_checkpoint_error(capsys, small_cfg_path,
+                                                  tmp_path):
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(v1_container({"layer0.w": np.zeros((12, 2))}))
+    code, out = run_cli(capsys, "evaluate", "--config", str(small_cfg_path),
+                        "--checkpoint", str(old))
+    assert code == 3
+    err_lines = [l for l in out.err.splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: checkpoint:")
+    assert "unsupported version 1" in err_lines[0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

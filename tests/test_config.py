@@ -57,3 +57,38 @@ def test_runconfig_unknown_key_rejected():
 def test_single_seed_normalized():
     cfg = RunConfig.from_text("seeds = 3\n")
     assert cfg.seeds == [3]
+
+
+@pytest.mark.parametrize("value", ["a#b", "a,b", "x = y, z # w"])
+def test_comment_and_comma_inside_quotes_roundtrip(value):
+    cfg = RunConfig(out_dir=value)
+    assert RunConfig.from_text(cfg.to_text()).out_dir == value
+    assert parse_kv(f'out_dir = "{value}"  # comment, "quoted"\n') == {
+        "out_dir": value
+    }
+
+
+def test_unterminated_string_rejected():
+    with pytest.raises(ConfigError, match="unterminated"):
+        parse_kv('out_dir = "abc\n')
+    # a string the parser could not read back is refused when written
+    with pytest.raises(ConfigError, match="double quote"):
+        RunConfig(out_dir='a"b').to_text()
+
+
+@pytest.mark.parametrize("text", [
+    'plan_s = "abc"\n',
+    "pretrain_steps = 1.5\n",
+    "pretrain_steps = true\n",
+    "out_dir = 3\n",
+    "seeds = 1, 2.5\n",
+    "seeds = false\n",
+    "plan_s = 0.1, 0.2\n",
+])
+def test_runconfig_type_mismatch_rejected(text):
+    with pytest.raises(ConfigError):
+        RunConfig.from_text(text)
+
+
+def test_int_literal_valid_for_float_field():
+    assert RunConfig.from_text("plan_s = 0\n").plan_s == 0

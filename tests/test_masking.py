@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowprune.diffusion import NoisePredictor, TrainBatch, loss, make_schedule
 from flowprune.masking import (
@@ -168,6 +169,68 @@ class TestApplyMaskUpdate:
         apply_mask_update(model.masked_params(), scores, 0.0, 0.7)
         masked = loss(model, sched, batch).value
         assert np.float64(dense).tobytes() == np.float64(masked).tobytes()
+
+
+def oracle_kept(scores, s_t, granularity, per_layer, exclude):
+    """Brute-force tie rule: sort (score, name, index) tuples per pool and
+    drop the first floor(s_t * len) of each; returns the kept (name, index)."""
+    pools = {}
+    for name, score in scores.items():
+        if name in exclude:
+            continue
+        if granularity == "element":
+            units = score.ravel()
+        else:
+            units = score.sum(axis=1 if granularity == "row-group" else 0)
+        pools[name] = [(float(v), name, i) for i, v in enumerate(units)]
+    groups = list(pools.values()) if per_layer else [sum(pools.values(), [])]
+    kept = set()
+    for pool in groups:
+        ranked = sorted(pool)
+        kept |= {(n, i) for _, n, i in ranked[int(np.floor(s_t * len(ranked))):]}
+    return kept
+
+
+class TestRankingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_keep_masks_match_sorted_tuples(self, data):
+        names = data.draw(st.lists(
+            st.sampled_from(["a", "b", "layer0.w", "layer1.w", "out.w"]),
+            min_size=1, max_size=4, unique=True))
+        # integer values force ties, within a layer, across layers and
+        # between 0.0 and -0.0
+        values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+        scores = {
+            n: data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)),
+                                             data.draw(st.integers(1, 4))),
+                                elements=values))
+            for n in names
+        }
+        granularity = data.draw(st.sampled_from(
+            ["element", "row-group", "column-group"]))
+        per_layer = data.draw(st.booleans())
+        exclude = tuple(data.draw(st.lists(st.sampled_from(names),
+                                           unique=True)))
+        s_t = data.draw(st.floats(0.0, 1.0))
+        pars = [MaskedParam(n, np.ones_like(scores[n]), np.ones_like(scores[n]))
+                for n in names]
+        state = apply_mask_update(pars, scores, s_t, 0.5,
+                                  granularity=granularity,
+                                  per_layer=per_layer, exclude=exclude)
+        want = oracle_kept(scores, s_t, granularity, per_layer, exclude)
+        got = set()
+        for par in pars:
+            if par.name in exclude:
+                np.testing.assert_array_equal(par.mask, 1.0)
+                continue
+            unit_mask = {"element": par.mask.ravel(), "row-group": par.mask[:, 0],
+                         "column-group": par.mask[0, :]}[granularity]
+            got |= {(par.name, int(i)) for i in np.flatnonzero(unit_mask == 1.0)}
+            np.testing.assert_array_equal(
+                state.kept[par.name], unit_mask == 1.0)
+        assert got == want
+        assert state.total_units - state.pruned_units == len(want)
 
 
 class TestCounts:

@@ -9,6 +9,7 @@ from flowprune.diffusion import (
     loss,
     make_schedule,
 )
+from flowprune import scheduler
 from flowprune.masking import apply_mask_update, soft_sparsity
 from flowprune.scheduler import (
     PrunePlan,
@@ -174,6 +175,30 @@ class TestDriver:
         # final iteration is past n_iters: hard masks at target sparsity
         assert state.p_current == 0.0
         assert abs(soft_sparsity(model.masked_params(), 0.0) - 0.5) < 1e-2
+
+    def test_churn_is_symmetric_difference_of_kept_sets(self, small_setup,
+                                                         monkeypatch):
+        data, sched = small_setup
+        kept_sets, pruned = [], []
+
+        def recording_update(*args, **kwargs):
+            state = apply_mask_update(*args, **kwargs)
+            kept_sets.append({(n, int(i)) for n, k in state.kept.items()
+                              for i in np.flatnonzero(k)})
+            pruned.append(state.pruned_units)
+            return state
+
+        monkeypatch.setattr(scheduler, "apply_mask_update", recording_update)
+        plan = PrunePlan(s=0.5, total_steps=40, m_iters=4, n_iters=3,
+                         interval=5, criterion="magnitude",
+                         score_batch_size=32)
+        diags, _ = run_progressive_soft(small_model(), sched, data, plan,
+                                        seed=0)
+        churn = [r.churn for r in diags.records]
+        assert churn[0] == pruned[0]
+        want = [len(a ^ b) for a, b in zip(kept_sets, kept_sets[1:])]
+        assert churn[1:] == want
+        assert any(want)
 
     def test_weight_recoverability(self, small_setup):
         # a soft-pruned unit whose score recovers is restored to mask 1
