@@ -10,7 +10,8 @@ Keys match ``[A-Za-z_][A-Za-z0-9_.]*``. Values are typed by syntax: ``true``
 strings are strings, and a comma-separated sequence is a list of scalars.
 ``#`` and ``,`` inside a quoted string are literal characters. Serialization
 quotes every string, so configs round-trip losslessly. ``RunConfig`` checks
-each value against the type of its field when it is loaded.
+each value against the type of its field when it is loaded; an integer
+literal for a float field is stored as a float.
 """
 
 from __future__ import annotations
@@ -141,6 +142,14 @@ class RunConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        # an int given for a float field is stored as a float, so "= 1" and
+        # "= 1.0" compare, serialize and hash alike
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is int:
+                setattr(self, name, float(value))
+
     def to_text(self) -> str:
         return dump_kv(asdict(self))
 
@@ -184,3 +193,7 @@ class RunConfig:
         items = asdict(self)
         text = dump_kv({k: items[k] for k in keys})
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+_FLOAT_FIELDS = tuple(name for name, kind in typing.get_type_hints(RunConfig).items()
+                      if kind is float)

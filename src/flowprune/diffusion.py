@@ -1,4 +1,5 @@
-"""DDPM forward process, training objective and samplers for a small MLP.
+"""DDPM forward process, training objective and the DDIM sampler for a small
+MLP.
 
 The noise predictor is a fully-connected net (4 hidden layers of width 128 by
 default) with a sinusoidal timestep embedding projected and added after the
@@ -6,10 +7,19 @@ first layer. Its forward pass and training loss are built as engine records,
 so gradients and Hessian-vector products of the loss come straight from the
 record. Weight matrices are stored [out, in] and registered as maskable;
 biases stay dense.
+
+Sampling runs a compacted copy of the predictor (``NoisePredictor.compact``).
+A hidden unit whose effective incoming row is all zero, as after a row-group
+hard prune, emits a constant, because biases are never masked. Compaction
+folds that constant into the next layer's bias and drops the unit's row and
+the matching column of the next layer, so the sampler's matmuls cover only
+the surviving units. An unpruned model compacts to itself, so its samples do
+not change.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +216,58 @@ class NoisePredictor:
         feed["temb"] = time_embedding(t, self.temb_dim)
         return engine.forward(rec, feed)
 
+    def compact(self) -> "NoisePredictor":
+        """An equivalent predictor without the hidden units that emit a
+        constant, or ``self`` when there are none.
+
+        A unit of layer k >= 1 whose effective incoming row is all zero
+        emits ``act(b_k)``. A layer-0 unit emits ``act(b0) + temb.b`` if its
+        ``layer0.w`` and ``temb.w`` rows are both zero; a nonzero ``temb.w``
+        row keeps it. ``W_{k+1}[:, dead] @ const[dead]`` is folded into the
+        next layer's bias, then the dead rows of layer k and the matching
+        columns of layer k+1 are dropped. Layers are visited in order, so a
+        unit whose row is zero only on dropped columns goes too. The copy
+        holds the surviving effective weights under all-one masks; its
+        predictions match the masked model's up to rounding.
+        """
+        if self.activation == "silu":
+            def act(z):
+                return z / (1.0 + np.exp(-z))
+        else:
+            act = np.tanh
+        params = {n: self.masked[n].effective() if n in self.masked else a
+                  for n, a in self.params.items()}
+        tags = [f"layer{k}" for k in range(self.depth)] + ["out"]
+        changed = False
+        for k, tag in enumerate(tags[:-1]):
+            const = act(params[f"{tag}.b"])
+            dead = ~params[f"{tag}.w"].any(axis=1)
+            if k == 0:
+                dead &= ~params["temb.w"].any(axis=1)
+                const = const + params["temb.b"]
+            if not dead.any():
+                continue
+            changed = True
+            live = ~dead
+            nxt = tags[k + 1]
+            w_next = params[f"{nxt}.w"]
+            params[f"{nxt}.b"] = params[f"{nxt}.b"] + w_next[:, dead] @ const[dead]
+            params[f"{nxt}.w"] = w_next[:, live]
+            for name in ((tag, "temb") if k == 0 else (tag,)):
+                params[f"{name}.w"] = params[f"{name}.w"][live]
+                params[f"{name}.b"] = params[f"{name}.b"][live]
+        if not changed:
+            return self
+        small = copy.copy(self)
+        small.params = {n: np.array(a, order="C") for n, a in params.items()}
+        small.masked = {
+            n: MaskedParam(name=n, weights=small.params[n],
+                           mask=np.ones_like(small.params[n]))
+            for n in self._weight_names
+        }
+        small._records = {}
+        return small
+
 
 @dataclass
 class LossContext:
@@ -349,7 +411,9 @@ def ddim_timesteps(T: int, substeps: int) -> np.ndarray:
 
 def sample_ddim(model: NoisePredictor, sched: DiffusionSchedule, n: int,
                 substeps: int, noise_seed: int) -> np.ndarray:
-    """Deterministic (eta = 0) DDIM samples, [n, dim]."""
+    """Deterministic (eta = 0) DDIM samples, [n, dim], from the compacted
+    predictor."""
+    model = model.compact()
     ts = ddim_timesteps(sched.T, substeps)[::-1]
     x = make_rng(noise_seed, "ddim-init").standard_normal((n, model.dim))
     for i, t in enumerate(ts):
@@ -360,21 +424,3 @@ def sample_ddim(model: NoisePredictor, sched: DiffusionSchedule, n: int,
         x = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
     return x
 
-
-def sample_ddpm(model: NoisePredictor, sched: DiffusionSchedule, n: int,
-                noise_seed: int) -> np.ndarray:
-    """Ancestral sampling with per-step Gaussian noise, [n, dim]."""
-    x = make_rng(noise_seed, "ddpm-init").standard_normal((n, model.dim))
-    for t in range(sched.T - 1, -1, -1):
-        eps_hat = model.predict(x, np.full(n, t))
-        ab = sched.alpha_bar[t]
-        mean = (x - sched.beta[t] / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(
-            sched.alpha[t]
-        )
-        if t > 0:
-            var = (1.0 - sched.alpha_bar[t - 1]) / (1.0 - ab) * sched.beta[t]
-            z = make_rng(noise_seed, "ddpm-step", t).standard_normal((n, model.dim))
-            x = mean + np.sqrt(var) * z
-        else:
-            x = mean
-    return x

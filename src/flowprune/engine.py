@@ -21,13 +21,20 @@ each node is computed by the same operation either way. The values are valid
 for exactly the feed they were computed from: an input fed a different array
 raises ``ValueError``, but a fed array changed in place is not detected, so
 drop the dict before updating parameters. It holds every intermediate of the
-chain, so keep it no longer than the chain; the HVP evaluates into a copy so
-its double-backward nodes are freed when it returns.
+chain, so keep it no longer than the chain.
+
+A replay nobody keeps frees as it goes. Without a ``values`` dict, and in
+the exact HVP (which evaluates into a copy of the caller's dict), each node
+value is released right after the last node in the plan that reads it, so
+large-batch replays hold a few live activations instead of all of them.
+Targets are never released; the caller's dict is never touched. The release
+points are computed once per plan and cached with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -93,6 +100,7 @@ class Record:
         self._grad_cache: dict[tuple, dict[int, int]] = {}
         self._hvp_cache: dict[tuple, dict[str, int]] = {}
         self._plan_cache: dict[tuple, list[int]] = {}
+        self._release_cache: dict[tuple, list[tuple]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -259,6 +267,24 @@ class Record:
         self._plan_cache[targets] = plan
         return plan
 
+    def _releases(self, targets: tuple) -> list[tuple]:
+        """Per position of ``_plan(targets)``, the non-target ids it reads
+        for the last time."""
+        if targets in self._release_cache:
+            return self._release_cache[targets]
+        plan = self._plan(targets)
+        last = {}
+        for pos, nid in enumerate(plan):
+            for arg in self.nodes[nid].args:
+                last[arg] = pos
+        dead: list[list[int]] = [[] for _ in plan]
+        for nid, pos in last.items():
+            if nid not in targets:
+                dead[pos].append(nid)
+        releases = [tuple(ids) for ids in dead]
+        self._release_cache[targets] = releases
+        return releases
+
     def evaluate(
         self,
         targets: tuple,
@@ -271,10 +297,19 @@ class Record:
         the same ``inputs``. Nodes already in it are reused, not evaluated
         again; the newly evaluated nodes are added to it in place. An input
         fed a different array than the one in ``values`` raises
-        ``ValueError``.
+        ``ValueError``. Without ``values`` the intermediates are released
+        after their last use, and the returned dict holds the targets.
         """
-        vals: dict[int, np.ndarray] = {} if values is None else values
-        for nid in self._plan(targets):
+        release = values is None
+        return self._replay(targets, inputs, {} if release else values, release)
+
+    def _replay(self, targets: tuple, inputs: Mapping[str, np.ndarray],
+                vals: dict, release: bool) -> dict:
+        """Evaluate the plan into ``vals``; with ``release``, delete each
+        non-target value from ``vals`` after its last use."""
+        plan = self._plan(targets)
+        drops = self._releases(targets) if release else repeat(())
+        for nid, drop in zip(plan, drops):
             node = self.nodes[nid]
             op = node.op
             if op == "input":
@@ -295,7 +330,7 @@ class Record:
                         f"reused values were computed for a different {name!r}"
                     )
             elif nid in vals:
-                continue
+                pass
             elif op == "const":
                 vals[nid] = self.consts[nid]
             elif op == "matmul":
@@ -337,6 +372,8 @@ class Record:
                 vals[nid] = vals[node.args[0]][tuple(idx)]
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
+            for dead in drop:
+                del vals[dead]
         return vals
 
     # -- differentiation ---------------------------------------------------
@@ -563,9 +600,9 @@ def hessian_vector_product(
     step ``fd_step`` (default ``1e-4 * (1 + max|theta|)``).
 
     The exact method reuses ``values`` from an earlier call on the same
-    inputs but evaluates into a copy, so the double-backward nodes do not
-    outlive this call. The fd method feeds perturbed inputs and ignores
-    ``values``.
+    inputs but evaluates into a copy, releasing each double-backward node
+    after its last use; the caller's dict is left as it was. The fd method
+    feeds perturbed inputs and ignores ``values``.
     """
     out = _require_output(record)
     if record.nodes[out].shape != ():
@@ -585,9 +622,7 @@ def hessian_vector_product(
         for name in names:
             feed[f"__hvp_v:{name}"] = v[name]
         targets = tuple(hv[name] for name in names)
-        vals = record.evaluate(
-            targets, feed, None if values is None else dict(values)
-        )
+        vals = record._replay(targets, feed, dict(values or {}), release=True)
         return {
             name: _check_finite(vals[hv[name]], f"hvp[{name}]") for name in names
         }

@@ -217,7 +217,7 @@ def prune_run(
     Returns a JSON-ready report with stage checkpoints, metrics, diagnostics
     and the per-iteration quality trace when requested.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = build_dataset(cfg)
@@ -238,7 +238,7 @@ def prune_run(
         report["stages"]["identity"] = 0.0
         quality = evaluate_model(cfg, model, dense_samples, seed)
         report["metrics"] = quality.as_dict()
-        report["wall_clock_s"] = time.time() - t_start
+        report["wall_clock_s"] = time.perf_counter() - t_start
         _write_report(out_dir, report)
         return report
 
@@ -251,12 +251,12 @@ def prune_run(
                               noise_seed=cfg.eval_seed + 1)
             return frechet_distance(got, ref)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     diags, _ = run_progressive_soft(
         model, sched, data, plan, seed=seed, opt_config=opt_config(cfg),
         quality_eval=trace_eval,
     )
-    report["stages"]["soft_prune"] = time.time() - t0
+    report["stages"]["soft_prune"] = time.perf_counter() - t0
     report["checkpoints"]["soft_prune"] = save_stage(
         out_dir / "soft_prune.ckpt", model, cfg, "soft_prune",
         plan.m_iters * plan.interval,
@@ -267,25 +267,25 @@ def prune_run(
     if quality_trace:
         report["quality_trace"] = diags.quality_trace
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, hard_diag = final_hard_prune(model, sched, data, plan, seed=seed)
-    report["stages"]["hard_prune"] = time.time() - t0
+    report["stages"]["hard_prune"] = time.perf_counter() - t0
     report["hard_prune"] = hard_diag
     report["checkpoints"]["hard_prune"] = save_stage(
         out_dir / "hard_prune.ckpt", model, cfg, "hard_prune",
         plan.m_iters * plan.interval,
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     finetune(model, sched, data, plan, seed=seed, opt_config=opt_config(cfg))
-    report["stages"]["finetune"] = time.time() - t0
+    report["stages"]["finetune"] = time.perf_counter() - t0
     report["checkpoints"]["finetune"] = save_stage(
         out_dir / "finetune.ckpt", model, cfg, "finetune", plan.total_steps
     )
 
     quality = evaluate_model(cfg, model, dense_samples, seed)
     report["metrics"] = quality.as_dict()
-    report["wall_clock_s"] = time.time() - t_start
+    report["wall_clock_s"] = time.perf_counter() - t_start
     _write_report(out_dir, report)
     return report
 
@@ -386,9 +386,9 @@ def run_experiment(cfg: RunConfig, experiment: str,
     reports: dict = {}
     trace_rows: list[dict] = []
     for seed in cfg.seeds:
-        t0 = time.time()
+        t0 = time.perf_counter()
         pre_path = pretrain(cfg, seed, out_root / "pretrain")
-        pre_wall = time.time() - t0
+        pre_wall = time.perf_counter() - t0
         dense_model = load_stage_model(cfg, seed, pre_path)
         dense_samples = dense_sample_cache(cfg, dense_model)
         if include_dense_row:

@@ -92,3 +92,11 @@ def test_runconfig_type_mismatch_rejected(text):
 
 def test_int_literal_valid_for_float_field():
     assert RunConfig.from_text("plan_s = 0\n").plan_s == 0
+
+
+def test_int_and_float_spellings_hash_alike():
+    text = RunConfig.from_text("train_lr = 1\ndiffusion_beta_start = 0\n")
+    direct = RunConfig(train_lr=1.0, diffusion_beta_start=0.0)
+    assert text == direct == RunConfig(train_lr=1, diffusion_beta_start=0)
+    assert text.digest() == direct.digest()
+    assert text.pretrain_digest() == direct.pretrain_digest()

@@ -15,10 +15,10 @@ from flowprune.diffusion import (
     make_schedule,
     noisy_sample,
     sample_ddim,
-    sample_ddpm,
     time_embedding,
     train,
 )
+from flowprune.masking import apply_mask_update
 from flowprune.metrics import frechet_distance
 from flowprune.seeding import make_rng
 
@@ -204,14 +204,6 @@ class TestSamplers:
         c = sample_ddim(model, sched, 16, 10, noise_seed=8)
         assert not np.array_equal(a, c)
 
-    def test_ddpm_runs_and_is_seeded(self):
-        model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
-        sched = make_schedule(50, 1e-3, 0.1)
-        a = sample_ddpm(model, sched, 8, noise_seed=1)
-        b = sample_ddpm(model, sched, 8, noise_seed=1)
-        assert a.shape == (8, 2)
-        assert a.tobytes() == b.tobytes()
-
     def test_training_improves_frechet(self):
         data = generate(DatasetSpec("ring-mixture", 4096, seed=0))
         sched = make_schedule(200, 1e-4, 0.05)
@@ -302,3 +294,96 @@ class TestTimeEmbedding:
     def test_bad_timesteps_rejected(self, t):
         with pytest.raises(ValueError):
             time_embedding(t, 4)
+
+
+def test_predict_peak_memory_is_a_few_activations():
+    import tracemalloc
+
+    model = NoisePredictor(dim=2, hidden=128, depth=4, temb_dim=64, seed=0)
+    rng = make_rng(0, "peak")
+    x = rng.standard_normal((512, 2))
+    t = rng.integers(0, 1000, 512)
+    model.predict(x, t)  # build the record, plan and embedding rows first
+    tracemalloc.start()
+    try:
+        model.predict(x, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a replay that kept every intermediate peaks at about 17 activations
+    assert peak <= 8 * (512 * 128 * 8)
+
+
+def row_pruned(s, activation, seed=0):
+    """A model with random biases and a per-layer row-group hard prune at
+    sparsity ``s`` on every weight but the output projection."""
+    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
+                           activation=activation, seed=seed)
+    rng = make_rng(seed, "compact")
+    for name in model.bias_names:
+        model.params[name][...] = rng.normal(scale=0.5, size=model.params[name].shape)
+    scores = {n: rng.uniform(size=model.params[n].shape) for n in model.weight_names}
+    apply_mask_update(model.masked_params(), scores, s, 0.0,
+                      granularity="row-group", per_layer=True,
+                      exclude=model.output_weight_names)
+    return model
+
+
+def assert_same_predictions(model, small, seed=1):
+    rng = make_rng(seed, "compact-probe")
+    x = rng.standard_normal((64, model.dim)) * 2.0
+    t = rng.integers(0, 1000, 64)
+    np.testing.assert_allclose(small.predict(x, t), model.predict(x, t),
+                               rtol=0, atol=1e-10)
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_row_pruned_model_predicts_the_same(self, s, activation):
+        model = row_pruned(s, activation)
+        small = model.compact()
+        assert small is not model
+        dropped = int(np.floor(s * 16))
+        for k in (1, 2):
+            assert small.params[f"layer{k}.b"].shape == (16 - dropped,)
+        # a layer-0 unit goes only when its temb.w row is pruned too
+        gone0 = ((model.masked["layer0.w"].mask == 0).all(axis=1)
+                 & (model.masked["temb.w"].mask == 0).all(axis=1))
+        assert small.params["layer0.w"].shape == (16 - gone0.sum(), 2)
+        assert small.params["out.w"].shape == (2, 16 - dropped)
+        assert_same_predictions(model, small)
+        assert small.compact() is small
+
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    def test_layer0_unit_kept_through_its_temb_row(self, activation):
+        model = NoisePredictor(dim=2, hidden=6, depth=2, temb_dim=4,
+                               activation=activation, seed=3)
+        rng = make_rng(3, "temb-row")
+        for name in model.bias_names:
+            model.params[name][...] = rng.normal(size=model.params[name].shape)
+        model.masked["layer0.w"].mask[[1, 4]] = 0.0
+        model.masked["temb.w"].mask[4] = 0.0  # unit 1 keeps its temb row
+        small = model.compact()
+        assert small.params["layer0.w"].shape == (5, 2)
+        assert small.params["temb.w"].shape == (5, 4)
+        np.testing.assert_array_equal(small.params["layer0.w"][1], 0.0)
+        assert_same_predictions(model, small)
+
+    def test_unpruned_or_no_zero_row_returns_self(self):
+        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=0)
+        assert model.compact() is model
+        rng = make_rng(0, "elements")
+        for p in model.masked_params():
+            p.mask = (rng.uniform(size=p.mask.shape) < 0.5).astype(np.float64)
+            p.mask[:, 0] = 1.0
+        assert model.compact() is model
+
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    def test_ddim_samples_match_masked_dense(self, activation, monkeypatch):
+        model = row_pruned(0.5, activation, seed=4)
+        sched = make_schedule(100, 1e-3, 0.1)
+        got = sample_ddim(model, sched, 256, 20, noise_seed=5)
+        monkeypatch.setattr(NoisePredictor, "compact", lambda self: self)
+        want = sample_ddim(model, sched, 256, 20, noise_seed=5)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

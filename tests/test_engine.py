@@ -378,3 +378,18 @@ class TestValueReuse:
         fresh = gradient(rec, feed, self.WRT)
         for k in self.WRT:
             assert got[k].tobytes() == fresh[k].tobytes()
+
+
+class TestRelease:
+    def test_evaluate_without_values_returns_every_target(self):
+        rec, feed = mlp_record_and_feed()
+        out = rec.output
+        # an intermediate read by a later target, the output, and an input
+        pre = rec.nodes[out].args[0]
+        targets = (pre, out, rec.inputs["b1"])
+        got = rec.evaluate(targets, feed)
+        assert set(got) == set(targets)
+        kept = rec.evaluate(targets, feed, {})
+        assert set(kept) > set(targets)
+        for nid in targets:
+            assert got[nid].tobytes() == kept[nid].tobytes()
