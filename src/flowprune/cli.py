@@ -31,7 +31,7 @@ from .pipeline import (
     FIG2_ARMS,
     TABLE1_ARMS,
     TABLE2_ARMS,
-    Arm,
+    build_plan,
     build_schedule,
     dense_sample_cache,
     evaluate_model,
@@ -44,6 +44,8 @@ from .pipeline import (
 
 
 def _load_config(args) -> RunConfig:
+    """The config with the command-line overrides applied; a plan value
+    ``PrunePlan`` rejects fails here, before any stage runs."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
@@ -53,6 +55,10 @@ def _load_config(args) -> RunConfig:
         cfg.plan_criterion = args.criterion
     if getattr(args, "mode", None):
         cfg.plan_mode = args.mode
+    try:
+        build_plan(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"plan: {exc}") from exc
     return cfg
 
 
@@ -65,14 +71,13 @@ def cmd_pretrain(args) -> dict:
 
 def cmd_prune(args) -> dict:
     cfg = _load_config(args)
-    arm = Arm("prune", cfg.plan_criterion, cfg.plan_mode)
     reports = []
     for seed in cfg.seeds:
         pre = pretrain(cfg, seed, Path(cfg.out_dir) / "pretrain")
         dense = load_stage_model(cfg, seed, pre)
         dense_samples = dense_sample_cache(cfg, dense)
         out = Path(cfg.out_dir) / "prune" / f"seed{seed}"
-        reports.append(prune_run(cfg, seed, pre, out, arm=arm,
+        reports.append(prune_run(cfg, seed, pre, out,
                                  dense_samples=dense_samples))
     return {"command": "prune", "reports": reports}
 

@@ -131,7 +131,6 @@ class RunConfig:
     plan_granularity: str = "element"
     plan_final_criterion: str = "taylor"
     plan_final_granularity: str = "row-group"
-    plan_hvp_method: str = "exact"
     plan_score_batches: int = 4
     plan_score_batch_size: int = 256
     eval_samples: int = 10000

@@ -73,7 +73,6 @@ def taylor_scores_from_record(
 
 
 def gradient_flow_scores_from_record(record, inputs, names,
-                                     hvp_method: str = "exact",
                                      prefactor: dict | None = None,
                                      values: dict | None = None) -> dict:
     """(effective weight) * (H g) for one loss record; signed.
@@ -89,7 +88,7 @@ def gradient_flow_scores_from_record(record, inputs, names,
     values = {} if values is None else values
     grads = engine.gradient(record, inputs, names, values)
     hg = engine.hessian_vector_product(record, inputs, names, grads,
-                                       method=hvp_method, values=values)
+                                       values=values)
     pre = prefactor or {n: np.asarray(inputs[n]) for n in names}
     return {n: np.asarray(pre[n]) * hg[n] for n in names}
 
@@ -114,8 +113,7 @@ def taylor_scores(model: NoisePredictor, sched: DiffusionSchedule,
 
 
 def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
-                         batches: list[TrainBatch],
-                         hvp_method: str = "exact") -> ImportanceScores:
+                         batches: list[TrainBatch]) -> ImportanceScores:
     """Mean over batches of (effective weight) * (H g); signed.
 
     H g is measured on the dense network at the current stored weights; the
@@ -129,8 +127,7 @@ def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
     for batch in batches:
         ctx = loss(model, sched, batch, masked=False)
         per = gradient_flow_scores_from_record(ctx.record, ctx.inputs, names,
-                                               hvp_method, prefactor,
-                                               ctx.values)
+                                               prefactor, ctx.values)
         del ctx
         for n in names:
             acc[n] += per[n]
@@ -154,8 +151,7 @@ def gradient_flow_delta(model: NoisePredictor, sched: DiffusionSchedule,
 
 def compute_scores(criterion: str, model: NoisePredictor,
                    sched: DiffusionSchedule, data: np.ndarray, seed: int,
-                   n_batches: int = 4, batch_size: int = 256,
-                   hvp_method: str = "exact") -> ImportanceScores:
+                   n_batches: int = 4, batch_size: int = 256) -> ImportanceScores:
     """Uniform entry point used by the pruning driver."""
     if criterion == "magnitude":
         return magnitude_scores(model)
@@ -163,5 +159,5 @@ def compute_scores(criterion: str, model: NoisePredictor,
     if criterion == "taylor":
         return taylor_scores(model, sched, batches)
     if criterion == "gradient-flow":
-        return gradient_flow_scores(model, sched, batches, hvp_method)
+        return gradient_flow_scores(model, sched, batches)
     raise ValueError(f"unknown criterion {criterion!r}")

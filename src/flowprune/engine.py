@@ -3,11 +3,10 @@
 A ``Record`` is an append-only list of primitive operations over named input
 tensors. The vocabulary is deliberately small: matmul, transpose, reshape,
 broadcast, add, elementwise multiply, scalar affine, sigmoid / tanh / silu,
-axis sums, sum-of-squares, concat and axis slicing. Every backward rule emits
-nodes from the same vocabulary, so a gradient is itself a differentiable
-graph and Hessian-vector products fall out of a second reverse pass (double
-backprop). A central-finite-difference HVP is provided as an independent
-cross-check.
+axis sums and sum-of-squares. Every backward rule emits nodes from the same
+vocabulary, so a gradient is itself a differentiable graph and
+Hessian-vector products fall out of a second reverse pass (double backprop).
+A central-finite-difference HVP is provided as an independent cross-check.
 
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.
@@ -205,35 +204,6 @@ class Record:
     def sum_sq(self, a: Ref) -> Ref:
         return self._append("sum_sq", (a.nid,), (), ())
 
-    def concat(self, parts: Iterable[Ref], axis: int) -> Ref:
-        parts = list(parts)
-        if not parts:
-            raise ValueError("concat needs at least one part")
-        shapes = [self._node(p).shape for p in parts]
-        rank = len(shapes[0])
-        axis = axis % rank
-        for s in shapes:
-            if len(s) != rank or any(
-                s[i] != shapes[0][i] for i in range(rank) if i != axis
-            ):
-                raise ValueError(f"concat shapes incompatible: {shapes}")
-        out = list(shapes[0])
-        out[axis] = sum(s[axis] for s in shapes)
-        return self._append(
-            "concat", tuple(p.nid for p in parts), (axis,), tuple(out)
-        )
-
-    def slice_axis(self, a: Ref, axis: int, start: int, stop: int) -> Ref:
-        sa = self._node(a).shape
-        axis = axis % len(sa)
-        if not (0 <= start <= stop <= sa[axis]):
-            raise ValueError(f"slice [{start}:{stop}] out of range for {sa}")
-        shape = list(sa)
-        shape[axis] = stop - start
-        return self._append(
-            "slice", (a.nid,), (axis, start, stop), tuple(shape)
-        )
-
     def linear(self, x: Ref, weight: Ref, bias: Ref | None = None) -> Ref:
         """x @ weight.T (+ bias), with weight stored as [out, in]."""
         out = self.matmul(x, self.transpose(weight))
@@ -361,15 +331,6 @@ class Record:
             elif op == "sum_sq":
                 x = vals[node.args[0]]
                 vals[nid] = np.sum(x * x)
-            elif op == "concat":
-                vals[nid] = np.concatenate(
-                    [vals[a] for a in node.args], axis=node.attrs[0]
-                )
-            elif op == "slice":
-                axis, start, stop = node.attrs
-                idx = [slice(None)] * len(self.nodes[node.args[0]].shape)
-                idx[axis] = slice(start, stop)
-                vals[nid] = vals[node.args[0]][tuple(idx)]
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
             for dead in drop:
@@ -436,28 +397,6 @@ class Record:
             src_shape = self.nodes[args[0]].shape
             gb = self.broadcast(g, src_shape) if src_shape else g
             out.append((args[0], self.affine(self.mul(gb, src), 2.0, 0.0)))
-        elif node.op == "concat":
-            axis = node.attrs[0]
-            off = 0
-            for a in args:
-                extent = self.nodes[a].shape[axis]
-                out.append((a, self.slice_axis(g, axis, off, off + extent)))
-                off += extent
-        elif node.op == "slice":
-            axis, start, stop = node.attrs
-            src_shape = self.nodes[args[0]].shape
-            parts = []
-            if start > 0:
-                pre = list(src_shape)
-                pre[axis] = start
-                parts.append(self.const(np.zeros(pre)))
-            parts.append(g)
-            if stop < src_shape[axis]:
-                post = list(src_shape)
-                post[axis] = src_shape[axis] - stop
-                parts.append(self.const(np.zeros(post)))
-            grad = parts[0] if len(parts) == 1 else self.concat(parts, axis)
-            out.append((args[0], grad))
         else:  # pragma: no cover
             raise ValueError(f"no backward rule for {node.op!r}")
         return out

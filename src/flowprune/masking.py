@@ -1,4 +1,4 @@
-"""Mask tensors over model weights: hard, soft and group-granular pruning.
+"""Mask tensors over model weights: hard, soft and row-group pruning.
 
 Masks are two-valued per update: pruned units carry the current soft value
 ``p`` and kept units carry 1. Masks are recomputed from scratch on every
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GRANULARITIES = ("element", "row-group", "column-group")
+GRANULARITIES = ("element", "row-group")
 
 # Mask entries are compared against p at this absolute tolerance.
 MASK_ATOL = 1e-12
@@ -26,7 +26,6 @@ class MaskedParam:
     name: str
     weights: np.ndarray
     mask: np.ndarray
-    granularity: str = "element"
 
     def effective(self) -> np.ndarray:
         return self.weights * self.mask
@@ -37,35 +36,27 @@ class MaskState:
     """Result of one mask update."""
 
     p_current: float
-    s_current: float
-    granularity: str
     kept: dict[str, np.ndarray] = field(default_factory=dict)
     pruned_units: int = 0
     total_units: int = 0
 
 
 def _unit_scores(score: np.ndarray, granularity: str) -> np.ndarray:
-    """Per-unit scores: elements as-is, groups as member sums."""
+    """Per-unit scores: elements as-is, rows as member sums."""
     if granularity == "element":
         return score.ravel()
     if granularity == "row-group":
         return score.sum(axis=1)
-    if granularity == "column-group":
-        return score.sum(axis=0)
     raise ValueError(f"unknown granularity {granularity!r}")
 
 
 def _write_mask(param: MaskedParam, keep_units: np.ndarray, p: float, granularity: str):
     if granularity == "element":
         mask = np.where(keep_units.reshape(param.weights.shape), 1.0, p)
-    elif granularity == "row-group":
+    else:
         mask = np.where(keep_units[:, None], 1.0, p)
         mask = np.broadcast_to(mask, param.weights.shape).copy()
-    else:
-        mask = np.where(keep_units[None, :], 1.0, p)
-        mask = np.broadcast_to(mask, param.weights.shape).copy()
     param.mask = np.ascontiguousarray(mask, dtype=np.float64)
-    param.granularity = granularity
 
 
 def soft_sparsity(params: list[MaskedParam], p: float) -> float:
@@ -133,12 +124,10 @@ def apply_mask_update(
         if np.asarray(scores[par.name]).shape != par.weights.shape:
             raise ValueError(f"score shape mismatch for {par.name!r}")
 
-    state = MaskState(p_current=float(p_t), s_current=float(s_t),
-                      granularity=granularity)
+    state = MaskState(p_current=float(p_t))
     for par in params:
         if par.name in exclude:
             par.mask = np.ones_like(par.weights)
-            par.granularity = granularity
 
     units = {
         par.name: _unit_scores(np.asarray(scores[par.name], dtype=np.float64),

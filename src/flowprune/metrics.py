@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.ndimage
 
-from .masking import MASK_ATOL, MaskedParam
+from .masking import MaskedParam, dense_params, nonzero_params
 
 # Keeps covariance factors full-rank; applied to both inputs unconditionally
 # so the distance stays symmetric.
@@ -135,27 +135,11 @@ def consistency_ssim(samples_ref: np.ndarray, samples_cmp: np.ndarray) -> float:
     )
 
 
-def count_macs(params: list[MaskedParam],
-               granularity: str | None = None) -> tuple[int, int]:
+def count_macs(params: list[MaskedParam]) -> tuple[int, int]:
     """(dense, sparse) multiply-accumulates per forward sample.
 
-    A weight matrix [out, in] costs out*in dense MACs. Under element masks the
-    sparse count is the number of nonzero mask entries; under group masks only
-    rows (or columns) free of zeros count.
+    A weight matrix [out, in] costs out*in dense MACs; the sparse count is
+    the number of nonzero mask entries. A row-group mask is uniform along
+    each row, so that equals the kept rows times ``in``.
     """
-    dense = 0
-    sparse = 0
-    for par in params:
-        out_n, in_n = par.weights.shape
-        dense += out_n * in_n
-        g = granularity or par.granularity
-        nz = np.abs(par.mask) > MASK_ATOL
-        if g == "element":
-            sparse += int(np.count_nonzero(nz))
-        elif g == "row-group":
-            sparse += int(np.count_nonzero(nz.all(axis=1))) * in_n
-        elif g == "column-group":
-            sparse += int(np.count_nonzero(nz.all(axis=0))) * out_n
-        else:
-            raise ValueError(f"unknown granularity {g!r}")
-    return dense, sparse
+    return dense_params(params), nonzero_params(params)

@@ -98,7 +98,6 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
         granularity=arm.granularity or cfg.plan_granularity,
         final_criterion=arm.final_criterion or cfg.plan_final_criterion,
         final_granularity=arm.final_granularity or cfg.plan_final_granularity,
-        hvp_method=cfg.plan_hvp_method,
         score_n_batches=cfg.plan_score_batches,
         score_batch_size=cfg.plan_score_batch_size,
     )
@@ -172,9 +171,15 @@ def evaluate_model(cfg: RunConfig, model: NoisePredictor,
                    seed: int) -> QualityReport:
     """QualityReport for one model; SSIM pairs against the dense samples
     generated from the identical noise seed."""
-    sched = build_schedule(cfg)
-    samples = sample_ddim(model, sched, cfg.eval_samples, cfg.eval_substeps,
-                          noise_seed=cfg.eval_seed)
+    samples = sample_ddim(model, build_schedule(cfg), cfg.eval_samples,
+                          cfg.eval_substeps, noise_seed=cfg.eval_seed)
+    return _quality(cfg, model, samples, dense_samples, seed)
+
+
+def _quality(cfg: RunConfig, model: NoisePredictor, samples: np.ndarray,
+             dense_samples: np.ndarray | None, seed: int) -> QualityReport:
+    """QualityReport for ``model`` from its evaluation samples; without
+    ``dense_samples`` the model is its own SSIM reference."""
     ref = eval_reference(cfg)[: cfg.eval_samples]
     fd = frechet_distance(samples, ref)
     if dense_samples is None:
@@ -373,9 +378,9 @@ FIG2_ARMS = [
 
 def run_experiment(cfg: RunConfig, experiment: str,
                    arms: list[Arm], out_root,
-                   trace: bool = False,
-                   include_dense_row: bool = True) -> dict:
-    """Run arms x seeds from shared pretrained checkpoints.
+                   trace: bool = False) -> dict:
+    """Run arms x seeds from shared pretrained checkpoints, with one dense
+    row per seed.
 
     Returns {"rows": [...], "reports": {(method, seed): report}, ...} and
     writes results.csv (plus trace.csv when tracing is on).
@@ -391,10 +396,9 @@ def run_experiment(cfg: RunConfig, experiment: str,
         pre_wall = time.perf_counter() - t0
         dense_model = load_stage_model(cfg, seed, pre_path)
         dense_samples = dense_sample_cache(cfg, dense_model)
-        if include_dense_row:
-            dense_quality = evaluate_model(cfg, dense_model, None, seed)
-            rows.append(result_row(experiment, "dense", "-", "-", seed,
-                                   dense_quality.as_dict(), pre_wall))
+        dense_quality = _quality(cfg, dense_model, dense_samples, None, seed)
+        rows.append(result_row(experiment, "dense", "-", "-", seed,
+                               dense_quality.as_dict(), pre_wall))
         for arm in arms:
             arm_dir = out_root / arm.method.replace("/", "_") / f"seed{seed}"
             report = prune_run(

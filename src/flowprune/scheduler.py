@@ -23,7 +23,7 @@ from .criteria import (
     score_batches,
 )
 from .diffusion import Adam, DiffusionSchedule, NoisePredictor, OptimizerConfig, train
-from .masking import MaskState, apply_mask_update
+from .masking import GRANULARITIES, MaskState, apply_mask_update
 
 MODES = (
     "one-shot",
@@ -53,22 +53,20 @@ class PrunePlan:
     granularity: str = "element"
     final_criterion: str = "taylor"
     final_granularity: str = "row-group"
-    final_per_layer: bool = True
-    per_layer: bool = False
-    hvp_method: str = "exact"
     score_n_batches: int = 4
     score_batch_size: int = 256
-    # prune-stage weight updates: "dense" lets pruned weights keep training
-    # (recoverable, soft-pruning style); finetune always freezes them
-    train_grad: str = "dense"
 
     def __post_init__(self):
         if not 0.0 <= self.s < 1.0:
             raise ValueError("target sparsity must lie in [0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {self.criterion!r}")
+        for what in ("criterion", "final_criterion"):
+            if getattr(self, what) not in CRITERIA:
+                raise ValueError(f"unknown {what} {getattr(self, what)!r}")
+        for what in ("granularity", "final_granularity"):
+            if getattr(self, what) not in GRANULARITIES:
+                raise ValueError(f"unknown {what} {getattr(self, what)!r}")
         if self.mode == "one-shot" and self.m_iters != 0:
             raise ValueError("one-shot mode requires m_iters == 0")
         if self.mode != "one-shot" and self.m_iters > 0:
@@ -174,7 +172,9 @@ def run_progressive_soft(
         trace = train(
             model, sched, data, steps=plan.interval, opt=opt, seed=seed,
             stage="prune-train", start_step=(t - 1) * plan.interval,
-            grad_mode=plan.train_grad,
+            # pruned weights keep training (recoverable, soft-pruning
+            # style); finetune freezes them
+            grad_mode="dense",
         )
         step = schedule_at(plan, t)
         # one fixed batch set per run: consecutive updates then rank with
@@ -183,11 +183,9 @@ def run_progressive_soft(
         scores = compute_scores(
             plan.criterion, model, sched, data, seed=_score_seed(seed, 0),
             n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
-            hvp_method=plan.hvp_method,
         )
         state = _update_masks(model, scores, step.s_t, step.p_t,
-                              plan.granularity, plan.per_layer,
-                              grouped_per_layer=True)
+                              plan.granularity)
         # units whose kept/pruned status changed since the last update
         churn = state.pruned_units if prev_kept is None else sum(
             int(np.count_nonzero(prev_kept[n] != k))
@@ -216,16 +214,14 @@ def _score_seed(seed: int, t: int) -> int:
 
 
 def _update_masks(model: NoisePredictor, scores: ImportanceScores, s_t: float,
-                  p_t: float, granularity: str, per_layer: bool,
-                  grouped_per_layer: bool) -> MaskState:
+                  p_t: float, granularity: str) -> MaskState:
     """Mask update under the grouped-prune policy: group-granular pruning
-    skips the output projection and ranks per layer when
-    ``grouped_per_layer``; element pruning follows ``per_layer``."""
+    skips the output projection and ranks per layer; element pruning ranks
+    globally."""
     grouped = granularity != "element"
     return apply_mask_update(
         model.masked_params(), scores.per_param, s_t, p_t,
-        granularity=granularity,
-        per_layer=grouped_per_layer if grouped else per_layer,
+        granularity=granularity, per_layer=grouped,
         exclude=model.output_weight_names if grouped else (),
     )
 
@@ -250,11 +246,8 @@ def final_hard_prune(
     scores = compute_scores(
         plan.final_criterion, model, sched, data, seed=_score_seed(seed, 0),
         n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
-        hvp_method=plan.hvp_method,
     )
-    state = _update_masks(model, scores, plan.s, 0.0, plan.final_granularity,
-                          plan.per_layer,
-                          grouped_per_layer=plan.final_per_layer)
+    state = _update_masks(model, scores, plan.s, 0.0, plan.final_granularity)
     after_kept = sum(
         int(np.count_nonzero((np.abs(p.mask) > 0.5) & before[p.name]))
         for p in model.masked_params()
@@ -274,7 +267,6 @@ def finetune(
     seed: int,
     opt_config: OptimizerConfig | None = None,
     steps: int | None = None,
-    start_step: int = 0,
 ) -> list[tuple[int, float]]:
     """Train the pruned model; zero-mask units receive zero gradient, and a
     fresh optimizer keeps their weights bit-identical throughout."""
@@ -282,5 +274,4 @@ def finetune(
     n = plan.finetune_steps if steps is None else steps
     return train(
         model, sched, data, steps=n, opt=opt, seed=seed, stage="finetune",
-        start_step=start_step,
     )

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing PASS/FAIL.
 
 Criteria 1-6, 10 and 11 are deterministic oracles and run in seconds.
-Criteria 7-9 share one experiment grid (pretrain + seven pruning arms per
-seed over five seeds) executed once as a session fixture; its runtime
-dominates the suite.
+Criteria 7-9 (the Table 1, Table 2 and Fig 2 comparisons on a shared
+experiment grid) are pending: no test for them exists yet (ROADMAP
+direction 5).
 """
 
 import time
@@ -333,7 +333,7 @@ class TestAcceptance11Determinism:
                 [Arm("gf", "gradient-flow", "progressive-soft",
                      final_criterion="gradient-flow",
                      final_granularity="element")],
-                tmp_path / rep_dir, include_dense_row=True,
+                tmp_path / rep_dir,
             )
             reports.append(
                 [

@@ -1,0 +1,37 @@
+"""The benchmark in ``perfbench/`` against the package it wraps.
+
+``perfbench/`` names package modules, functions and the bindings other
+modules import; a rename in ``src/`` that breaks one of them fails here in
+about a second rather than in a benchmark run. ``perfbench/`` is put on
+``sys.path`` for the test only, and its modules are unloaded afterwards.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield {name: importlib.import_module(name)
+               for name in ("selftest", "run", "tracing", "workloads")}
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name, mod in list(sys.modules.items()):
+            if Path(getattr(mod, "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]
+
+
+def test_benchmark_file_matches_workloads_and_metrics(bench):
+    bench["selftest"].check_benchmark_file(bench["run"], bench["tracing"],
+                                           bench["workloads"])
+
+
+def test_every_wrapped_binding_is_patched_and_restored(bench):
+    bench["selftest"].check_bindings(bench["tracing"])

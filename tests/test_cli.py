@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from flowprune import pipeline
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
 from flowprune.cli import main
 from flowprune.config import RunConfig
@@ -149,3 +151,45 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
     err_lines = [l for l in out.err.splitlines() if l]
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: numeric: non-finite values")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("plan_final_criterion", "bogus"),
+    ("plan_final_granularity", "column-group"),
+    ("plan_granularity", "bogus"),
+    ("plan_mode", "bogus"),
+])
+def test_bad_plan_rejected_before_any_stage(capsys, small_cfg_path, tmp_path,
+                                            key, value):
+    cfg = RunConfig.load(small_cfg_path)
+    setattr(cfg, key, value)
+    cfg.out_dir = str(tmp_path / "runs")
+    path = tmp_path / "bad.cfg"
+    cfg.save(path)
+    code, out = run_cli(capsys, "prune", "--config", str(path))
+    assert code == 2
+    err_lines = [l for l in out.err.splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: config:")
+    assert value in err_lines[0]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_table1_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,
+                                                      tmp_path, monkeypatch):
+    calls = []
+    real = pipeline.sample_ddim
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_ddim", counting)
+    code, out = run_cli(capsys, "table1", "--config", str(small_cfg_path),
+                        "--out", str(tmp_path))
+    assert code == 0
+    # one dense pass per seed, then one per arm
+    assert len(calls) == 1 + len(pipeline.TABLE1_ARMS)
+    rows = list(csv.DictReader(open(json.loads(out.out)["results_csv"])))
+    dense = [r for r in rows if r["method"] == "dense"]
+    assert len(dense) == 1 and float(dense[0]["ssim"]) == 1.0

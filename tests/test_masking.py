@@ -181,7 +181,7 @@ def oracle_kept(scores, s_t, granularity, per_layer, exclude):
         if granularity == "element":
             units = score.ravel()
         else:
-            units = score.sum(axis=1 if granularity == "row-group" else 0)
+            units = score.sum(axis=1)
         pools[name] = [(float(v), name, i) for i, v in enumerate(units)]
     groups = list(pools.values()) if per_layer else [sum(pools.values(), [])]
     kept = set()
@@ -207,8 +207,7 @@ class TestRankingOracle:
                                 elements=values))
             for n in names
         }
-        granularity = data.draw(st.sampled_from(
-            ["element", "row-group", "column-group"]))
+        granularity = data.draw(st.sampled_from(["element", "row-group"]))
         per_layer = data.draw(st.booleans())
         exclude = tuple(data.draw(st.lists(st.sampled_from(names),
                                            unique=True)))
@@ -224,8 +223,8 @@ class TestRankingOracle:
             if par.name in exclude:
                 np.testing.assert_array_equal(par.mask, 1.0)
                 continue
-            unit_mask = {"element": par.mask.ravel(), "row-group": par.mask[:, 0],
-                         "column-group": par.mask[0, :]}[granularity]
+            unit_mask = {"element": par.mask.ravel(),
+                         "row-group": par.mask[:, 0]}[granularity]
             got |= {(par.name, int(i)) for i in np.flatnonzero(unit_mask == 1.0)}
             np.testing.assert_array_equal(
                 state.kept[par.name], unit_mask == 1.0)

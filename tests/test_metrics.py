@@ -176,12 +176,27 @@ class TestMacs:
         dense, sparse = count_macs([par])
         assert dense == 16384 and sparse == 8192
 
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_row_groups_any_s_p(self, s, p):
+        # a nonzero count over row-group masks equals the per-row formula:
+        # rows free of zeros times the input width
+        par = self.make_layer(128, 64)
+        rng = make_rng(16, "macs")
+        apply_mask_update([par], {"w": rng.normal(size=(128, 64))}, s, p,
+                          granularity="row-group")
+        dense, sparse = count_macs([par])
+        full_rows = int(np.count_nonzero((par.mask != 0.0).all(axis=1)))
+        assert dense == 128 * 64 and sparse == full_rows * 64
+        if p == 0.0:
+            assert full_rows == 128 - int(np.floor(s * 128))
+
     def test_element_masking_counts_nonzeros(self):
         par = self.make_layer(4, 4)
         par.mask = np.zeros((4, 4))
         par.mask[0, :] = 1.0
         par.mask[1, 0] = 1.0
-        dense, sparse = count_macs([par], granularity="element")
+        dense, sparse = count_macs([par])
         assert dense == 16 and sparse == 5
 
     def test_model_wide_half_sparsity(self):

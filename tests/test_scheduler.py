@@ -91,6 +91,18 @@ class TestScheduleAt:
             PrunePlan(s=0.5, total_steps=10, m_iters=1, n_iters=1,
                       mode="one-shot")
 
+    @pytest.mark.parametrize("field, value", [
+        ("granularity", "column-group"),
+        ("final_granularity", "column-group"),
+        ("final_criterion", "bogus"),
+        ("criterion", "bogus"),
+        ("mode", "bogus"),
+    ])
+    def test_plan_rejects_unknown_names(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PrunePlan(s=0.5, total_steps=10, m_iters=1, n_iters=1,
+                      **{field: value})
+
 
 def scores_vec(values):
     return ImportanceScores(
