@@ -8,13 +8,15 @@ so gradients and Hessian-vector products of the loss come straight from the
 record. Weight matrices are stored [out, in] and registered as maskable;
 biases stay dense.
 
-Sampling runs a compacted copy of the predictor (``NoisePredictor.compact``).
-A hidden unit whose effective incoming row is all zero, as after a row-group
-hard prune, emits a constant, because biases are never masked. Compaction
-folds that constant into the next layer's bias and drops the unit's row and
-the matching column of the next layer, so the sampler's matmuls cover only
-the surviving units. An unpruned model compacts to itself, so its samples do
-not change.
+Sampling and fine-tuning run a compacted copy of the predictor
+(``NoisePredictor.compact``). A hidden unit whose effective incoming row is
+all zero, as after a row-group hard prune, emits a constant, because biases
+are never masked. Compaction folds that constant into the next layer's bias
+and drops the unit's row and the matching column of the next layer, so the
+matmuls cover only the surviving units. The copy keeps the raw weights under
+their masks, so masked-out entries of surviving rows stay frozen when it
+trains, and ``write_back`` scatters its parameters into the full layout. An
+unpruned model compacts to itself, so its samples do not change.
 """
 
 from __future__ import annotations
@@ -226,35 +228,45 @@ class NoisePredictor:
         row keeps it. ``W_{k+1}[:, dead] @ const[dead]`` is folded into the
         next layer's bias, then the dead rows of layer k and the matching
         columns of layer k+1 are dropped. Layers are visited in order, so a
-        unit whose row is zero only on dropped columns goes too. The copy
-        holds the surviving effective weights under all-one masks; its
-        predictions match the masked model's up to rounding.
+        unit whose row is zero only on dropped columns goes too.
+
+        The copy holds the surviving raw weights under the surviving masks,
+        so its effective weights are the gathered effective weights, bit for
+        bit, and it can be trained with the same frozen entries;
+        :meth:`write_back` copies its parameters into ``self``.
         """
         if self.activation == "silu":
             def act(z):
                 return z / (1.0 + np.exp(-z))
         else:
             act = np.tanh
-        params = {n: self.masked[n].effective() if n in self.masked else a
-                  for n, a in self.params.items()}
+        params = dict(self.params)
+        masks = {n: self.masked[n].mask for n in self._weight_names}
+
+        def eff(name):
+            return params[name] * masks[name]
+
+        rows = {n: np.arange(len(m)) for n, m in masks.items()}
         tags = [f"layer{k}" for k in range(self.depth)] + ["out"]
         changed = False
         for k, tag in enumerate(tags[:-1]):
             const = act(params[f"{tag}.b"])
-            dead = ~params[f"{tag}.w"].any(axis=1)
+            dead = ~eff(f"{tag}.w").any(axis=1)
             if k == 0:
-                dead &= ~params["temb.w"].any(axis=1)
+                dead &= ~eff("temb.w").any(axis=1)
                 const = const + params["temb.b"]
             if not dead.any():
                 continue
             changed = True
             live = ~dead
             nxt = tags[k + 1]
-            w_next = params[f"{nxt}.w"]
-            params[f"{nxt}.b"] = params[f"{nxt}.b"] + w_next[:, dead] @ const[dead]
-            params[f"{nxt}.w"] = w_next[:, live]
+            params[f"{nxt}.b"] = (params[f"{nxt}.b"]
+                                  + eff(f"{nxt}.w")[:, dead] @ const[dead])
+            for d in (params, masks):
+                d[f"{nxt}.w"] = d[f"{nxt}.w"][:, live]
             for name in ((tag, "temb") if k == 0 else (tag,)):
-                params[f"{name}.w"] = params[f"{name}.w"][live]
+                for d in (params, masks, rows):
+                    d[f"{name}.w"] = d[f"{name}.w"][live]
                 params[f"{name}.b"] = params[f"{name}.b"][live]
         if not changed:
             return self
@@ -262,11 +274,34 @@ class NoisePredictor:
         small.params = {n: np.array(a, order="C") for n, a in params.items()}
         small.masked = {
             n: MaskedParam(name=n, weights=small.params[n],
-                           mask=np.ones_like(small.params[n]))
+                           mask=np.array(masks[n], order="C"))
             for n in self._weight_names
         }
         small._records = {}
+        # layer k+1 reads the units layer k keeps; layer 0 and temb read
+        # every input
+        index = {n: (rows[n], np.arange(self.params[n].shape[1]))
+                 for n in ("layer0.w", "temb.w")}
+        for prev, tag in zip(tags, tags[1:]):
+            index[f"{tag}.w"] = (rows[f"{tag}.w"], rows[f"{prev}.w"])
+        small._source = (self, index, {
+            n: small.params[n].copy() for n in small.bias_names})
         return small
+
+    def write_back(self) -> None:
+        """Copy this compacted predictor's parameters into the predictor it
+        was compacted from.
+
+        Weights are scattered to their rows and columns. A bias receives its
+        change since compaction, so the constant folded into it stays out of
+        the dense bias, and an untrained copy writes back every bit as it
+        was. Dropped units and the columns reading them are not touched.
+        """
+        dense, index, start = self._source
+        for name, (rows, cols) in index.items():
+            dense.params[name][np.ix_(rows, cols)] = self.params[name]
+            bias = name[:-1] + "b"
+            dense.params[bias][rows] += self.params[bias] - start[bias]
 
 
 @dataclass

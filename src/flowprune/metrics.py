@@ -5,7 +5,7 @@ flattened pixels), not on feature-network activations, so absolute values are
 only comparable within this package. Consistency is SSIM between outputs of
 two models sampled from identical noise; 2-D point sets are rasterized to
 32x32 binned kernel-density images first. Efficiency is parameter and MAC
-counting under the active masks.
+counting on the compacted network, the one sampling runs.
 """
 
 from __future__ import annotations
@@ -143,3 +143,23 @@ def count_macs(params: list[MaskedParam]) -> tuple[int, int]:
     each row, so that equals the kept rows times ``in``.
     """
     return dense_params(params), nonzero_params(params)
+
+
+def efficiency(model) -> dict[str, int]:
+    """Parameter and MAC counts per forward sample of a noise predictor.
+
+    The dense figures count the full network. The sparse figures count what
+    ``model.compact()`` computes: ``macs_sparse`` is the size of its weight
+    matrices, so layer k+1 reads only the units layer k keeps, and a layer-0
+    unit kept by its ``temb.w`` row alone still costs its ``layer0.w`` row;
+    ``nonzero_params`` is its nonzero weights plus its biases.
+    """
+    small = model.compact()
+    macs_dense, _ = count_macs(model.masked_params())
+    macs_sparse, nonzero = count_macs(small.masked_params())
+    return {
+        "nonzero_params": nonzero + small.bias_param_count(),
+        "dense_params": macs_dense + model.bias_param_count(),
+        "macs_dense": macs_dense,
+        "macs_sparse": macs_sparse,
+    }

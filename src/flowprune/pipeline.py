@@ -4,7 +4,8 @@ evaluate, with a checkpoint at every stage boundary.
 Each run owns an output directory containing stage checkpoints, a
 diagnostics CSV (one row per mask iteration) and a JSON report. Experiment
 drivers (criterion comparison, schedule ablation, convergence traces) share
-one pretrained checkpoint per seed so arms differ only in the pruning stage.
+one pretrained checkpoint per seed, in ``<out_dir>/pretrain``, so arms differ
+only in the pruning stage.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .diffusion import (
     sample_ddim,
     train,
 )
-from .masking import dense_params, nonzero_params
-from .metrics import QualityReport, consistency_ssim, count_macs, frechet_distance
+from .metrics import QualityReport, consistency_ssim, efficiency, frechet_distance
 from .scheduler import (
     PrunePlan,
     final_hard_prune,
@@ -100,6 +100,7 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
         final_granularity=arm.final_granularity or cfg.plan_final_granularity,
         score_n_batches=cfg.plan_score_batches,
         score_batch_size=cfg.plan_score_batch_size,
+        train_batch=cfg.train_batch,
     )
 
 
@@ -186,16 +187,10 @@ def _quality(cfg: RunConfig, model: NoisePredictor, samples: np.ndarray,
         ssim_val = 1.0
     else:
         ssim_val = consistency_ssim(dense_samples, samples)
-    masked = model.masked_params()
-    extra = model.bias_param_count()
-    dense_macs, sparse_macs = count_macs(masked)
     return QualityReport(
         frechet=fd,
         ssim=ssim_val,
-        nonzero_params=nonzero_params(masked, always_dense=extra),
-        dense_params=dense_params(masked, always_dense=extra),
-        macs_dense=dense_macs,
-        macs_sparse=sparse_macs,
+        **efficiency(model),
         seeds=(seed, cfg.eval_seed),
     )
 
@@ -379,8 +374,9 @@ FIG2_ARMS = [
 def run_experiment(cfg: RunConfig, experiment: str,
                    arms: list[Arm], out_root,
                    trace: bool = False) -> dict:
-    """Run arms x seeds from shared pretrained checkpoints, with one dense
-    row per seed.
+    """Run arms x seeds from the pretrained checkpoints in
+    ``cfg.out_dir/pretrain``, which every experiment and the ``pretrain``
+    and ``prune`` commands share, with one dense row per seed.
 
     Returns {"rows": [...], "reports": {(method, seed): report}, ...} and
     writes results.csv (plus trace.csv when tracing is on).
@@ -392,7 +388,7 @@ def run_experiment(cfg: RunConfig, experiment: str,
     trace_rows: list[dict] = []
     for seed in cfg.seeds:
         t0 = time.perf_counter()
-        pre_path = pretrain(cfg, seed, out_root / "pretrain")
+        pre_path = pretrain(cfg, seed, Path(cfg.out_dir) / "pretrain")
         pre_wall = time.perf_counter() - t0
         dense_model = load_stage_model(cfg, seed, pre_path)
         dense_samples = dense_sample_cache(cfg, dense_model)

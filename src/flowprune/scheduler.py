@@ -6,7 +6,10 @@ applied. Over ``m_iters`` mask iterations the schedule ramps sparsity s_t
 from 0 to s while the soft mask value p_t decays from 1 to 0 (mode
 ``progressive-soft``); the ablation modes pin one or both of these. After the
 loop a one-shot hard prune at the configured granularity fixes the final
-mask, and fine-tuning trains only the surviving weights.
+mask, and fine-tuning trains only the surviving weights. It trains the
+compacted network, so a row-group prune makes every finetune step cheaper;
+the units the prune removed keep their biases, and the next layer keeps its
+columns reading them, at their hard-prune values.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class PrunePlan:
 
     ``total_steps`` is the weight-update budget K shared by the prune stage
     and fine-tuning; the prune stage consumes m_iters * interval of it.
+    Both stages train on batches of ``train_batch``.
     s == 0 is allowed as an explicit identity run.
     """
 
@@ -55,6 +59,7 @@ class PrunePlan:
     final_granularity: str = "row-group"
     score_n_batches: int = 4
     score_batch_size: int = 256
+    train_batch: int = 128
 
     def __post_init__(self):
         if not 0.0 <= self.s < 1.0:
@@ -172,6 +177,7 @@ def run_progressive_soft(
         trace = train(
             model, sched, data, steps=plan.interval, opt=opt, seed=seed,
             stage="prune-train", start_step=(t - 1) * plan.interval,
+            batch_size=plan.train_batch,
             # pruned weights keep training (recoverable, soft-pruning
             # style); finetune freezes them
             grad_mode="dense",
@@ -268,10 +274,22 @@ def finetune(
     opt_config: OptimizerConfig | None = None,
     steps: int | None = None,
 ) -> list[tuple[int, float]]:
-    """Train the pruned model; zero-mask units receive zero gradient, and a
-    fresh optimizer keeps their weights bit-identical throughout."""
-    opt = Adam(model.params, opt_config or OptimizerConfig())
+    """Train ``model.compact()``, so a step costs what the pruned network
+    computes, then write it back into ``model``.
+
+    The removed units' biases, and the next layer's columns reading them,
+    stay frozen at their hard-prune values: they only add a constant to the
+    next layer's pre-activation, which that layer's bias can absorb.
+    Zero-mask entries receive zero gradient, and a fresh optimizer keeps
+    them bit-identical throughout.
+    """
+    small = model.compact()
+    opt = Adam(small.params, opt_config or OptimizerConfig())
     n = plan.finetune_steps if steps is None else steps
-    return train(
-        model, sched, data, steps=n, opt=opt, seed=seed, stage="finetune",
+    trace = train(
+        small, sched, data, steps=n, opt=opt, seed=seed, stage="finetune",
+        batch_size=plan.train_batch,
     )
+    if small is not model:
+        small.write_back()
+    return trace

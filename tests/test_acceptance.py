@@ -32,11 +32,9 @@ from flowprune.diffusion import (
 from flowprune.masking import (
     MaskedParam,
     apply_mask_update,
-    dense_params,
-    nonzero_params,
     soft_sparsity,
 )
-from flowprune.metrics import count_macs
+from flowprune.metrics import efficiency
 from flowprune.pipeline import (
     Arm,
     model_tensors,
@@ -300,18 +298,30 @@ class TestAcceptance10Efficiency:
                          final_granularity="row-group", score_batch_size=64,
                          score_n_batches=1)
         final_hard_prune(model, sched, data, plan, seed=0)
-        masked = model.masked_params()
-        extra = model.bias_param_count()
-        nz = nonzero_params(masked, always_dense=extra)
-        dn = dense_params(masked, always_dense=extra)
-        macs_dense, macs_sparse = count_macs(masked)
-        param_ratio = nz / dn
-        macs_ratio = macs_sparse / macs_dense
-        ok = 0.45 <= param_ratio <= 0.55 and 0.45 <= macs_ratio <= 0.55
+        got = efficiency(model)
+        # the compact network from the kept-row sets: a layer-0 unit lives
+        # if its layer0.w or its temb.w row is kept, and layer k+1 reads
+        # only the units layer k keeps
+        kept = {n: (p.mask != 0).any(axis=1) for n, p in model.masked.items()}
+        units = [int((kept["layer0.w"] | kept["temb.w"]).sum())]
+        units += [int(kept[f"layer{k}.w"].sum()) for k in range(1, 4)]
+        hidden = sum(a * b for a, b in zip(units, units[1:])) + 2 * units[-1]
+        macs = units[0] * (2 + 64) + hidden
+        nonzero = (2 * int(kept["layer0.w"].sum())
+                   + 64 * int(kept["temb.w"].sum()) + hidden)
+        nonzero += 2 * units[0] + sum(units[1:]) + 2  # biases
+        dense_macs = 2 * 128 + 64 * 128 + 3 * 128 * 128 + 128 * 2
+        want = {"nonzero_params": nonzero,
+                "dense_params": dense_macs + 5 * 128 + 2,
+                "macs_dense": dense_macs, "macs_sparse": macs}
+        ok = got == want
         report(
             "10 (efficiency accounting)", ok,
-            f"params {nz}/{dn}={param_ratio:.3f}, "
-            f"macs {macs_sparse}/{macs_dense}={macs_ratio:.3f}",
+            f"params {got['nonzero_params']}/{got['dense_params']}="
+            f"{got['nonzero_params'] / got['dense_params']:.3f}, "
+            f"macs {got['macs_sparse']}/{got['macs_dense']}="
+            f"{got['macs_sparse'] / got['macs_dense']:.3f}, layer widths "
+            f"{units}; independent count {want}",
         )
 
 

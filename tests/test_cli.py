@@ -193,3 +193,53 @@ def test_table1_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,
     rows = list(csv.DictReader(open(json.loads(out.out)["results_csv"])))
     dense = [r for r in rows if r["method"] == "dense"]
     assert len(dense) == 1 and float(dense[0]["ssim"]) == 1.0
+
+
+def test_experiments_share_one_pretrain_per_seed(capsys, small_cfg_path,
+                                                 tmp_path, monkeypatch):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.seeds = [0, 1]
+    path = tmp_path / "two-seeds.cfg"
+    cfg.save(path)
+    pretrained = []
+    real = pipeline.train
+
+    def counting(model, sched, data, steps, opt, seed, stage, **kwargs):
+        if stage == "pretrain":
+            pretrained.append(seed)
+        return real(model, sched, data, steps, opt, seed, stage, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", counting)
+    for command in ("table1", "table2"):
+        code, _ = run_cli(capsys, command, "--config", str(path),
+                          "--out", str(tmp_path / "runs"))
+        assert code == 0
+    assert pretrained == [0, 1]
+    assert sorted(p.name for p in (tmp_path / "runs" / "pretrain").iterdir()) \
+        == ["pretrain_seed0.ckpt", "pretrain_seed1.ckpt"]
+
+
+def test_prune_stages_train_on_the_configured_batch(small_cfg_path, tmp_path,
+                                                    monkeypatch):
+    from flowprune import diffusion, scheduler
+
+    cfg = RunConfig.load(small_cfg_path)
+    assert cfg.train_batch == 32
+    drawn, by_stage = [], {}
+    real_draw, real_train = diffusion.draw_batch, scheduler.train
+
+    def drawing(data, sched, batch, rng):
+        drawn.append(batch)
+        return real_draw(data, sched, batch, rng)
+
+    def training(*args, stage, **kwargs):
+        start = len(drawn)
+        trace = real_train(*args, stage=stage, **kwargs)
+        by_stage.setdefault(stage, set()).update(drawn[start:])
+        return trace
+
+    monkeypatch.setattr(diffusion, "draw_batch", drawing)
+    monkeypatch.setattr(scheduler, "train", training)
+    pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
+    pipeline.prune_run(cfg, 0, pre, tmp_path / "prune")
+    assert by_stage == {"prune-train": {32}, "finetune": {32}}

@@ -367,7 +367,10 @@ class TestCompaction:
         small = model.compact()
         assert small.params["layer0.w"].shape == (5, 2)
         assert small.params["temb.w"].shape == (5, 4)
-        np.testing.assert_array_equal(small.params["layer0.w"][1], 0.0)
+        # the copy carries the raw row under its zero mask
+        np.testing.assert_array_equal(small.masked["layer0.w"].mask[1], 0.0)
+        np.testing.assert_array_equal(small.masked["layer0.w"].effective()[1],
+                                      0.0)
         assert_same_predictions(model, small)
 
     def test_unpruned_or_no_zero_row_returns_self(self):

@@ -1,15 +1,21 @@
+import copy
+import functools
+
 import numpy as np
 import pytest
 
 from flowprune.criteria import ImportanceScores
 from flowprune.datasets import DatasetSpec, generate
 from flowprune.diffusion import (
+    Adam,
     NoisePredictor,
     OptimizerConfig,
+    draw_batch,
     loss,
+    loss_and_grads,
     make_schedule,
 )
-from flowprune import scheduler
+from flowprune import diffusion, scheduler
 from flowprune.masking import apply_mask_update, soft_sparsity
 from flowprune.scheduler import (
     PrunePlan,
@@ -282,3 +288,136 @@ class TestDriver:
             p.weights[np.abs(p.mask) < 0.5] = 123.456
         out2 = model.predict(x, t)
         np.testing.assert_array_equal(out1, out2)
+
+
+def pruned_for_finetune(s, activation, seed=0):
+    """A hard-pruned model with random biases: per-layer row groups at
+    sparsity ``s`` on every weight but the output projection, with one
+    layer-0 unit kept only by its temb.w row."""
+    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
+                           activation=activation, seed=seed)
+    rng = make_rng(seed, "ft-oracle")
+    for name in model.bias_names:
+        model.params[name][...] = rng.normal(scale=0.5,
+                                             size=model.params[name].shape)
+    scores = {n: rng.uniform(size=model.params[n].shape)
+              for n in model.weight_names}
+    apply_mask_update(model.masked_params(), scores, s, 0.0,
+                      granularity="row-group", per_layer=True,
+                      exclude=model.output_weight_names)
+    temb_kept = np.flatnonzero(model.masked["temb.w"].mask[:, 0] == 1.0)
+    model.masked["layer0.w"].mask[temb_kept[0]] = 0.0
+    return model
+
+
+def dead_units(model):
+    """Per layer tag, the units whose output is a constant (test-local)."""
+    eff = {n: p.effective() for n, p in model.masked.items()}
+    dead = {"layer0": ~eff["layer0.w"].any(axis=1) & ~eff["temb.w"].any(axis=1)}
+    for k in range(1, model.depth):
+        dead[f"layer{k}"] = ~eff[f"layer{k}.w"].any(axis=1)
+    return dead
+
+
+def masked_dense_finetune(model, sched, data, plan, seed, steps):
+    """Masked training of the full network in which the dead units' biases
+    and the columns reading them are frozen; one loss per step."""
+    dead = dead_units(model)
+    nxt = {f"layer{k}": f"layer{k + 1}.w" for k in range(model.depth - 1)}
+    nxt[f"layer{model.depth - 1}"] = "out.w"
+    opt = Adam(model.params, OptimizerConfig())
+    losses = []
+    for k in range(steps):
+        batch = draw_batch(data, sched, plan.train_batch,
+                           make_rng(seed, "finetune", k))
+        value, grads = loss_and_grads(model, sched, batch)
+        for tag, d in dead.items():
+            grads[f"{tag}.b"][d] = 0.0
+            grads[nxt[tag]][:, d] = 0.0
+        grads["temb.b"][dead["layer0"]] = 0.0
+        opt.step(model.params, grads)
+        losses.append(value)
+    return losses
+
+
+def frozen_entries(model):
+    """The hard-prune values the compact finetune must not move."""
+    dead = dead_units(model)
+    out = {n: model.params[n][p.mask == 0] for n, p in model.masked.items()}
+    out["temb.b"] = model.params["temb.b"][dead["layer0"]]
+    for k, (tag, d) in enumerate(dead.items()):
+        out[f"{tag}.b"] = model.params[f"{tag}.b"][d]
+        read = f"layer{k + 1}.w" if k + 1 < model.depth else "out.w"
+        out[f"{read}[:, dead]"] = model.params[read][:, d]
+    return {n: a.copy() for n, a in out.items()}
+
+
+FT_PLAN = dict(total_steps=25, m_iters=0, n_iters=0, interval=1,
+               mode="one-shot", train_batch=32)
+
+
+class TestCompactFinetune:
+    """Finetune trains ``model.compact()`` and writes it back; the oracle is
+    masked training of the full network with the dead units' biases and
+    the columns reading them frozen. Losses agree to 1e-12 relative and
+    weights to 1e-12 absolute (the summation order differs)."""
+
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_matches_masked_dense_reference(self, small_setup, monkeypatch,
+                                            s, activation):
+        data, sched = small_setup
+        model = pruned_for_finetune(s, activation)
+        plan = PrunePlan(s=s, **FT_PLAN)
+        assert model.compact() is not model
+        layer0_only_temb = ((model.masked["layer0.w"].mask == 0).all(axis=1)
+                            & (model.masked["temb.w"].mask == 1).all(axis=1))
+        assert layer0_only_temb.any()
+        ref = copy.deepcopy(model)
+        frozen = frozen_entries(model)
+        monkeypatch.setattr(scheduler, "train",
+                            functools.partial(diffusion.train, log_interval=1))
+        trace = finetune(model, sched, data, plan, seed=3)
+        want = masked_dense_finetune(ref, sched, data, plan, seed=3,
+                                     steps=plan.finetune_steps)
+        assert [k for k, _ in trace] == list(range(plan.finetune_steps))
+        np.testing.assert_allclose([v for _, v in trace], want, rtol=1e-12,
+                                   atol=0)
+        for name, arr in ref.params.items():
+            np.testing.assert_allclose(model.params[name], arr, rtol=0,
+                                       atol=1e-12, err_msg=name)
+        for name, arr in frozen_entries(model).items():
+            assert arr.tobytes() == frozen[name].tobytes(), name
+
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    def test_zero_steps_write_back_every_bit(self, small_setup, activation):
+        data, sched = small_setup
+        model = pruned_for_finetune(0.5, activation, seed=1)
+        before = {n: a.copy() for n, a in model.params.items()}
+        finetune(model, sched, data, PrunePlan(s=0.5, **FT_PLAN), seed=0,
+                 steps=0)
+        for name, arr in before.items():
+            assert model.params[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    def test_element_masks_train_as_before(self, small_setup, activation):
+        # nothing compacts, so finetune is masked training of the model
+        # itself, bit for bit
+        data, sched = small_setup
+        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
+                               activation=activation, seed=2)
+        rng = make_rng(2, "ft-element")
+        apply_mask_update(model.masked_params(),
+                          {n: rng.uniform(size=model.params[n].shape)
+                           for n in model.weight_names}, 0.5, 0.0)
+        assert model.compact() is model
+        ref = copy.deepcopy(model)
+        plan = PrunePlan(s=0.5, **FT_PLAN)
+        got = finetune(model, sched, data, plan, seed=5)
+        opt = Adam(ref.params, OptimizerConfig())
+        want = diffusion.train(ref, sched, data, steps=plan.finetune_steps,
+                               opt=opt, seed=5, stage="finetune",
+                               batch_size=plan.train_batch)
+        assert got == want
+        for name, arr in ref.params.items():
+            assert model.params[name].tobytes() == arr.tobytes(), name
