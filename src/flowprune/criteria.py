@@ -2,11 +2,17 @@
 
 The gradient-flow score of a weight is (effective weight) * (H g), where H
 and g are the Hessian and gradient of the denoising loss with respect to the
-effective (masked) weight matrices. Scores are signed and ranked ascending:
-the most negative units prune first, since removing a unit with importance I
-shifts the squared gradient norm by about -2I, so negative-I units increase
-gradient flow when removed. Magnitude and Taylor scores are the usual
-absolute-value baselines.
+weight matrices. Scores are signed and ranked ascending: the most negative
+units prune first, since removing a unit with importance I shifts the
+squared gradient norm by about -2I, so negative-I units increase gradient
+flow when removed. Magnitude and Taylor scores are the usual absolute-value
+baselines.
+
+Sign convention: the score here is theta * Hg, the negation of GraSP's
+S(-theta) = -theta * Hg (Wang, Zhang and Grosse, ICLR 2020, arXiv
+2002.07376). The ascending ranking here therefore removes first the weights
+GraSP removes first, which are GraSP's highest scores. Acceptance criterion 3
+checks the sign by removing the lowest-scored weights one at a time.
 
 All criteria average over a fixed set of batches whose timesteps are
 stratified evenly over [0, T); the batch seed fully determines the scores.
@@ -15,6 +21,7 @@ stratified evenly over [0, T); the batch seed fully determines the scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +63,7 @@ def score_batches(model: NoisePredictor, sched: DiffusionSchedule,
 
 
 def magnitude_scores(model: NoisePredictor) -> ImportanceScores:
-    per = {p.name: np.abs(p.effective()) for p in model.masked_params()}
+    per = {n: np.abs(model.params[n] * m) for n, m in model.masks.items()}
     return ImportanceScores(criterion="magnitude", per_param=per)
 
 
@@ -93,22 +100,28 @@ def gradient_flow_scores_from_record(record, inputs, names,
     return {n: np.asarray(pre[n]) * hg[n] for n in names}
 
 
-def taylor_scores(model: NoisePredictor, sched: DiffusionSchedule,
-                  batches: list[TrainBatch]) -> ImportanceScores:
-    """Mean over batches of |effective weight * dL/dw|."""
+def _batch_mean(model: NoisePredictor, sched: DiffusionSchedule,
+                batches: list[TrainBatch], masked: bool, score) -> dict:
+    """Mean over batches of a per-record scorer's per-weight scores, each
+    batch's loss taken on the masked or the dense forward."""
     if not batches:
         raise ValueError("need at least one batch")
     names = model.weight_names
     acc = {n: np.zeros_like(model.params[n]) for n in names}
     for batch in batches:
-        ctx = loss(model, sched, batch)
-        per = taylor_scores_from_record(ctx.record, ctx.inputs, names,
-                                        ctx.values)
+        ctx = loss(model, sched, batch, masked=masked)
+        per = score(ctx.record, ctx.inputs, names, values=ctx.values)
         # free this batch's node values before the next forward
         del ctx
         for n in names:
             acc[n] += per[n]
-    per = {n: acc[n] / len(batches) for n in names}
+    return {n: acc[n] / len(batches) for n in names}
+
+
+def taylor_scores(model: NoisePredictor, sched: DiffusionSchedule,
+                  batches: list[TrainBatch]) -> ImportanceScores:
+    """Mean over batches of |effective weight * dL/dw|."""
+    per = _batch_mean(model, sched, batches, True, taylor_scores_from_record)
     return ImportanceScores(criterion="taylor", per_param=per)
 
 
@@ -119,19 +132,9 @@ def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
     H g is measured on the dense network at the current stored weights; the
     mask enters only through the effective-weight prefactor.
     """
-    if not batches:
-        raise ValueError("need at least one batch")
-    names = model.weight_names
-    prefactor = {n: model.masked[n].effective() for n in names}
-    acc = {n: np.zeros_like(model.params[n]) for n in names}
-    for batch in batches:
-        ctx = loss(model, sched, batch, masked=False)
-        per = gradient_flow_scores_from_record(ctx.record, ctx.inputs, names,
-                                               prefactor, ctx.values)
-        del ctx
-        for n in names:
-            acc[n] += per[n]
-    per = {n: acc[n] / len(batches) for n in names}
+    prefactor = {n: model.params[n] * m for n, m in model.masks.items()}
+    score = partial(gradient_flow_scores_from_record, prefactor=prefactor)
+    per = _batch_mean(model, sched, batches, False, score)
     return ImportanceScores(criterion="gradient-flow", per_param=per)
 
 

@@ -5,8 +5,10 @@ The noise predictor is a fully-connected net (4 hidden layers of width 128 by
 default) with a sinusoidal timestep embedding projected and added after the
 first layer. Its forward pass and training loss are built as engine records,
 so gradients and Hessian-vector products of the loss come straight from the
-record. Weight matrices are stored [out, in] and registered as maskable;
-biases stay dense.
+record. Weight matrices are stored [out, in] in ``params``, each with a
+same-shape mask in ``masks`` under the same name; the forward reads
+weight * mask, so a weight or mask rebound to a new array is what the next
+call uses. Biases stay dense.
 
 Sampling and fine-tuning run a compacted copy of the predictor
 (``NoisePredictor.compact``). A hidden unit whose effective incoming row is
@@ -28,7 +30,6 @@ import numpy as np
 
 from . import engine
 from .engine import Record
-from .masking import MaskedParam
 from .seeding import make_rng
 
 
@@ -130,19 +131,14 @@ class NoisePredictor:
             return rng.standard_normal((out_n, in_n)) * np.sqrt(2.0 / in_n)
 
         self.params: dict[str, np.ndarray] = {}
-        self._weight_names: list[str] = []
+        self.masks: dict[str, np.ndarray] = {}
         sizes = [(f"layer0", dim, hidden), ("temb", temb_dim, hidden)]
         sizes += [(f"layer{k}", hidden, hidden) for k in range(1, depth)]
         sizes += [("out", hidden, dim)]
         for tag, in_n, out_n in sizes:
             self.params[f"{tag}.w"] = he(out_n, in_n)
             self.params[f"{tag}.b"] = np.zeros(out_n)
-            self._weight_names.append(f"{tag}.w")
-        self.masked: dict[str, MaskedParam] = {
-            name: MaskedParam(name=name, weights=self.params[name],
-                              mask=np.ones_like(self.params[name]))
-            for name in self._weight_names
-        }
+            self.masks[f"{tag}.w"] = np.ones((out_n, in_n))
         self._records: dict[tuple, Record] = {}
 
     # Final projection: structured (group) pruning skips it, or it could
@@ -153,24 +149,19 @@ class NoisePredictor:
 
     @property
     def weight_names(self) -> list[str]:
-        return list(self._weight_names)
+        return list(self.masks)
 
     @property
     def bias_names(self) -> list[str]:
         return [n for n in self.params if n.endswith(".b")]
-
-    def masked_params(self) -> list[MaskedParam]:
-        return [self.masked[n] for n in self._weight_names]
 
     def bias_param_count(self) -> int:
         return sum(self.params[n].size for n in self.bias_names)
 
     def param_inputs(self, masked: bool = True) -> dict[str, np.ndarray]:
         """Record feed: effective (masked) or raw weights, plus biases."""
-        if masked:
-            feed = {n: self.masked[n].effective() for n in self._weight_names}
-        else:
-            feed = {n: self.params[n] for n in self._weight_names}
+        feed = {n: self.params[n] * m if masked else self.params[n]
+                for n, m in self.masks.items()}
         for n in self.bias_names:
             feed[n] = self.params[n]
         return feed
@@ -241,7 +232,7 @@ class NoisePredictor:
         else:
             act = np.tanh
         params = dict(self.params)
-        masks = {n: self.masked[n].mask for n in self._weight_names}
+        masks = dict(self.masks)
 
         def eff(name):
             return params[name] * masks[name]
@@ -272,11 +263,7 @@ class NoisePredictor:
             return self
         small = copy.copy(self)
         small.params = {n: np.array(a, order="C") for n, a in params.items()}
-        small.masked = {
-            n: MaskedParam(name=n, weights=small.params[n],
-                           mask=np.array(masks[n], order="C"))
-            for n in self._weight_names
-        }
+        small.masks = {n: np.array(m, order="C") for n, m in masks.items()}
         small._records = {}
         # layer k+1 reads the units layer k keeps; layer 0 and temb read
         # every input
@@ -403,8 +390,8 @@ def loss_and_grads(model: NoisePredictor, sched: DiffusionSchedule,
     wrt = list(model.params)
     grads = engine.gradient(ctx.record, ctx.inputs, wrt, ctx.values)
     if grad_mode == "masked":
-        for name in model.weight_names:
-            grads[name] = grads[name] * model.masked[name].mask
+        for name, mask in model.masks.items():
+            grads[name] = grads[name] * mask
     return ctx.value, grads
 
 

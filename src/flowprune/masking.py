@@ -1,10 +1,13 @@
-"""Mask tensors over model weights: hard, soft and row-group pruning.
+"""Mask updates over a model's weights: hard, soft and row-group pruning.
 
-Masks are two-valued per update: pruned units carry the current soft value
-``p`` and kept units carry 1. Masks are recomputed from scratch on every
-update, so a soft-pruned unit whose score recovers is restored -- that
-recoverability is what distinguishes soft from permanent pruning. The soft
-sparsity of a mask set is the fraction of entries equal to ``p``.
+A mask set is a dict from weight name to a same-shape array in [0, 1], kept
+beside the raw weights (``NoisePredictor.masks``); the forward pass reads
+weight * mask. Masks are two-valued per update: pruned units carry the
+current soft value ``p`` and kept units carry 1. Masks are recomputed from
+scratch on every update, so a soft-pruned unit whose score recovers is
+restored -- that recoverability is what distinguishes soft from permanent
+pruning. The soft sparsity of a mask set is the fraction of entries equal to
+``p``.
 """
 
 from __future__ import annotations
@@ -17,18 +20,6 @@ GRANULARITIES = ("element", "row-group")
 
 # Mask entries are compared against p at this absolute tolerance.
 MASK_ATOL = 1e-12
-
-
-@dataclass
-class MaskedParam:
-    """A weight tensor with a same-shape mask in [0, 1]."""
-
-    name: str
-    weights: np.ndarray
-    mask: np.ndarray
-
-    def effective(self) -> np.ndarray:
-        return self.weights * self.mask
 
 
 @dataclass
@@ -50,29 +41,29 @@ def _unit_scores(score: np.ndarray, granularity: str) -> np.ndarray:
     raise ValueError(f"unknown granularity {granularity!r}")
 
 
-def _write_mask(param: MaskedParam, keep_units: np.ndarray, p: float, granularity: str):
+def _unit_mask(keep_units: np.ndarray, shape: tuple, p: float,
+               granularity: str) -> np.ndarray:
     if granularity == "element":
-        mask = np.where(keep_units.reshape(param.weights.shape), 1.0, p)
+        mask = np.where(keep_units.reshape(shape), 1.0, p)
     else:
         mask = np.where(keep_units[:, None], 1.0, p)
-        mask = np.broadcast_to(mask, param.weights.shape).copy()
-    param.mask = np.ascontiguousarray(mask, dtype=np.float64)
+        mask = np.broadcast_to(mask, shape).copy()
+    return np.ascontiguousarray(mask, dtype=np.float64)
 
 
-def soft_sparsity(params: list[MaskedParam], p: float) -> float:
-    """Fraction of mask entries equal to ``p`` across all params.
+def soft_sparsity(masks: dict[str, np.ndarray], p: float) -> float:
+    """Fraction of mask entries equal to ``p`` across all masks.
 
     Degenerate when p == 1 with nothing pruned: every kept entry also equals
     p, so the value saturates at 1 regardless of the pruned set.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    total = sum(par.mask.size for par in params)
+    total = sum(m.size for m in masks.values())
     if total == 0:
         return 0.0
-    hits = sum(
-        int(np.count_nonzero(np.abs(par.mask - p) <= MASK_ATOL)) for par in params
-    )
+    hits = sum(int(np.count_nonzero(np.abs(m - p) <= MASK_ATOL))
+               for m in masks.values())
     return hits / total
 
 
@@ -96,62 +87,51 @@ def _ranked_keep(unit_scores: dict[str, np.ndarray],
 
 
 def apply_mask_update(
-    params: list[MaskedParam],
+    masks: dict[str, np.ndarray],
     scores: dict[str, np.ndarray],
     s_t: float,
     p_t: float,
     granularity: str = "element",
-    per_layer: bool = False,
     exclude: tuple[str, ...] = (),
 ) -> MaskState:
-    """Recompute all masks: lowest-scoring floor(s_t * units) get ``p_t``.
+    """Recompute every mask in ``masks``: the lowest-scoring floor(s_t *
+    units) get ``p_t``, the rest 1. New arrays replace the dict's entries.
 
     Masks are rebuilt from scratch, so any previously pruned unit whose score
     recovers is restored to 1.
 
-    Ranking is global by default (one pooled score vector); ``per_layer``
-    ranks within each parameter instead. ``exclude`` names parameters whose
-    mask is pinned to all-ones (they drop out of the unit universe).
+    Element units rank globally (one pooled score vector); row groups rank
+    within each parameter. ``exclude`` names parameters whose mask is pinned
+    to all-ones (they drop out of the unit universe).
     """
     if not 0.0 <= s_t <= 1.0:
         raise ValueError("s_t must lie in [0, 1]")
     if not 0.0 <= p_t <= 1.0:
         raise ValueError("p_t must lie in [0, 1]")
-    active = [p for p in params if p.name not in exclude]
-    for par in active:
-        if par.name not in scores:
-            raise KeyError(f"scores missing parameter {par.name!r}")
-        if np.asarray(scores[par.name]).shape != par.weights.shape:
-            raise ValueError(f"score shape mismatch for {par.name!r}")
+    active = [n for n in masks if n not in exclude]
+    for n in active:
+        if n not in scores:
+            raise KeyError(f"scores missing parameter {n!r}")
+        if np.asarray(scores[n]).shape != masks[n].shape:
+            raise ValueError(f"score shape mismatch for {n!r}")
 
     state = MaskState(p_current=float(p_t))
-    for par in params:
-        if par.name in exclude:
-            par.mask = np.ones_like(par.weights)
+    for n in masks:
+        if n in exclude:
+            masks[n] = np.ones_like(masks[n])
 
     units = {
-        par.name: _unit_scores(np.asarray(scores[par.name], dtype=np.float64),
-                               granularity)
-        for par in active
+        n: _unit_scores(np.asarray(scores[n], dtype=np.float64), granularity)
+        for n in active
     }
-    if per_layer:
-        keep = {n: _ranked_keep({n: u}, s_t)[n] for n, u in units.items()}
-    else:
+    if granularity == "element":
         keep = _ranked_keep(units, s_t)
+    else:
+        keep = {n: _ranked_keep({n: u}, s_t)[n] for n, u in units.items()}
 
-    for par in active:
-        _write_mask(par, keep[par.name], p_t, granularity)
-        state.kept[par.name] = keep[par.name]
+    for n in active:
+        masks[n] = _unit_mask(keep[n], masks[n].shape, p_t, granularity)
+        state.kept[n] = keep[n]
     state.pruned_units = sum(int(np.count_nonzero(~k)) for k in keep.values())
     state.total_units = sum(k.size for k in keep.values())
     return state
-
-
-def nonzero_params(params: list[MaskedParam], always_dense: int = 0) -> int:
-    """Count of weights whose mask is nonzero, plus unmaskable params."""
-    n = sum(int(np.count_nonzero(np.abs(par.mask) > MASK_ATOL)) for par in params)
-    return n + always_dense
-
-
-def dense_params(params: list[MaskedParam], always_dense: int = 0) -> int:
-    return sum(par.mask.size for par in params) + always_dense

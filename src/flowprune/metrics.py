@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.ndimage
 
-from .masking import MaskedParam, dense_params, nonzero_params
+from .masking import MASK_ATOL
 
 # Keeps covariance factors full-rank; applied to both inputs unconditionally
 # so the distance stays symmetric.
@@ -135,14 +135,18 @@ def consistency_ssim(samples_ref: np.ndarray, samples_cmp: np.ndarray) -> float:
     )
 
 
-def count_macs(params: list[MaskedParam]) -> tuple[int, int]:
-    """(dense, sparse) multiply-accumulates per forward sample.
+def count_macs(masks: dict[str, np.ndarray]) -> tuple[int, int]:
+    """(dense, sparse) multiply-accumulates per forward sample over the
+    weights a mask set covers.
 
     A weight matrix [out, in] costs out*in dense MACs; the sparse count is
     the number of nonzero mask entries. A row-group mask is uniform along
     each row, so that equals the kept rows times ``in``.
     """
-    return dense_params(params), nonzero_params(params)
+    dense = sum(m.size for m in masks.values())
+    sparse = sum(int(np.count_nonzero(np.abs(m) > MASK_ATOL))
+                 for m in masks.values())
+    return dense, sparse
 
 
 def efficiency(model) -> dict[str, int]:
@@ -155,8 +159,8 @@ def efficiency(model) -> dict[str, int]:
     ``nonzero_params`` is its nonzero weights plus its biases.
     """
     small = model.compact()
-    macs_dense, _ = count_macs(model.masked_params())
-    macs_sparse, nonzero = count_macs(small.masked_params())
+    macs_dense, _ = count_macs(model.masks)
+    macs_sparse, nonzero = count_macs(small.masks)
     return {
         "nonzero_params": nonzero + small.bias_param_count(),
         "dense_params": macs_dense + model.bias_param_count(),

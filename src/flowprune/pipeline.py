@@ -44,6 +44,8 @@ DIAG_FIELDS = ["iteration", "loss", "grad_flow_delta", "delta_e", "s_t", "p_t",
 RESULT_FIELDS = ["experiment", "method", "criterion", "mode", "seed", "frechet",
                  "ssim", "nonzero_params", "dense_params", "macs_dense",
                  "macs_sparse", "wall_clock_s"]
+TRACE_FIELDS = ["experiment", "method", "criterion", "seed", "iteration",
+                "frechet"]
 
 
 def build_dataset(cfg: RunConfig) -> np.ndarray:
@@ -110,10 +112,8 @@ def opt_config(cfg: RunConfig) -> OptimizerConfig:
 
 
 def model_tensors(model: NoisePredictor, opt: Adam | None = None) -> dict:
-    tensors = {name: arr for name, arr in model.params.items()}
-    tensors.update(
-        {f"{p.name}.mask": p.mask for p in model.masked_params()}
-    )
+    tensors = dict(model.params)
+    tensors.update({f"{n}.mask": m for n, m in model.masks.items()})
     if opt is not None:
         tensors.update(opt.state_tensors())
     return tensors
@@ -122,8 +122,8 @@ def model_tensors(model: NoisePredictor, opt: Adam | None = None) -> dict:
 def restore_model(model: NoisePredictor, tensors: dict) -> None:
     for name, arr in model.params.items():
         arr[...] = tensors[name]
-    for p in model.masked_params():
-        p.mask = np.array(tensors[f"{p.name}.mask"])
+    for name in model.masks:
+        model.masks[name] = np.array(tensors[f"{name}.mask"])
 
 
 def save_stage(path, model: NoisePredictor, cfg: RunConfig, stage: str,
@@ -195,9 +195,9 @@ def _quality(cfg: RunConfig, model: NoisePredictor, samples: np.ndarray,
     )
 
 
-def write_diagnostics(path, rows: list[dict]) -> str:
+def _write_csv(path, fields: list[str], rows: list[dict]) -> str:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=DIAG_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
     return str(path)
@@ -261,8 +261,8 @@ def prune_run(
         out_dir / "soft_prune.ckpt", model, cfg, "soft_prune",
         plan.m_iters * plan.interval,
     )
-    report["diagnostics_csv"] = write_diagnostics(
-        out_dir / "diagnostics.csv", diags.rows()
+    report["diagnostics_csv"] = _write_csv(
+        out_dir / "diagnostics.csv", DIAG_FIELDS, diags.rows()
     )
     if quality_trace:
         report["quality_trace"] = diags.quality_trace
@@ -293,14 +293,6 @@ def prune_run(
 def _write_report(out_dir: Path, report: dict) -> None:
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
-
-
-def write_results_csv(path, rows: list[dict]) -> str:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return str(path)
 
 
 def result_row(experiment: str, method: str, criterion: str, mode: str,
@@ -357,10 +349,6 @@ TABLE2_ARMS = [
         final_granularity="row-group"),
 ]
 
-ONE_SHOT_GF_ARM = Arm("one-shot", "gradient-flow", "one-shot",
-                      final_criterion="gradient-flow",
-                      final_granularity="row-group")
-
 FIG2_ARMS = [
     Arm("gradient-flow", "gradient-flow", "progressive-soft",
         granularity="row-group", final_criterion="gradient-flow",
@@ -412,16 +400,11 @@ def run_experiment(cfg: RunConfig, experiment: str,
                     "iteration": t, "frechet": q,
                 })
     out = {"rows": rows, "reports": reports,
-           "results_csv": write_results_csv(out_root / "results.csv", rows)}
+           "results_csv": _write_csv(out_root / "results.csv", RESULT_FIELDS,
+                                     rows)}
     if trace_rows:
-        path = out_root / "trace.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["experiment", "method", "criterion", "seed",
-                                "iteration", "frechet"])
-            writer.writeheader()
-            writer.writerows(trace_rows)
-        out["trace_csv"] = str(path)
+        out["trace_csv"] = _write_csv(out_root / "trace.csv", TRACE_FIELDS,
+                                      trace_rows)
         out["trace_rows"] = trace_rows
     return out
 

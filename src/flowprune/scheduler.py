@@ -226,8 +226,7 @@ def _update_masks(model: NoisePredictor, scores: ImportanceScores, s_t: float,
     globally."""
     grouped = granularity != "element"
     return apply_mask_update(
-        model.masked_params(), scores.per_param, s_t, p_t,
-        granularity=granularity, per_layer=grouped,
+        model.masks, scores.per_param, s_t, p_t, granularity=granularity,
         exclude=model.output_weight_names if grouped else (),
     )
 
@@ -246,20 +245,18 @@ def final_hard_prune(
     output projection. Returns the mask state plus a diagnostic with the
     kept-set overlap against the pre-existing mask.
     """
-    before = {
-        p.name: np.abs(p.mask) > 0.5 for p in model.masked_params()
-    }
+    before = {n: np.abs(m) > 0.5 for n, m in model.masks.items()}
     scores = compute_scores(
         plan.final_criterion, model, sched, data, seed=_score_seed(seed, 0),
         n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
     )
     state = _update_masks(model, scores, plan.s, 0.0, plan.final_granularity)
     after_kept = sum(
-        int(np.count_nonzero((np.abs(p.mask) > 0.5) & before[p.name]))
-        for p in model.masked_params()
+        int(np.count_nonzero((np.abs(m) > 0.5) & before[n]))
+        for n, m in model.masks.items()
     )
     total_kept = sum(
-        int(np.count_nonzero(np.abs(p.mask) > 0.5)) for p in model.masked_params()
+        int(np.count_nonzero(np.abs(m) > 0.5)) for m in model.masks.values()
     )
     overlap = after_kept / total_kept if total_kept else 1.0
     return state, {"kept_overlap_with_prior_mask": overlap}

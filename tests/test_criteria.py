@@ -44,7 +44,7 @@ class TestMagnitude:
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
         mask = np.ones_like(model.params["layer0.w"])
         mask[0, :] = 0.0
-        model.masked["layer0.w"].mask = mask
+        model.masks["layer0.w"] = mask
         s = magnitude_scores(model)
         np.testing.assert_array_equal(s.per_param["layer0.w"][0], 0.0)
 
@@ -91,13 +91,10 @@ class TestGradientFlowQuadratic:
         scores = gradient_flow_scores_from_record(rec, feed, ["theta"])
         np.testing.assert_allclose(scores["theta"], [4.0, 16.0], atol=1e-12)
         # ascending rank prunes unit 0 first at s = 0.5
-        from flowprune.masking import MaskedParam
-
-        par = MaskedParam("theta", feed["theta"].reshape(1, 2),
-                          np.ones((1, 2)))
-        apply_mask_update([par], {"theta": scores["theta"].reshape(1, 2)},
+        masks = {"theta": np.ones((1, 2))}
+        apply_mask_update(masks, {"theta": scores["theta"].reshape(1, 2)},
                           0.5, 0.0)
-        np.testing.assert_array_equal(par.mask, [[0.0, 1.0]])
+        np.testing.assert_array_equal(masks["theta"], [[0.0, 1.0]])
 
     def test_removal_sign_on_quadratic(self):
         # removing unit 0 drops ||grad L||^2 from 20 to 16
@@ -139,7 +136,7 @@ class TestGradientFlowQuadratic:
         hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names, g,
                                            method="fd")
         for n in names:
-            a, b = exact.per_param[n], model.masked[n].effective() * hg[n]
+            a, b = exact.per_param[n], model.params[n] * model.masks[n] * hg[n]
             denom = max(float(np.max(np.abs(a))), 1e-10)
             assert float(np.max(np.abs(a - b))) / denom < 1e-4
 
@@ -212,7 +209,7 @@ class TestDeterminismAndMasks:
         data = generate(DatasetSpec("ring-mixture", 256, seed=0))
         mask = np.ones_like(model.params["layer1.w"])
         mask[:4] = 0.0
-        model.masked["layer1.w"].mask = mask
+        model.masks["layer1.w"] = mask
         for crit in ("magnitude", "taylor", "gradient-flow"):
             s = compute_scores(crit, model, sched, data, seed=12,
                                n_batches=1, batch_size=16)
@@ -222,7 +219,7 @@ class TestDeterminismAndMasks:
         """Reusing forward and gradient values gives the bits of separate
         forward, gradient and HVP replays."""
         model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=4)
-        model.masked["layer1.w"].mask = make_rng(5, "m").uniform(
+        model.masks["layer1.w"] = make_rng(5, "m").uniform(
             size=model.params["layer1.w"].shape)
         sched = make_schedule(50, 0.001, 0.05)
         data = generate(DatasetSpec("ring-mixture", 256, seed=0))
@@ -238,7 +235,7 @@ class TestDeterminismAndMasks:
             hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names,
                                                g)
             for n in names:
-                want[n] += model.masked[n].effective() * hg[n]
+                want[n] += model.params[n] * model.masks[n] * hg[n]
         for n in names:
             want[n] /= len(batches)
             assert got.per_param[n].tobytes() == want[n].tobytes()

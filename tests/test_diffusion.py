@@ -233,7 +233,7 @@ def test_loss_and_grads_applies_mask_chain_rule():
         x0=rng.normal(size=(4, 1)), t=rng.integers(0, 20, 4),
         eps=rng.normal(size=(4, 1)),
     )
-    model.masked["layer0.w"].mask = np.zeros_like(model.params["layer0.w"])
+    model.masks["layer0.w"] = np.zeros_like(model.params["layer0.w"])
     _, grads = loss_and_grads(model, sched, batch)
     np.testing.assert_array_equal(grads["layer0.w"], 0.0)
 
@@ -241,8 +241,8 @@ def test_loss_and_grads_applies_mask_chain_rule():
 def test_loss_and_grads_matches_fresh_replay_at_default_width():
     model = NoisePredictor(dim=2, hidden=128, depth=4, temb_dim=64, seed=3)
     rng = make_rng(1, "reuse")
-    for p in model.masked_params():
-        p.mask = rng.uniform(size=p.mask.shape)
+    for n, m in model.masks.items():
+        model.masks[n] = rng.uniform(size=m.shape)
     sched = make_schedule(1000, 1e-4, 0.02)
     data = generate(DatasetSpec("ring-mixture", 512, seed=0))
     batch = draw_batch(data, sched, 128, rng)
@@ -254,8 +254,8 @@ def test_loss_and_grads_matches_fresh_replay_at_default_width():
     assert value == fresh_value
     assert grads.keys() == fresh.keys()
     for name, g in fresh.items():
-        if name in model.masked:
-            g = g * model.masked[name].mask
+        if name in model.masks:
+            g = g * model.masks[name]
         assert grads[name].tobytes() == g.tobytes()
 
 
@@ -323,8 +323,7 @@ def row_pruned(s, activation, seed=0):
     for name in model.bias_names:
         model.params[name][...] = rng.normal(scale=0.5, size=model.params[name].shape)
     scores = {n: rng.uniform(size=model.params[n].shape) for n in model.weight_names}
-    apply_mask_update(model.masked_params(), scores, s, 0.0,
-                      granularity="row-group", per_layer=True,
+    apply_mask_update(model.masks, scores, s, 0.0, granularity="row-group",
                       exclude=model.output_weight_names)
     return model
 
@@ -348,8 +347,8 @@ class TestCompaction:
         for k in (1, 2):
             assert small.params[f"layer{k}.b"].shape == (16 - dropped,)
         # a layer-0 unit goes only when its temb.w row is pruned too
-        gone0 = ((model.masked["layer0.w"].mask == 0).all(axis=1)
-                 & (model.masked["temb.w"].mask == 0).all(axis=1))
+        gone0 = ((model.masks["layer0.w"] == 0).all(axis=1)
+                 & (model.masks["temb.w"] == 0).all(axis=1))
         assert small.params["layer0.w"].shape == (16 - gone0.sum(), 2)
         assert small.params["out.w"].shape == (2, 16 - dropped)
         assert_same_predictions(model, small)
@@ -362,24 +361,23 @@ class TestCompaction:
         rng = make_rng(3, "temb-row")
         for name in model.bias_names:
             model.params[name][...] = rng.normal(size=model.params[name].shape)
-        model.masked["layer0.w"].mask[[1, 4]] = 0.0
-        model.masked["temb.w"].mask[4] = 0.0  # unit 1 keeps its temb row
+        model.masks["layer0.w"][[1, 4]] = 0.0
+        model.masks["temb.w"][4] = 0.0  # unit 1 keeps its temb row
         small = model.compact()
         assert small.params["layer0.w"].shape == (5, 2)
         assert small.params["temb.w"].shape == (5, 4)
         # the copy carries the raw row under its zero mask
-        np.testing.assert_array_equal(small.masked["layer0.w"].mask[1], 0.0)
-        np.testing.assert_array_equal(small.masked["layer0.w"].effective()[1],
-                                      0.0)
+        np.testing.assert_array_equal(small.masks["layer0.w"][1], 0.0)
+        np.testing.assert_array_equal(small.param_inputs()["layer0.w"][1], 0.0)
         assert_same_predictions(model, small)
 
     def test_unpruned_or_no_zero_row_returns_self(self):
         model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=0)
         assert model.compact() is model
         rng = make_rng(0, "elements")
-        for p in model.masked_params():
-            p.mask = (rng.uniform(size=p.mask.shape) < 0.5).astype(np.float64)
-            p.mask[:, 0] = 1.0
+        for n, m in model.masks.items():
+            model.masks[n] = (rng.uniform(size=m.shape) < 0.5).astype(np.float64)
+            model.masks[n][:, 0] = 1.0
         assert model.compact() is model
 
     @pytest.mark.parametrize("activation", ["silu", "tanh"])
@@ -390,3 +388,25 @@ class TestCompaction:
         monkeypatch.setattr(NoisePredictor, "compact", lambda self: self)
         want = sample_ddim(model, sched, 256, 20, noise_seed=5)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_rebound_weight_is_what_predict_loss_and_compact_use():
+    """A weight replaced in ``model.params`` by a new array, not written in
+    place, is what the forward, the loss and compaction read."""
+    rebound = row_pruned(0.5, "silu", seed=2)
+    in_place = row_pruned(0.5, "silu", seed=2)
+    rebound.params["layer1.w"] = rebound.params["layer1.w"] * 2.0
+    in_place.params["layer1.w"] *= 2.0
+    rng = make_rng(2, "rebind")
+    x = rng.standard_normal((8, 2))
+    t = rng.integers(0, 1000, 8)
+    assert rebound.predict(x, t).tobytes() == in_place.predict(x, t).tobytes()
+    sched = make_schedule(1000, 1e-4, 0.02)
+    batch = TrainBatch(x0=rng.standard_normal((8, 2)), t=t,
+                       eps=rng.standard_normal((8, 2)))
+    assert loss(rebound, sched, batch).value == loss(in_place, sched, batch).value
+    small_r, small_i = rebound.compact(), in_place.compact()
+    assert small_i is not in_place
+    for name, arr in small_i.params.items():
+        assert small_r.params[name].tobytes() == arr.tobytes()
+    assert small_r.predict(x, t).tobytes() == small_i.predict(x, t).tobytes()

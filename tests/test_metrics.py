@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowprune.masking import MaskedParam, apply_mask_update
+from flowprune.masking import apply_mask_update
 from flowprune.metrics import (
     batch_ssim,
     consistency_ssim,
@@ -158,22 +158,16 @@ class TestConsistency:
 
 
 class TestMacs:
-    def make_layer(self, out_n, in_n, name="w"):
-        rng = make_rng(13, name)
-        return MaskedParam(name, rng.normal(size=(out_n, in_n)),
-                           np.ones((out_n, in_n)))
-
     def test_dense_single_layer(self):
-        par = self.make_layer(128, 128)
-        dense, sparse = count_macs([par])
+        dense, sparse = count_macs({"w": np.ones((128, 128))})
         assert dense == 16384 and sparse == 16384
 
     def test_half_rows(self):
-        par = self.make_layer(128, 128)
+        masks = {"w": np.ones((128, 128))}
         rng = make_rng(14, "macs")
-        apply_mask_update([par], {"w": rng.normal(size=(128, 128))}, 0.5, 0.0,
+        apply_mask_update(masks, {"w": rng.normal(size=(128, 128))}, 0.5, 0.0,
                           granularity="row-group")
-        dense, sparse = count_macs([par])
+        dense, sparse = count_macs(masks)
         assert dense == 16384 and sparse == 8192
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
@@ -181,32 +175,31 @@ class TestMacs:
     def test_row_groups_any_s_p(self, s, p):
         # a nonzero count over row-group masks equals the per-row formula:
         # rows free of zeros times the input width
-        par = self.make_layer(128, 64)
+        masks = {"w": np.ones((128, 64))}
         rng = make_rng(16, "macs")
-        apply_mask_update([par], {"w": rng.normal(size=(128, 64))}, s, p,
+        apply_mask_update(masks, {"w": rng.normal(size=(128, 64))}, s, p,
                           granularity="row-group")
-        dense, sparse = count_macs([par])
-        full_rows = int(np.count_nonzero((par.mask != 0.0).all(axis=1)))
+        dense, sparse = count_macs(masks)
+        full_rows = int(np.count_nonzero((masks["w"] != 0.0).all(axis=1)))
         assert dense == 128 * 64 and sparse == full_rows * 64
         if p == 0.0:
             assert full_rows == 128 - int(np.floor(s * 128))
 
     def test_element_masking_counts_nonzeros(self):
-        par = self.make_layer(4, 4)
-        par.mask = np.zeros((4, 4))
-        par.mask[0, :] = 1.0
-        par.mask[1, 0] = 1.0
-        dense, sparse = count_macs([par])
+        mask = np.zeros((4, 4))
+        mask[0, :] = 1.0
+        mask[1, 0] = 1.0
+        dense, sparse = count_macs({"w": mask})
         assert dense == 16 and sparse == 5
 
     def test_model_wide_half_sparsity(self):
-        layers = [self.make_layer(16, 8, "a"), self.make_layer(8, 16, "b")]
+        masks = {"a": np.ones((16, 8)), "b": np.ones((8, 16))}
         rng = make_rng(15, "macs2")
-        scores = {p.name: rng.normal(size=p.weights.shape) for p in layers}
-        apply_mask_update(layers, scores, 0.5, 0.0)
-        dense, sparse = count_macs(layers)
+        scores = {n: rng.normal(size=m.shape) for n, m in masks.items()}
+        apply_mask_update(masks, scores, 0.5, 0.0)
+        dense, sparse = count_macs(masks)
         # per-layer summation oracle
-        want = sum(int(np.count_nonzero(p.mask)) for p in layers)
+        want = sum(int(np.count_nonzero(m)) for m in masks.values())
         assert sparse == want
         assert dense == 2 * 16 * 8
         assert abs(sparse / dense - 0.5) < 0.01

@@ -151,13 +151,11 @@ class TestEnergyFlow:
 
     def test_matches_realized_mask(self):
         rng = make_rng(1, "efm")
-        from flowprune.masking import MaskedParam
-
-        par = MaskedParam("w", rng.normal(size=(4, 5)), np.ones((4, 5)))
+        masks = {"w": np.ones((4, 5))}
         scores = {"w": rng.normal(size=(4, 5))}
         s_t, p_t = 0.3, 0.4
-        state = apply_mask_update([par], scores, s_t, p_t)
-        kept = par.mask.size - state.pruned_units
+        state = apply_mask_update(masks, scores, s_t, p_t)
+        kept = masks["w"].size - state.pruned_units
         want = np.sqrt(kept + state.pruned_units * (1 - p_t) ** 2)
         got = energy_flow(
             ImportanceScores(criterion="magnitude", per_param=scores), s_t, p_t
@@ -192,7 +190,7 @@ class TestDriver:
         assert p_vals == sorted(p_vals, reverse=True)
         # final iteration is past n_iters: hard masks at target sparsity
         assert state.p_current == 0.0
-        assert abs(soft_sparsity(model.masked_params(), 0.0) - 0.5) < 1e-2
+        assert abs(soft_sparsity(model.masks, 0.0) - 0.5) < 1e-2
 
     def test_churn_is_symmetric_difference_of_kept_sets(self, small_setup,
                                                          monkeypatch):
@@ -222,21 +220,20 @@ class TestDriver:
         # a soft-pruned unit whose score recovers is restored to mask 1
         data, sched = small_setup
         model = small_model()
-        pars = model.masked_params()
-        scores1 = {p.name: np.abs(make_rng(2, p.name).normal(
-            size=p.weights.shape)) for p in pars}
-        apply_mask_update(pars, scores1, 0.4, 0.5)
+        masks = model.masks
+        scores1 = {n: np.abs(make_rng(2, n).normal(size=m.shape))
+                   for n, m in masks.items()}
+        apply_mask_update(masks, scores1, 0.4, 0.5)
         weak = next(
-            (p.name, i)
-            for p in pars
-            for i in np.flatnonzero(p.mask.ravel() != 1.0)[:1]
+            (n, i)
+            for n, m in masks.items()
+            for i in np.flatnonzero(m.ravel() != 1.0)[:1]
         )
         scores2 = {k: v.copy() for k, v in scores1.items()}
         arr = scores2[weak[0]].ravel()
         arr[weak[1]] = 1e9
-        apply_mask_update(pars, scores2, 0.4, 0.3)
-        par = next(p for p in pars if p.name == weak[0])
-        assert par.mask.ravel()[weak[1]] == 1.0
+        apply_mask_update(masks, scores2, 0.4, 0.3)
+        assert masks[weak[0]].ravel()[weak[1]] == 1.0
 
     def test_final_hard_prune_row_group(self, small_setup):
         data, sched = small_setup
@@ -245,15 +242,15 @@ class TestDriver:
                          interval=1, mode="one-shot", score_batch_size=32)
         state, diag = final_hard_prune(model, sched, data, plan, seed=0)
         assert soft_sparsity(
-            [p for p in model.masked_params()
-             if p.name not in model.output_weight_names], 0.0
+            {n: m for n, m in model.masks.items()
+             if n not in model.output_weight_names}, 0.0
         ) == pytest.approx(0.5, abs=0.1)
         # row purity
-        for p in model.masked_params():
-            if p.name in model.output_weight_names:
-                np.testing.assert_array_equal(p.mask, 1.0)
+        for n, m in model.masks.items():
+            if n in model.output_weight_names:
+                np.testing.assert_array_equal(m, 1.0)
                 continue
-            for row in p.mask:
+            for row in m:
                 assert len(np.unique(row)) == 1
         assert 0.0 <= diag["kept_overlap_with_prior_mask"] <= 1.0
 
@@ -264,15 +261,15 @@ class TestDriver:
                          interval=1, mode="one-shot", score_batch_size=32)
         final_hard_prune(model, sched, data, plan, seed=0)
         pruned_before = {
-            p.name: p.weights[np.abs(p.mask) < 0.5].copy()
-            for p in model.masked_params()
+            n: model.params[n][np.abs(m) < 0.5].copy()
+            for n, m in model.masks.items()
         }
-        masks_before = {p.name: p.mask.copy() for p in model.masked_params()}
+        masks_before = {n: m.copy() for n, m in model.masks.items()}
         finetune(model, sched, data, plan, seed=0, steps=30)
-        for p in model.masked_params():
-            np.testing.assert_array_equal(p.mask, masks_before[p.name])
-            after = p.weights[np.abs(p.mask) < 0.5]
-            assert after.tobytes() == pruned_before[p.name].tobytes()
+        for n, m in model.masks.items():
+            np.testing.assert_array_equal(m, masks_before[n])
+            after = model.params[n][np.abs(m) < 0.5]
+            assert after.tobytes() == pruned_before[n].tobytes()
 
     def test_hard_masked_forward_ignores_pruned(self, small_setup):
         data, sched = small_setup
@@ -284,8 +281,8 @@ class TestDriver:
         x = rng.normal(size=(5, 2))
         t = rng.integers(0, 50, 5)
         out1 = model.predict(x, t)
-        for p in model.masked_params():
-            p.weights[np.abs(p.mask) < 0.5] = 123.456
+        for n, m in model.masks.items():
+            model.params[n][np.abs(m) < 0.5] = 123.456
         out2 = model.predict(x, t)
         np.testing.assert_array_equal(out1, out2)
 
@@ -302,17 +299,16 @@ def pruned_for_finetune(s, activation, seed=0):
                                              size=model.params[name].shape)
     scores = {n: rng.uniform(size=model.params[n].shape)
               for n in model.weight_names}
-    apply_mask_update(model.masked_params(), scores, s, 0.0,
-                      granularity="row-group", per_layer=True,
+    apply_mask_update(model.masks, scores, s, 0.0, granularity="row-group",
                       exclude=model.output_weight_names)
-    temb_kept = np.flatnonzero(model.masked["temb.w"].mask[:, 0] == 1.0)
-    model.masked["layer0.w"].mask[temb_kept[0]] = 0.0
+    temb_kept = np.flatnonzero(model.masks["temb.w"][:, 0] == 1.0)
+    model.masks["layer0.w"][temb_kept[0]] = 0.0
     return model
 
 
 def dead_units(model):
     """Per layer tag, the units whose output is a constant (test-local)."""
-    eff = {n: p.effective() for n, p in model.masked.items()}
+    eff = {n: model.params[n] * m for n, m in model.masks.items()}
     dead = {"layer0": ~eff["layer0.w"].any(axis=1) & ~eff["temb.w"].any(axis=1)}
     for k in range(1, model.depth):
         dead[f"layer{k}"] = ~eff[f"layer{k}.w"].any(axis=1)
@@ -343,7 +339,7 @@ def masked_dense_finetune(model, sched, data, plan, seed, steps):
 def frozen_entries(model):
     """The hard-prune values the compact finetune must not move."""
     dead = dead_units(model)
-    out = {n: model.params[n][p.mask == 0] for n, p in model.masked.items()}
+    out = {n: model.params[n][m == 0] for n, m in model.masks.items()}
     out["temb.b"] = model.params["temb.b"][dead["layer0"]]
     for k, (tag, d) in enumerate(dead.items()):
         out[f"{tag}.b"] = model.params[f"{tag}.b"][d]
@@ -370,8 +366,8 @@ class TestCompactFinetune:
         model = pruned_for_finetune(s, activation)
         plan = PrunePlan(s=s, **FT_PLAN)
         assert model.compact() is not model
-        layer0_only_temb = ((model.masked["layer0.w"].mask == 0).all(axis=1)
-                            & (model.masked["temb.w"].mask == 1).all(axis=1))
+        layer0_only_temb = ((model.masks["layer0.w"] == 0).all(axis=1)
+                            & (model.masks["temb.w"] == 1).all(axis=1))
         assert layer0_only_temb.any()
         ref = copy.deepcopy(model)
         frozen = frozen_entries(model)
@@ -407,7 +403,7 @@ class TestCompactFinetune:
         model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
                                activation=activation, seed=2)
         rng = make_rng(2, "ft-element")
-        apply_mask_update(model.masked_params(),
+        apply_mask_update(model.masks,
                           {n: rng.uniform(size=model.params[n].shape)
                            for n in model.weight_names}, 0.5, 0.0)
         assert model.compact() is model
