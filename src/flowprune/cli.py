@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 6
+    except OSError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
+        return 7
     json.dump(summary, sys.stdout, indent=2, default=float)
     print()
     return 0

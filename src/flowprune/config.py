@@ -178,7 +178,12 @@ class RunConfig:
         Path(path).write_text(self.to_text())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
+        """Hash of every field that decides what a run computes; ``out_dir``
+        and ``seeds`` only say where runs go and which seeds run (each run
+        records its own seed)."""
+        items = asdict(self)
+        del items["out_dir"], items["seeds"]
+        return _digest(items)
 
     def pretrain_digest(self) -> str:
         """Hash of the fields a pretrained checkpoint depends on, so prune
@@ -190,8 +195,11 @@ class RunConfig:
             "train_beta1", "train_beta2", "train_batch", "pretrain_steps",
         ]
         items = asdict(self)
-        text = dump_kv({k: items[k] for k in keys})
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return _digest({k: items[k] for k in keys})
+
+
+def _digest(items: dict) -> str:
+    return hashlib.sha256(dump_kv(items).encode("utf-8")).hexdigest()[:16]
 
 
 _FLOAT_FIELDS = tuple(name for name, kind in typing.get_type_hints(RunConfig).items()

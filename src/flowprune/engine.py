@@ -38,9 +38,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-_BINARY = {"add", "mul"}
-_UNARY = {"sigmoid", "tanh", "silu"}
-
 
 @dataclass(frozen=True)
 class Node:
@@ -65,12 +62,6 @@ class Ref:
     @property
     def shape(self) -> tuple:
         return self.record.nodes[self.nid].shape
-
-    def __add__(self, other: "Ref") -> "Ref":
-        return self.record.add(self, other)
-
-    def __mul__(self, other: "Ref") -> "Ref":
-        return self.record.mul(self, other)
 
     def __repr__(self) -> str:
         node = self.record.nodes[self.nid]

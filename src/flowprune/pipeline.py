@@ -2,10 +2,12 @@
 evaluate, with a checkpoint at every stage boundary.
 
 Each run owns an output directory containing stage checkpoints, a
-diagnostics CSV (one row per mask iteration) and a JSON report. Experiment
-drivers (criterion comparison, schedule ablation, convergence traces) share
-one pretrained checkpoint per seed, in ``<out_dir>/pretrain``, so arms differ
-only in the pruning stage.
+diagnostics CSV (the soft loop's rows, one per mask iteration) and a JSON
+report. Experiment drivers (criterion comparison, schedule ablation,
+convergence traces) share one pretrained checkpoint per seed, in
+``<out_dir>/pretrain``, so arms differ only in the pruning stage. An arm is
+a method label, a criterion and a schedule mode; ``build_plan`` alone
+decides the structural regime every arm shares.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .criteria import CRITERIA
 from .datasets import DatasetSpec, generate
 from .diffusion import (
     Adam,
@@ -33,14 +34,13 @@ from .diffusion import (
 )
 from .metrics import QualityReport, consistency_ssim, efficiency, frechet_distance
 from .scheduler import (
+    DIAG_FIELDS,
     PrunePlan,
     final_hard_prune,
     finetune,
     run_progressive_soft,
 )
 
-DIAG_FIELDS = ["iteration", "loss", "grad_flow_delta", "delta_e", "s_t", "p_t",
-               "churn"]
 RESULT_FIELDS = ["experiment", "method", "criterion", "mode", "seed", "frechet",
                  "ssim", "nonzero_params", "dense_params", "macs_dense",
                  "macs_sparse", "wall_clock_s"]
@@ -74,19 +74,31 @@ def build_model(cfg: RunConfig, seed: int) -> NoisePredictor:
 
 @dataclass(frozen=True)
 class Arm:
-    """One experiment arm: a method label plus plan overrides."""
+    """One experiment arm: a method label, its criterion and its schedule
+    mode."""
 
     method: str
     criterion: str
     mode: str
-    granularity: str | None = None
-    final_criterion: str | None = None
-    final_granularity: str | None = None
 
 
 def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
-    arm = arm or Arm("default", cfg.plan_criterion, cfg.plan_mode)
-    mode = arm.mode or cfg.plan_mode
+    """The plan of one prune run: the config's ``plan_*`` values, or an
+    experiment arm's.
+
+    Every arm runs the structural regime of Tables 1 and 2, where one-shot
+    pruning carries a real information-loss cost: row groups in the soft
+    loop and in the final prune, with the arm's criterion driving both.
+    """
+    if arm is None:
+        criterion, mode = cfg.plan_criterion, cfg.plan_mode
+        granularity, final_granularity = (cfg.plan_granularity,
+                                          cfg.plan_final_granularity)
+        final_criterion = cfg.plan_final_criterion
+    else:
+        criterion, mode = arm.criterion, arm.mode
+        granularity = final_granularity = "row-group"
+        final_criterion = arm.criterion
     m_iters = 0 if mode == "one-shot" else cfg.plan_m_iters
     n_iters = 0 if mode == "one-shot" else cfg.plan_n_iters
     return PrunePlan(
@@ -95,11 +107,11 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
         m_iters=m_iters,
         n_iters=n_iters,
         interval=cfg.plan_interval,
-        criterion=arm.criterion or cfg.plan_criterion,
+        criterion=criterion,
         mode=mode,
-        granularity=arm.granularity or cfg.plan_granularity,
-        final_criterion=arm.final_criterion or cfg.plan_final_criterion,
-        final_granularity=arm.final_granularity or cfg.plan_final_granularity,
+        granularity=granularity,
+        final_criterion=final_criterion,
+        final_granularity=final_granularity,
         score_n_batches=cfg.plan_score_batches,
         score_batch_size=cfg.plan_score_batch_size,
         train_batch=cfg.train_batch,
@@ -120,10 +132,22 @@ def model_tensors(model: NoisePredictor, opt: Adam | None = None) -> dict:
 
 
 def restore_model(model: NoisePredictor, tensors: dict) -> None:
+    """Load the model's parameters and masks from checkpoint tensors; a
+    tensor that is missing or shaped unlike the model's raises
+    ``CheckpointError``."""
+
+    def take(name: str, shape: tuple) -> np.ndarray:
+        if name not in tensors:
+            raise CheckpointError(f"missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape "
+                                  f"{tensors[name].shape}, model has {shape}")
+        return tensors[name]
+
     for name, arr in model.params.items():
-        arr[...] = tensors[name]
-    for name in model.masks:
-        model.masks[name] = np.array(tensors[f"{name}.mask"])
+        arr[...] = take(name, arr.shape)
+    for name, mask in model.masks.items():
+        model.masks[name] = np.array(take(f"{name}.mask", mask.shape))
 
 
 def save_stage(path, model: NoisePredictor, cfg: RunConfig, stage: str,
@@ -252,7 +276,7 @@ def prune_run(
             return frechet_distance(got, ref)
 
     t0 = time.perf_counter()
-    diags, _ = run_progressive_soft(
+    diag_rows, trace, _ = run_progressive_soft(
         model, sched, data, plan, seed=seed, opt_config=opt_config(cfg),
         quality_eval=trace_eval,
     )
@@ -262,10 +286,10 @@ def prune_run(
         plan.m_iters * plan.interval,
     )
     report["diagnostics_csv"] = _write_csv(
-        out_dir / "diagnostics.csv", DIAG_FIELDS, diags.rows()
+        out_dir / "diagnostics.csv", DIAG_FIELDS, diag_rows
     )
     if quality_trace:
-        report["quality_trace"] = diags.quality_trace
+        report["quality_trace"] = trace
 
     t0 = time.perf_counter()
     _, hard_diag = final_hard_prune(model, sched, data, plan, seed=seed)
@@ -313,49 +337,27 @@ def result_row(experiment: str, method: str, criterion: str, mode: str,
     }
 
 
-# Experiment arms. The comparisons run in the structural (row-group) regime,
-# where one-shot pruning carries a real information-loss cost: baselines are
-# one-shot row-group prunes with their criterion (magnitude / taylor), "ours"
-# is the full progressive-soft loop with its criterion driving both the soft
-# steps and the final prune.
+# Experiment arms; build_plan sets the regime they share. Baselines are
+# one-shot prunes with their criterion; "ours" is the full progressive-soft
+# loop.
 TABLE1_ARMS = [
-    Arm("magnitude", "magnitude", "one-shot",
-        final_criterion="magnitude", final_granularity="row-group"),
-    Arm("taylor", "taylor", "one-shot",
-        final_criterion="taylor", final_granularity="row-group"),
-    Arm("gradient-flow", "gradient-flow", "progressive-soft",
-        granularity="row-group", final_criterion="gradient-flow",
-        final_granularity="row-group"),
+    Arm("magnitude", "magnitude", "one-shot"),
+    Arm("taylor", "taylor", "one-shot"),
+    Arm("gradient-flow", "gradient-flow", "progressive-soft"),
 ]
 
 TABLE2_ARMS = [
-    Arm("iterative/magnitude", "magnitude", "iterative",
-        granularity="row-group", final_criterion="magnitude",
-        final_granularity="row-group"),
-    Arm("iterative/taylor", "taylor", "iterative",
-        granularity="row-group", final_criterion="taylor",
-        final_granularity="row-group"),
-    Arm("iterative/gradient-flow", "gradient-flow", "iterative",
-        granularity="row-group", final_criterion="gradient-flow",
-        final_granularity="row-group"),
-    Arm("+soft", "gradient-flow", "iterative+soft",
-        granularity="row-group", final_criterion="gradient-flow",
-        final_granularity="row-group"),
-    Arm("+progressive", "gradient-flow", "iterative+progressive",
-        granularity="row-group", final_criterion="gradient-flow",
-        final_granularity="row-group"),
-    Arm("+progressive-soft", "gradient-flow", "progressive-soft",
-        granularity="row-group", final_criterion="gradient-flow",
-        final_granularity="row-group"),
+    Arm("iterative/magnitude", "magnitude", "iterative"),
+    Arm("iterative/taylor", "taylor", "iterative"),
+    Arm("iterative/gradient-flow", "gradient-flow", "iterative"),
+    Arm("+soft", "gradient-flow", "iterative+soft"),
+    Arm("+progressive", "gradient-flow", "iterative+progressive"),
+    Arm("+progressive-soft", "gradient-flow", "progressive-soft"),
 ]
 
 FIG2_ARMS = [
-    Arm("gradient-flow", "gradient-flow", "progressive-soft",
-        granularity="row-group", final_criterion="gradient-flow",
-        final_granularity="row-group"),
-    Arm("taylor", "taylor", "progressive-soft",
-        granularity="row-group", final_criterion="taylor",
-        final_granularity="row-group"),
+    Arm("gradient-flow", "gradient-flow", "progressive-soft"),
+    Arm("taylor", "taylor", "progressive-soft"),
 ]
 
 

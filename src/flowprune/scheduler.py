@@ -4,17 +4,19 @@ Mask iterations are decoupled from weight updates: between consecutive mask
 updates the model trains for ``interval`` steps with the current masks
 applied. Over ``m_iters`` mask iterations the schedule ramps sparsity s_t
 from 0 to s while the soft mask value p_t decays from 1 to 0 (mode
-``progressive-soft``); the ablation modes pin one or both of these. After the
-loop a one-shot hard prune at the configured granularity fixes the final
-mask, and fine-tuning trains only the surviving weights. It trains the
-compacted network, so a row-group prune makes every finetune step cheaper;
+``progressive-soft``); the ablation modes pin one or both of these. The loop
+returns one diagnostics row per mask update, keyed by ``DIAG_FIELDS`` (the
+``diagnostics.csv`` columns). After the loop a one-shot hard prune at the
+configured granularity fixes the final mask, and fine-tuning trains only the
+surviving weights for the plan's remaining steps. It trains the compacted
+network, so a row-group prune makes every finetune step cheaper;
 the units the prune removed keep their biases, and the next layer keeps its
 columns reading them, at their hard-prune values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +29,9 @@ from .criteria import (
 )
 from .diffusion import Adam, DiffusionSchedule, NoisePredictor, OptimizerConfig, train
 from .masking import GRANULARITIES, MaskState, apply_mask_update
+
+DIAG_FIELDS = ["iteration", "loss", "grad_flow_delta", "delta_e", "s_t", "p_t",
+               "churn"]
 
 MODES = (
     "one-shot",
@@ -124,37 +129,6 @@ def energy_flow(scores: ImportanceScores, s_t: float, p_t: float) -> float:
     return float(np.sqrt((d - n_prune) + n_prune * (1.0 - p_t) ** 2))
 
 
-@dataclass
-class DiagRecord:
-    t: int
-    s_t: float
-    p_t: float
-    loss: float
-    grad_delta: float
-    delta_e: float
-    churn: int
-
-
-@dataclass
-class EnergyDiagnostics:
-    records: list[DiagRecord] = field(default_factory=list)
-    quality_trace: list[tuple[int, float]] = field(default_factory=list)
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "iteration": r.t,
-                "loss": r.loss,
-                "grad_flow_delta": r.grad_delta,
-                "delta_e": r.delta_e,
-                "s_t": r.s_t,
-                "p_t": r.p_t,
-                "churn": r.churn,
-            }
-            for r in self.records
-        ]
-
-
 def run_progressive_soft(
     model: NoisePredictor,
     sched: DiffusionSchedule,
@@ -163,13 +137,16 @@ def run_progressive_soft(
     seed: int,
     opt_config: OptimizerConfig | None = None,
     quality_eval=None,
-) -> tuple[EnergyDiagnostics, MaskState | None]:
+) -> tuple[list[dict], list[tuple[int, float]], MaskState | None]:
     """Alternate weight training and mask updates for m_iters iterations.
 
+    Returns the diagnostics rows (one per mask update, keyed by
+    ``DIAG_FIELDS``), the quality trace and the last mask state.
     ``quality_eval(model)``, when given, is called after every mask update
-    and its value recorded in the quality trace (one row per iteration).
+    and its value recorded in the quality trace as ``(t, value)``.
     """
-    diags = EnergyDiagnostics()
+    rows: list[dict] = []
+    quality_trace: list[tuple[int, float]] = []
     opt = Adam(model.params, opt_config or OptimizerConfig())
     state: MaskState | None = None
     prev_kept = None
@@ -202,17 +179,18 @@ def run_progressive_soft(
             model, sched, data, _score_seed(seed, t), n_batches=1,
             batch_size=plan.score_batch_size,
         )[0]
-        diags.records.append(
-            DiagRecord(
-                t=t, s_t=step.s_t, p_t=step.p_t, loss=trace[-1][1],
-                grad_delta=gradient_flow_delta(model, sched, diag_batch),
-                delta_e=energy_flow(scores, step.s_t, step.p_t),
-                churn=churn,
-            )
-        )
+        rows.append({
+            "iteration": t,
+            "loss": trace[-1][1],
+            "grad_flow_delta": gradient_flow_delta(model, sched, diag_batch),
+            "delta_e": energy_flow(scores, step.s_t, step.p_t),
+            "s_t": step.s_t,
+            "p_t": step.p_t,
+            "churn": churn,
+        })
         if quality_eval is not None:
-            diags.quality_trace.append((t, float(quality_eval(model))))
-    return diags, state
+            quality_trace.append((t, float(quality_eval(model))))
+    return rows, quality_trace, state
 
 
 def _score_seed(seed: int, t: int) -> int:
@@ -269,10 +247,10 @@ def finetune(
     plan: PrunePlan,
     seed: int,
     opt_config: OptimizerConfig | None = None,
-    steps: int | None = None,
 ) -> list[tuple[int, float]]:
-    """Train ``model.compact()``, so a step costs what the pruned network
-    computes, then write it back into ``model``.
+    """Train ``model.compact()`` for ``plan.finetune_steps``, so a step
+    costs what the pruned network computes, then write it back into
+    ``model``.
 
     The removed units' biases, and the next layer's columns reading them,
     stay frozen at their hard-prune values: they only add a constant to the
@@ -282,10 +260,9 @@ def finetune(
     """
     small = model.compact()
     opt = Adam(small.params, opt_config or OptimizerConfig())
-    n = plan.finetune_steps if steps is None else steps
     trace = train(
-        small, sched, data, steps=n, opt=opt, seed=seed, stage="finetune",
-        batch_size=plan.train_batch,
+        small, sched, data, steps=plan.finetune_steps, opt=opt, seed=seed,
+        stage="finetune", batch_size=plan.train_batch,
     )
     if small is not model:
         small.write_back()

@@ -333,9 +333,7 @@ class TestAcceptance11Determinism:
         for rep_dir in ("a", "b"):
             out = run_experiment(
                 cfg, "det",
-                [Arm("gf", "gradient-flow", "progressive-soft",
-                     final_criterion="gradient-flow",
-                     final_granularity="element")],
+                [Arm("gf", "gradient-flow", "progressive-soft")],
                 tmp_path / rep_dir,
             )
             reports.append(

@@ -1,12 +1,15 @@
 """The benchmark in ``perfbench/`` against the package it wraps.
 
 ``perfbench/`` names package modules, functions and the bindings other
-modules import; a rename in ``src/`` that breaks one of them fails here in
+modules import, and its projection walks the experiment arms through
+``build_plan``; a change in ``src/`` that breaks one of them fails here in
 about a second rather than in a benchmark run. ``perfbench/`` is put on
 ``sys.path`` for the test only, and its modules are unloaded afterwards.
 """
 
 import importlib
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +23,8 @@ def bench():
     sys.path.insert(0, str(PERFBENCH))
     try:
         yield {name: importlib.import_module(name)
-               for name in ("selftest", "run", "tracing", "workloads")}
+               for name in ("selftest", "run", "tracing", "workloads",
+                            "projection")}
     finally:
         sys.path.remove(str(PERFBENCH))
         for name, mod in list(sys.modules.items()):
@@ -35,3 +39,16 @@ def test_benchmark_file_matches_workloads_and_metrics(bench):
 
 def test_every_wrapped_binding_is_patched_and_restored(bench):
     bench["selftest"].check_bindings(bench["tracing"])
+
+
+def test_projection_walks_the_experiment_grid(bench):
+    # synthetic rates for every per-layer name the benchmark declares
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    layers = {m["name"].rsplit(".", 1)[0]: {"calls": 10, "busy_s": 0.02,
+                                            "self_s": 0.01, "p50_ms": 1.0}
+              for m in spec["per_layer"]}
+    traced = {w["name"]: {"layers": layers, "work": {"ddim_point_steps": 1000}}
+              for w in spec["workloads"]}
+    got = bench["projection"].project(traced)
+    assert got["arm_runs"] == 45
+    assert math.isfinite(got["total_s"]) and got["total_s"] > 0

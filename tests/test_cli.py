@@ -133,6 +133,49 @@ def test_version_1_checkpoint_is_checkpoint_error(capsys, small_cfg_path,
     assert "unsupported version 1" in err_lines[0]
 
 
+def one_error_line(out, prefix):
+    err_lines = [l for l in out.err.splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(prefix)
+    return err_lines[0]
+
+
+@pytest.mark.parametrize("name, value, expect", [
+    ("layer0.b", np.array([5.0]), ["'layer0.b'", "(1,)", "(12,)"]),
+    ("layer1.w.mask", np.ones((3, 3)), ["'layer1.w.mask'", "(3, 3)",
+                                        "(12, 12)"]),
+    ("out.b", None, ["missing", "'out.b'"]),
+])
+def test_checkpoint_unlike_the_model_is_checkpoint_error(
+        capsys, small_cfg_path, tmp_path, name, value, expect):
+    cfg = RunConfig.load(small_cfg_path)
+    tensors = pipeline.model_tensors(pipeline.build_model(cfg, 0))
+    if value is None:
+        del tensors[name]
+    else:
+        tensors[name] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, tensors, {"stage": "pretrain"})
+    code, out = run_cli(capsys, "evaluate", "--config", str(small_cfg_path),
+                        "--checkpoint", str(bad))
+    assert code == 3
+    line = one_error_line(out, "error: checkpoint:")
+    assert all(part in line for part in expect)
+
+
+def test_os_errors_are_io_errors(capsys, small_cfg_path, tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    code, out = run_cli(capsys, "pretrain", "--config", str(small_cfg_path),
+                        "--out", str(plain))
+    assert code == 7
+    one_error_line(out, "error: io:")
+    code, out = run_cli(capsys, "evaluate", "--config", str(small_cfg_path),
+                        "--checkpoint", str(tmp_path))
+    assert code == 7
+    one_error_line(out, "error: io:")
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
     cfg = RunConfig.load(small_cfg_path)
@@ -243,3 +286,37 @@ def test_prune_stages_train_on_the_configured_batch(small_cfg_path, tmp_path,
     pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
     pipeline.prune_run(cfg, 0, pre, tmp_path / "prune")
     assert by_stage == {"prune-train": {32}, "finetune": {32}}
+
+
+def test_every_arm_runs_the_row_group_regime_with_its_criterion():
+    cfg = RunConfig()
+    want = {
+        "table1": [("magnitude", "one-shot", 0), ("taylor", "one-shot", 0),
+                   ("gradient-flow", "progressive-soft", 40)],
+        "table2": [("magnitude", "iterative", 40),
+                   ("taylor", "iterative", 40),
+                   ("gradient-flow", "iterative", 40),
+                   ("gradient-flow", "iterative+soft", 40),
+                   ("gradient-flow", "iterative+progressive", 40),
+                   ("gradient-flow", "progressive-soft", 40)],
+        "fig2": [("gradient-flow", "progressive-soft", 40),
+                 ("taylor", "progressive-soft", 40)],
+    }
+    arms = {"table1": pipeline.TABLE1_ARMS, "table2": pipeline.TABLE2_ARMS,
+            "fig2": pipeline.FIG2_ARMS}
+    for table, table_arms in arms.items():
+        got = []
+        for arm in table_arms:
+            plan = pipeline.build_plan(cfg, arm)
+            assert plan.final_criterion == plan.criterion, arm
+            assert plan.final_granularity == "row-group", arm
+            if plan.m_iters:
+                assert plan.granularity == "row-group", arm
+            got.append((plan.criterion, plan.mode, plan.m_iters))
+        assert got == want[table], table
+    # without an arm the plan is the config's
+    plan = pipeline.build_plan(cfg)
+    assert (plan.criterion, plan.mode, plan.m_iters, plan.granularity,
+            plan.final_criterion, plan.final_granularity) == (
+        "gradient-flow", "progressive-soft", 40, "element", "taylor",
+        "row-group")

@@ -100,3 +100,13 @@ def test_int_and_float_spellings_hash_alike():
     assert text == direct == RunConfig(train_lr=1, diffusion_beta_start=0)
     assert text.digest() == direct.digest()
     assert text.pretrain_digest() == direct.pretrain_digest()
+
+
+def test_digest_covers_what_a_run_computes():
+    base = RunConfig()
+    moved = RunConfig(out_dir="elsewhere", seeds=[7])
+    assert moved.digest() == base.digest()
+    assert RunConfig(plan_s=0.25).digest() != base.digest()
+    # the pretrain hash is unchanged, so existing pretrain checkpoints are
+    # still reused
+    assert base.pretrain_digest() == "098dfcd6ba853e61"

@@ -181,11 +181,11 @@ class TestDriver:
         plan = PrunePlan(s=0.5, total_steps=60, m_iters=6, n_iters=4,
                          interval=5, criterion="magnitude",
                          score_batch_size=32)
-        diags, state = run_progressive_soft(model, sched, data, plan, seed=0)
-        assert len(diags.records) == 6
-        assert all(r.delta_e >= 0 for r in diags.records)
-        s_vals = [r.s_t for r in diags.records]
-        p_vals = [r.p_t for r in diags.records]
+        rows, _, state = run_progressive_soft(model, sched, data, plan, seed=0)
+        assert len(rows) == 6
+        assert all(r["delta_e"] >= 0 for r in rows)
+        s_vals = [r["s_t"] for r in rows]
+        p_vals = [r["p_t"] for r in rows]
         assert s_vals == sorted(s_vals)
         assert p_vals == sorted(p_vals, reverse=True)
         # final iteration is past n_iters: hard masks at target sparsity
@@ -208,9 +208,9 @@ class TestDriver:
         plan = PrunePlan(s=0.5, total_steps=40, m_iters=4, n_iters=3,
                          interval=5, criterion="magnitude",
                          score_batch_size=32)
-        diags, _ = run_progressive_soft(small_model(), sched, data, plan,
-                                        seed=0)
-        churn = [r.churn for r in diags.records]
+        rows, _, _ = run_progressive_soft(small_model(), sched, data, plan,
+                                          seed=0)
+        churn = [r["churn"] for r in rows]
         assert churn[0] == pruned[0]
         want = [len(a ^ b) for a, b in zip(kept_sets, kept_sets[1:])]
         assert churn[1:] == want
@@ -265,7 +265,7 @@ class TestDriver:
             for n, m in model.masks.items()
         }
         masks_before = {n: m.copy() for n, m in model.masks.items()}
-        finetune(model, sched, data, plan, seed=0, steps=30)
+        finetune(model, sched, data, plan, seed=0)
         for n, m in model.masks.items():
             np.testing.assert_array_equal(m, masks_before[n])
             after = model.params[n][np.abs(m) < 0.5]
@@ -390,8 +390,8 @@ class TestCompactFinetune:
         data, sched = small_setup
         model = pruned_for_finetune(0.5, activation, seed=1)
         before = {n: a.copy() for n, a in model.params.items()}
-        finetune(model, sched, data, PrunePlan(s=0.5, **FT_PLAN), seed=0,
-                 steps=0)
+        finetune(model, sched, data,
+                 PrunePlan(s=0.5, **dict(FT_PLAN, total_steps=0)), seed=0)
         for name, arr in before.items():
             assert model.params[name].tobytes() == arr.tobytes(), name
 
