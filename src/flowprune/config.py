@@ -130,7 +130,6 @@ class RunConfig:
     plan_mode: str = "progressive-soft"
     plan_granularity: str = "element"
     plan_final_criterion: str = "taylor"
-    plan_final_granularity: str = "row-group"
     plan_score_batches: int = 4
     plan_score_batch_size: int = 256
     eval_samples: int = 10000

@@ -20,7 +20,6 @@ stratified evenly over [0, T); the batch seed fully determines the scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -30,22 +29,6 @@ from .diffusion import DiffusionSchedule, NoisePredictor, TrainBatch, loss
 from .seeding import make_rng
 
 CRITERIA = ("magnitude", "taylor", "gradient-flow")
-
-
-@dataclass
-class ImportanceScores:
-    criterion: str
-    per_param: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        for name, arr in self.per_param.items():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite scores for {name!r}")
-
-    def pooled(self) -> np.ndarray:
-        """All scores as one vector, parameters in sorted-name order."""
-        names = sorted(self.per_param)
-        return np.concatenate([self.per_param[n].ravel() for n in names])
 
 
 def score_batches(model: NoisePredictor, sched: DiffusionSchedule,
@@ -62,9 +45,9 @@ def score_batches(model: NoisePredictor, sched: DiffusionSchedule,
     return out
 
 
-def magnitude_scores(model: NoisePredictor) -> ImportanceScores:
-    per = {n: np.abs(model.params[n] * m) for n, m in model.masks.items()}
-    return ImportanceScores(criterion="magnitude", per_param=per)
+def magnitude_scores(model: NoisePredictor) -> dict[str, np.ndarray]:
+    """|effective weight| per weight."""
+    return {n: np.abs(model.params[n] * m) for n, m in model.masks.items()}
 
 
 def taylor_scores_from_record(
@@ -119,14 +102,13 @@ def _batch_mean(model: NoisePredictor, sched: DiffusionSchedule,
 
 
 def taylor_scores(model: NoisePredictor, sched: DiffusionSchedule,
-                  batches: list[TrainBatch]) -> ImportanceScores:
+                  batches: list[TrainBatch]) -> dict[str, np.ndarray]:
     """Mean over batches of |effective weight * dL/dw|."""
-    per = _batch_mean(model, sched, batches, True, taylor_scores_from_record)
-    return ImportanceScores(criterion="taylor", per_param=per)
+    return _batch_mean(model, sched, batches, True, taylor_scores_from_record)
 
 
 def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
-                         batches: list[TrainBatch]) -> ImportanceScores:
+                         batches: list[TrainBatch]) -> dict[str, np.ndarray]:
     """Mean over batches of (effective weight) * (H g); signed.
 
     H g is measured on the dense network at the current stored weights; the
@@ -134,8 +116,7 @@ def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
     """
     prefactor = {n: model.params[n] * m for n, m in model.masks.items()}
     score = partial(gradient_flow_scores_from_record, prefactor=prefactor)
-    per = _batch_mean(model, sched, batches, False, score)
-    return ImportanceScores(criterion="gradient-flow", per_param=per)
+    return _batch_mean(model, sched, batches, False, score)
 
 
 def gradient_flow_delta_from_record(record, inputs, names,
@@ -154,13 +135,24 @@ def gradient_flow_delta(model: NoisePredictor, sched: DiffusionSchedule,
 
 def compute_scores(criterion: str, model: NoisePredictor,
                    sched: DiffusionSchedule, data: np.ndarray, seed: int,
-                   n_batches: int = 4, batch_size: int = 256) -> ImportanceScores:
-    """Uniform entry point used by the pruning driver."""
+                   n_batches: int = 4, batch_size: int = 256
+                   ) -> dict[str, np.ndarray]:
+    """Per-weight scores of one criterion, the pruning driver's entry point.
+
+    Raises ``FloatingPointError`` for a non-finite score and ``ValueError``
+    when every score is zero, since no ranking can then be read from them.
+    """
     if criterion == "magnitude":
-        return magnitude_scores(model)
-    batches = score_batches(model, sched, data, seed, n_batches, batch_size)
-    if criterion == "taylor":
-        return taylor_scores(model, sched, batches)
-    if criterion == "gradient-flow":
-        return gradient_flow_scores(model, sched, batches)
-    raise ValueError(f"unknown criterion {criterion!r}")
+        scores = magnitude_scores(model)
+    elif criterion in CRITERIA:
+        batches = score_batches(model, sched, data, seed, n_batches, batch_size)
+        scorer = taylor_scores if criterion == "taylor" else gradient_flow_scores
+        scores = scorer(model, sched, batches)
+    else:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    for name, arr in scores.items():
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError(f"non-finite scores for {name!r}")
+    if not any(np.any(arr) for arr in scores.values()):
+        raise ValueError(f"{criterion} scores are all zero")
+    return scores

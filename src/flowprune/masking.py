@@ -8,11 +8,17 @@ scratch on every update, so a soft-pruned unit whose score recovers is
 restored -- that recoverability is what distinguishes soft from permanent
 pruning. The soft sparsity of a mask set is the fraction of entries equal to
 ``p``.
+
+One grouping rule serves both granularities: a parameter is viewed as
+[units, group], the group one entry for element units and one row for row
+groups. A unit's score is the sum over its group, and its mask value is
+repeated across its group. Each update's ``MaskState`` counts the units it
+ranked and pruned; the energy diagnostic reads those counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,31 +30,22 @@ MASK_ATOL = 1e-12
 
 @dataclass
 class MaskState:
-    """Result of one mask update."""
+    """Result of one mask update: the pruned units' value, each ranked
+    parameter's keep flag per unit, and the pruned and ranked unit counts."""
 
     p_current: float
-    kept: dict[str, np.ndarray] = field(default_factory=dict)
-    pruned_units: int = 0
-    total_units: int = 0
+    kept: dict[str, np.ndarray]
+    pruned_units: int
+    total_units: int
 
 
-def _unit_scores(score: np.ndarray, granularity: str) -> np.ndarray:
-    """Per-unit scores: elements as-is, rows as member sums."""
+def _group_size(shape: tuple, granularity: str) -> int:
+    """Entries per unit under the grouping rule."""
     if granularity == "element":
-        return score.ravel()
+        return 1
     if granularity == "row-group":
-        return score.sum(axis=1)
+        return int(np.prod(shape[1:]))
     raise ValueError(f"unknown granularity {granularity!r}")
-
-
-def _unit_mask(keep_units: np.ndarray, shape: tuple, p: float,
-               granularity: str) -> np.ndarray:
-    if granularity == "element":
-        mask = np.where(keep_units.reshape(shape), 1.0, p)
-    else:
-        mask = np.where(keep_units[:, None], 1.0, p)
-        mask = np.broadcast_to(mask, shape).copy()
-    return np.ascontiguousarray(mask, dtype=np.float64)
 
 
 def soft_sparsity(masks: dict[str, np.ndarray], p: float) -> float:
@@ -115,13 +112,13 @@ def apply_mask_update(
         if np.asarray(scores[n]).shape != masks[n].shape:
             raise ValueError(f"score shape mismatch for {n!r}")
 
-    state = MaskState(p_current=float(p_t))
     for n in masks:
         if n in exclude:
             masks[n] = np.ones_like(masks[n])
 
+    group = {n: _group_size(masks[n].shape, granularity) for n in active}
     units = {
-        n: _unit_scores(np.asarray(scores[n], dtype=np.float64), granularity)
+        n: np.asarray(scores[n], dtype=np.float64).reshape(-1, group[n]).sum(1)
         for n in active
     }
     if granularity == "element":
@@ -130,8 +127,11 @@ def apply_mask_update(
         keep = {n: _ranked_keep({n: u}, s_t)[n] for n, u in units.items()}
 
     for n in active:
-        masks[n] = _unit_mask(keep[n], masks[n].shape, p_t, granularity)
-        state.kept[n] = keep[n]
-    state.pruned_units = sum(int(np.count_nonzero(~k)) for k in keep.values())
-    state.total_units = sum(k.size for k in keep.values())
-    return state
+        masks[n] = np.where(np.repeat(keep[n], group[n]).reshape(
+            masks[n].shape), 1.0, p_t)
+    return MaskState(
+        p_current=float(p_t),
+        kept={n: keep[n] for n in active},
+        pruned_units=sum(int(np.count_nonzero(~k)) for k in keep.values()),
+        total_units=sum(k.size for k in keep.values()),
+    )

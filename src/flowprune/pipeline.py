@@ -88,16 +88,15 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
 
     Every arm runs the structural regime of Tables 1 and 2, where one-shot
     pruning carries a real information-loss cost: row groups in the soft
-    loop and in the final prune, with the arm's criterion driving both.
+    loop as in the final prune, with the arm's criterion driving both.
     """
     if arm is None:
         criterion, mode = cfg.plan_criterion, cfg.plan_mode
-        granularity, final_granularity = (cfg.plan_granularity,
-                                          cfg.plan_final_granularity)
+        granularity = cfg.plan_granularity
         final_criterion = cfg.plan_final_criterion
     else:
         criterion, mode = arm.criterion, arm.mode
-        granularity = final_granularity = "row-group"
+        granularity = "row-group"
         final_criterion = arm.criterion
     m_iters = 0 if mode == "one-shot" else cfg.plan_m_iters
     n_iters = 0 if mode == "one-shot" else cfg.plan_n_iters
@@ -111,7 +110,6 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
         mode=mode,
         granularity=granularity,
         final_criterion=final_criterion,
-        final_granularity=final_granularity,
         score_n_batches=cfg.plan_score_batches,
         score_batch_size=cfg.plan_score_batch_size,
         train_batch=cfg.train_batch,

@@ -6,8 +6,9 @@ applied. Over ``m_iters`` mask iterations the schedule ramps sparsity s_t
 from 0 to s while the soft mask value p_t decays from 1 to 0 (mode
 ``progressive-soft``); the ablation modes pin one or both of these. The loop
 returns one diagnostics row per mask update, keyed by ``DIAG_FIELDS`` (the
-``diagnostics.csv`` columns). After the loop a one-shot hard prune at the
-configured granularity fixes the final mask, and fine-tuning trains only the
+``diagnostics.csv`` columns); its ``delta_e`` is the energy-flow step length,
+read from the units that update counted. After the loop a one-shot row-group
+hard prune fixes the final mask, and fine-tuning trains only the
 surviving weights for the plan's remaining steps. It trains the compacted
 network, so a row-group prune makes every finetune step cheaper;
 the units the prune removed keep their biases, and the next layer keeps its
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (
-    CRITERIA,
-    ImportanceScores,
-    compute_scores,
-    gradient_flow_delta,
-    score_batches,
-)
+from .criteria import CRITERIA, compute_scores, gradient_flow_delta, score_batches
 from .diffusion import Adam, DiffusionSchedule, NoisePredictor, OptimizerConfig, train
 from .masking import GRANULARITIES, MaskState, apply_mask_update
 
@@ -61,7 +56,6 @@ class PrunePlan:
     mode: str = "progressive-soft"
     granularity: str = "element"
     final_criterion: str = "taylor"
-    final_granularity: str = "row-group"
     score_n_batches: int = 4
     score_batch_size: int = 256
     train_batch: int = 128
@@ -74,9 +68,13 @@ class PrunePlan:
         for what in ("criterion", "final_criterion"):
             if getattr(self, what) not in CRITERIA:
                 raise ValueError(f"unknown {what} {getattr(self, what)!r}")
-        for what in ("granularity", "final_granularity"):
-            if getattr(self, what) not in GRANULARITIES:
-                raise ValueError(f"unknown {what} {getattr(self, what)!r}")
+        if self.granularity not in GRANULARITIES:
+            raise ValueError(f"unknown granularity {self.granularity!r}")
+        for what in ("interval", "score_n_batches", "score_batch_size",
+                     "train_batch"):
+            if getattr(self, what) < 1:
+                raise ValueError(f"{what} must be at least 1, got "
+                                 f"{getattr(self, what)}")
         if self.mode == "one-shot" and self.m_iters != 0:
             raise ValueError("one-shot mode requires m_iters == 0")
         if self.mode != "one-shot" and self.m_iters > 0:
@@ -114,19 +112,17 @@ def schedule_at(plan: PrunePlan, t: int) -> ScheduleStep:
     return ScheduleStep(t, ramp_s, ramp_p)  # progressive-soft
 
 
-def energy_flow(scores: ImportanceScores, s_t: float, p_t: float) -> float:
-    """Norm of the mask-space descent step: kept units contribute 1,
-    soft-pruned units contribute 1 - p_t.
+def energy_flow(state: MaskState) -> float:
+    """Norm of the mask-space descent step of one mask update: each kept
+    unit contributes 1, each soft-pruned unit 1 - p.
 
-    The mask update soft-prunes floor(s_t * d) of the d units, so the norm
-    depends only on that count, not on which units the ranking picks.
+    The counts are the update's own: entries for element units, rows of the
+    ranked parameters for row groups. The norm depends only on them, not on
+    which units the ranking picks.
     """
-    pooled = scores.pooled()
-    if float(np.linalg.norm(pooled)) <= 0.0:
-        raise ValueError("energy_flow needs a nonzero score vector")
-    d = pooled.size
-    n_prune = int(np.floor(s_t * d))
-    return float(np.sqrt((d - n_prune) + n_prune * (1.0 - p_t) ** 2))
+    kept = state.total_units - state.pruned_units
+    return float(np.sqrt(kept + state.pruned_units
+                         * (1.0 - state.p_current) ** 2))
 
 
 def run_progressive_soft(
@@ -183,7 +179,7 @@ def run_progressive_soft(
             "iteration": t,
             "loss": trace[-1][1],
             "grad_flow_delta": gradient_flow_delta(model, sched, diag_batch),
-            "delta_e": energy_flow(scores, step.s_t, step.p_t),
+            "delta_e": energy_flow(state),
             "s_t": step.s_t,
             "p_t": step.p_t,
             "churn": churn,
@@ -197,14 +193,14 @@ def _score_seed(seed: int, t: int) -> int:
     return (int(seed) * 1_000_003 + t) & 0x7FFFFFFF
 
 
-def _update_masks(model: NoisePredictor, scores: ImportanceScores, s_t: float,
-                  p_t: float, granularity: str) -> MaskState:
+def _update_masks(model: NoisePredictor, scores: dict[str, np.ndarray],
+                  s_t: float, p_t: float, granularity: str) -> MaskState:
     """Mask update under the grouped-prune policy: group-granular pruning
     skips the output projection and ranks per layer; element pruning ranks
     globally."""
     grouped = granularity != "element"
     return apply_mask_update(
-        model.masks, scores.per_param, s_t, p_t, granularity=granularity,
+        model.masks, scores, s_t, p_t, granularity=granularity,
         exclude=model.output_weight_names if grouped else (),
     )
 
@@ -218,17 +214,17 @@ def final_hard_prune(
 ) -> tuple[MaskState, dict]:
     """One-shot hard prune at sparsity s; masks are {0,1} afterwards.
 
-    Uses the plan's final criterion (Taylor by default) at the final
-    granularity. Group-granular pruning ranks within each layer and skips the
-    output projection. Returns the mask state plus a diagnostic with the
-    kept-set overlap against the pre-existing mask.
+    Uses the plan's final criterion (Taylor by default) on row groups,
+    ranked within each layer; the output projection stays dense. Returns
+    the mask state plus a diagnostic with the kept-set overlap against the
+    pre-existing mask.
     """
     before = {n: np.abs(m) > 0.5 for n, m in model.masks.items()}
     scores = compute_scores(
         plan.final_criterion, model, sched, data, seed=_score_seed(seed, 0),
         n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
     )
-    state = _update_masks(model, scores, plan.s, 0.0, plan.final_granularity)
+    state = _update_masks(model, scores, plan.s, 0.0, "row-group")
     after_kept = sum(
         int(np.count_nonzero((np.abs(m) > 0.5) & before[n]))
         for n, m in model.masks.items()

@@ -198,9 +198,12 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("plan_final_criterion", "bogus"),
-    ("plan_final_granularity", "column-group"),
     ("plan_granularity", "bogus"),
     ("plan_mode", "bogus"),
+    ("plan_interval", 0),
+    ("plan_score_batches", 0),
+    ("plan_score_batch_size", 0),
+    ("train_batch", 0),
 ])
 def test_bad_plan_rejected_before_any_stage(capsys, small_cfg_path, tmp_path,
                                             key, value):
@@ -214,7 +217,7 @@ def test_bad_plan_rejected_before_any_stage(capsys, small_cfg_path, tmp_path,
     err_lines = [l for l in out.err.splitlines() if l]
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: config:")
-    assert value in err_lines[0]
+    assert str(value) in err_lines[0]
     assert not (tmp_path / "runs").exists()
 
 
@@ -309,7 +312,6 @@ def test_every_arm_runs_the_row_group_regime_with_its_criterion():
         for arm in table_arms:
             plan = pipeline.build_plan(cfg, arm)
             assert plan.final_criterion == plan.criterion, arm
-            assert plan.final_granularity == "row-group", arm
             if plan.m_iters:
                 assert plan.granularity == "row-group", arm
             got.append((plan.criterion, plan.mode, plan.m_iters))
@@ -317,6 +319,5 @@ def test_every_arm_runs_the_row_group_regime_with_its_criterion():
     # without an arm the plan is the config's
     plan = pipeline.build_plan(cfg)
     assert (plan.criterion, plan.mode, plan.m_iters, plan.granularity,
-            plan.final_criterion, plan.final_granularity) == (
-        "gradient-flow", "progressive-soft", 40, "element", "taylor",
-        "row-group")
+            plan.final_criterion) == (
+        "gradient-flow", "progressive-soft", 40, "element", "taylor")

@@ -37,7 +37,7 @@ class TestMagnitude:
         )
         s = magnitude_scores(model)
         np.testing.assert_array_equal(
-            s.per_param["layer0.w"], np.abs(model.params["layer0.w"])
+            s["layer0.w"], np.abs(model.params["layer0.w"])
         )
 
     def test_mask_zeroes_score(self):
@@ -46,14 +46,18 @@ class TestMagnitude:
         mask[0, :] = 0.0
         model.masks["layer0.w"] = mask
         s = magnitude_scores(model)
-        np.testing.assert_array_equal(s.per_param["layer0.w"][0], 0.0)
+        np.testing.assert_array_equal(s["layer0.w"][0], 0.0)
 
     def test_scale_preserves_rank_order(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=3)
-        before = np.argsort(magnitude_scores(model).pooled())
+        def pooled():
+            return np.concatenate([s.ravel() for s in
+                                   magnitude_scores(model).values()])
+
+        before = np.argsort(pooled())
         for p in model.params.values():
             p *= 3.7
-        after = np.argsort(magnitude_scores(model).pooled())
+        after = np.argsort(pooled())
         np.testing.assert_array_equal(before, after)
 
 
@@ -77,12 +81,9 @@ class TestTaylorQuadratic:
         both = taylor_scores(model, sched, batches)
         one = taylor_scores(model, sched, batches[:1])
         two = taylor_scores(model, sched, batches[1:])
-        for n in both.per_param:
-            np.testing.assert_allclose(
-                both.per_param[n],
-                (one.per_param[n] + two.per_param[n]) / 2.0,
-                rtol=1e-12,
-            )
+        for n in both:
+            np.testing.assert_allclose(both[n], (one[n] + two[n]) / 2.0,
+                                       rtol=1e-12)
 
 
 class TestGradientFlowQuadratic:
@@ -136,7 +137,7 @@ class TestGradientFlowQuadratic:
         hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names, g,
                                            method="fd")
         for n in names:
-            a, b = exact.per_param[n], model.params[n] * model.masks[n] * hg[n]
+            a, b = exact[n], model.params[n] * model.masks[n] * hg[n]
             denom = max(float(np.max(np.abs(a))), 1e-10)
             assert float(np.max(np.abs(a - b))) / denom < 1e-4
 
@@ -200,8 +201,8 @@ class TestDeterminismAndMasks:
                            n_batches=2, batch_size=32)
         b = compute_scores("gradient-flow", model, sched, data, seed=11,
                            n_batches=2, batch_size=32)
-        for n in a.per_param:
-            assert a.per_param[n].tobytes() == b.per_param[n].tobytes()
+        for n in a:
+            assert a[n].tobytes() == b[n].tobytes()
 
     def test_masked_out_units_score_zero(self):
         model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
@@ -213,7 +214,7 @@ class TestDeterminismAndMasks:
         for crit in ("magnitude", "taylor", "gradient-flow"):
             s = compute_scores(crit, model, sched, data, seed=12,
                                n_batches=1, batch_size=16)
-            np.testing.assert_array_equal(s.per_param["layer1.w"][:4], 0.0)
+            np.testing.assert_array_equal(s["layer1.w"][:4], 0.0)
 
     def test_gradient_flow_matches_fresh_replays(self):
         """Reusing forward and gradient values gives the bits of separate
@@ -238,10 +239,27 @@ class TestDeterminismAndMasks:
                 want[n] += model.params[n] * model.masks[n] * hg[n]
         for n in names:
             want[n] /= len(batches)
-            assert got.per_param[n].tobytes() == want[n].tobytes()
+            assert got[n].tobytes() == want[n].tobytes()
 
     def test_unknown_criterion_rejected(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
         sched = make_schedule(20, 0.01, 0.05)
         with pytest.raises(ValueError):
             compute_scores("fisher", model, sched, np.zeros((10, 2)), seed=0)
+
+    def test_all_zero_scores_rejected(self):
+        model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
+        for w in model.weight_names:
+            model.params[w][...] = 0.0
+        sched = make_schedule(20, 0.01, 0.05)
+        with pytest.raises(ValueError, match="all zero"):
+            compute_scores("magnitude", model, sched, np.zeros((10, 2)),
+                           seed=0)
+
+    def test_non_finite_scores_rejected(self):
+        model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
+        model.params["layer0.w"][1, 0] = np.nan
+        sched = make_schedule(20, 0.01, 0.05)
+        with pytest.raises(FloatingPointError, match="layer0.w"):
+            compute_scores("magnitude", model, sched, np.zeros((10, 2)),
+                           seed=0)

@@ -4,7 +4,6 @@ import functools
 import numpy as np
 import pytest
 
-from flowprune.criteria import ImportanceScores
 from flowprune.datasets import DatasetSpec, generate
 from flowprune.diffusion import (
     Adam,
@@ -99,7 +98,6 @@ class TestScheduleAt:
 
     @pytest.mark.parametrize("field, value", [
         ("granularity", "column-group"),
-        ("final_granularity", "column-group"),
         ("final_criterion", "bogus"),
         ("criterion", "bogus"),
         ("mode", "bogus"),
@@ -109,25 +107,31 @@ class TestScheduleAt:
             PrunePlan(s=0.5, total_steps=10, m_iters=1, n_iters=1,
                       **{field: value})
 
+    @pytest.mark.parametrize("field", ["interval", "score_n_batches",
+                                       "score_batch_size", "train_batch"])
+    def test_plan_rejects_sizes_below_one(self, field):
+        with pytest.raises(ValueError, match=field):
+            PrunePlan(s=0.5, total_steps=10, m_iters=1, n_iters=1,
+                      **{field: 0})
 
-def scores_vec(values):
-    return ImportanceScores(
-        criterion="magnitude",
-        per_param={"w": np.asarray(values, dtype=np.float64)},
-    )
+
+def element_update(values, s_t, p_t):
+    """The state of an element mask update over one score vector."""
+    vec = np.asarray(values, dtype=np.float64)
+    return apply_mask_update({"w": np.ones(vec.shape)}, {"w": vec}, s_t, p_t)
 
 
 class TestEnergyFlow:
     def test_d4_example(self):
-        val = energy_flow(scores_vec([4.0, 16.0, 1.0, 9.0]), 0.5, 0.5)
+        val = energy_flow(element_update([4.0, 16.0, 1.0, 9.0], 0.5, 0.5))
         assert val == pytest.approx(np.sqrt(2.5), abs=1e-12)
 
     def test_p_zero_gives_sqrt_d(self):
-        val = energy_flow(scores_vec([3.0, -1.0, 2.0, 0.5]), 0.5, 0.0)
+        val = energy_flow(element_update([3.0, -1.0, 2.0, 0.5], 0.5, 0.0))
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_s_zero_gives_sqrt_d(self):
-        val = energy_flow(scores_vec([3.0, -1.0, 2.0, 0.5]), 0.0, 0.9)
+        val = energy_flow(element_update([3.0, -1.0, 2.0, 0.5], 0.0, 0.9))
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_closed_form_randomized(self):
@@ -135,32 +139,29 @@ class TestEnergyFlow:
         for _ in range(100):
             d = int(rng.integers(2, 50))
             scores = rng.normal(size=d)
-            if np.all(scores == 0):
-                continue
             s_t = float(rng.uniform(0, 1))
             p_t = float(rng.uniform(0, 1))
             pruned = int(np.floor(s_t * d))
             kept = d - pruned
             want = np.sqrt(kept + pruned * (1 - p_t) ** 2)
-            got = energy_flow(scores_vec(scores), s_t, p_t)
+            got = energy_flow(element_update(scores, s_t, p_t))
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_all_zero_scores_rejected(self):
-        with pytest.raises(ValueError):
-            energy_flow(scores_vec([0.0, 0.0]), 0.5, 0.5)
-
     def test_matches_realized_mask(self):
+        # row groups: the units are the rows of the ranked parameters, the
+        # excluded one left out
         rng = make_rng(1, "efm")
-        masks = {"w": np.ones((4, 5))}
-        scores = {"w": rng.normal(size=(4, 5))}
+        masks = {"a": np.ones((4, 5)), "b": np.ones((6, 3)),
+                 "out": np.ones((2, 4))}
+        scores = {n: rng.normal(size=m.shape) for n, m in masks.items()}
         s_t, p_t = 0.3, 0.4
-        state = apply_mask_update(masks, scores, s_t, p_t)
-        kept = masks["w"].size - state.pruned_units
-        want = np.sqrt(kept + state.pruned_units * (1 - p_t) ** 2)
-        got = energy_flow(
-            ImportanceScores(criterion="magnitude", per_param=scores), s_t, p_t
-        )
-        assert got == pytest.approx(want, abs=1e-12)
+        state = apply_mask_update(masks, scores, s_t, p_t,
+                                  granularity="row-group", exclude=("out",))
+        pruned = sum(int(np.all(masks[n] == p_t, axis=1).sum())
+                     for n in ("a", "b"))
+        assert pruned == 2
+        want = np.sqrt((10 - pruned) + pruned * (1 - p_t) ** 2)
+        assert energy_flow(state) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,26 @@ class TestDriver:
         # final iteration is past n_iters: hard masks at target sparsity
         assert state.p_current == 0.0
         assert abs(soft_sparsity(model.masks, 0.0) - 0.5) < 1e-2
+
+    def test_row_group_delta_e_counts_ranked_rows(self, small_setup):
+        # delta_e is the closed form over the rows each update ranks:
+        # floor(s_t * rows) per weight, the output projection excluded
+        data, sched = small_setup
+        model = small_model()
+        plan = PrunePlan(s=0.5, total_steps=40, m_iters=4, n_iters=3,
+                         interval=5, criterion="magnitude",
+                         granularity="row-group", score_batch_size=32)
+        rows, _, _ = run_progressive_soft(model, sched, data, plan, seed=0)
+        ranked = [model.params[n].shape[0] for n in model.weight_names
+                  if n not in model.output_weight_names]
+        assert len(ranked) == 3
+        for row in rows:
+            pruned = sum(int(np.floor(row["s_t"] * r)) for r in ranked)
+            want = np.sqrt((sum(ranked) - pruned)
+                           + pruned * (1.0 - row["p_t"]) ** 2)
+            assert row["delta_e"] == pytest.approx(want, abs=1e-12)
+        # some update soft-prunes, so the (1 - p_t) term counts
+        assert any(r["s_t"] > 0 and 0 < r["p_t"] < 1 for r in rows)
 
     def test_churn_is_symmetric_difference_of_kept_sets(self, small_setup,
                                                          monkeypatch):
