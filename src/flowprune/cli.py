@@ -10,8 +10,11 @@ Subcommands:
     table2    schedule ablation at a fixed criterion, six method rows
     fig2      per-iteration quality traces for gradient-flow vs taylor
 
-Every command takes --config PATH; --seed, --out, --criterion, --mode and
---stage narrow a run. Exit code 0 on success; errors print one
+The config file says what a run computes. Every command takes --config PATH,
+--seed N (run that seed only) and --out DIR (the output directory).
+``sample`` and ``evaluate`` also take --stage NAME (default finetune) or
+--checkpoint PATH to pick their checkpoint, and ``sample`` takes --n. Exit
+code 0 on success; errors, usage errors included, print one
 machine-parseable line ``error: <kind>: <detail>`` on stderr.
 """
 
@@ -22,15 +25,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, save_checkpoint
 from .config import ConfigError, RunConfig
 from .diffusion import TrainingDiverged, sample_ddim
 from .pipeline import (
     FIG2_ARMS,
     TABLE1_ARMS,
     TABLE2_ARMS,
+    build_model,
     build_plan,
     build_schedule,
     dense_sample_cache,
@@ -43,22 +45,27 @@ from .pipeline import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` reports them as one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _load_config(args) -> RunConfig:
-    """The config with the command-line overrides applied; a plan value
-    ``PrunePlan`` rejects fails here, before any stage runs."""
+    """The config with ``--out`` and ``--seed`` applied; a plan or model
+    that ``PrunePlan`` or ``NoisePredictor`` rejects fails here, before any
+    stage runs."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seeds = [args.seed]
-    if getattr(args, "criterion", None):
-        cfg.plan_criterion = args.criterion
-    if getattr(args, "mode", None):
-        cfg.plan_mode = args.mode
     try:
         build_plan(cfg)
+        build_model(cfg, 0)
     except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -82,25 +89,29 @@ def cmd_prune(args) -> dict:
     return {"command": "prune", "reports": reports}
 
 
-def _checkpoint_arg(args, cfg: RunConfig) -> Path:
-    if args.checkpoint:
-        return Path(args.checkpoint)
-    stage = args.stage or "finetune"
+def _stage_path(cfg: RunConfig, stage: str) -> Path:
+    """Where ``stage``'s checkpoint of the first configured seed is written."""
     seed = cfg.seeds[0]
     if stage == "pretrain":
         return Path(cfg.out_dir) / "pretrain" / f"pretrain_seed{seed}.ckpt"
     return Path(cfg.out_dir) / "prune" / f"seed{seed}" / f"{stage}.ckpt"
 
 
-def cmd_sample(args) -> dict:
-    cfg = _load_config(args)
-    path = _checkpoint_arg(args, cfg)
+def _load_checkpoint_arg(args, cfg: RunConfig):
+    """The ``--checkpoint`` path, else ``--stage``'s, and its model."""
+    path = (Path(args.checkpoint) if args.checkpoint
+            else _stage_path(cfg, args.stage))
     if not path.exists():
         raise FileNotFoundError(f"missing checkpoint {path}")
-    model = load_stage_model(cfg, cfg.seeds[0], path)
+    return path, load_stage_model(cfg, cfg.seeds[0], path)
+
+
+def cmd_sample(args) -> dict:
+    cfg = _load_config(args)
+    path, model = _load_checkpoint_arg(args, cfg)
     samples = sample_ddim(model, build_schedule(cfg), args.n,
                           cfg.eval_substeps, noise_seed=cfg.eval_seed)
-    out = Path(args.out or cfg.out_dir) / "samples.ckpt"
+    out = Path(cfg.out_dir) / "samples.ckpt"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, {"samples": samples},
                     {"stage": "samples", "source": str(path)})
@@ -109,12 +120,9 @@ def cmd_sample(args) -> dict:
 
 def cmd_evaluate(args) -> dict:
     cfg = _load_config(args)
-    path = _checkpoint_arg(args, cfg)
-    if not path.exists():
-        raise FileNotFoundError(f"missing checkpoint {path}")
+    path, model = _load_checkpoint_arg(args, cfg)
     seed = cfg.seeds[0]
-    model = load_stage_model(cfg, seed, path)
-    pre = Path(cfg.out_dir) / "pretrain" / f"pretrain_seed{seed}.ckpt"
+    pre = _stage_path(cfg, "pretrain")
     dense_samples = None
     if pre.exists() and pre != path:
         dense_samples = dense_sample_cache(cfg, load_stage_model(cfg, seed, pre))
@@ -152,7 +160,7 @@ def cmd_fig2(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowprune",
         description="Progressive soft pruning experiments for a small "
                     "diffusion model.",
@@ -172,40 +180,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--stage", default=None,
-                       help="checkpoint stage (sample/evaluate)")
-        p.add_argument("--criterion", default=None)
-        p.add_argument("--mode", default=None)
-        p.add_argument("--checkpoint", default=None,
-                       help="explicit checkpoint path")
+        if name in ("sample", "evaluate"):
+            p.add_argument("--stage", default="finetune",
+                           help="stage whose checkpoint to load")
+            p.add_argument("--checkpoint", default=None,
+                           help="explicit checkpoint path")
         if name == "sample":
             p.add_argument("--n", type=int, default=1000)
         p.set_defaults(fn=fn)
     return parser
 
 
+# (exception types, error kind, exit code), matched in order
+_ERRORS = [
+    (argparse.ArgumentError, "usage", 2),
+    ((ConfigError, FileNotFoundError), "config", 2),
+    (CheckpointError, "checkpoint", 3),
+    (TrainingDiverged, "divergence", 4),
+    ((ValueError, KeyError), "invalid", 5),
+    (FloatingPointError, "numeric", 6),
+    (OSError, "io", 7),
+]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         summary = args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
-        print(f"error: checkpoint: {exc}", file=sys.stderr)
-        return 3
-    except TrainingDiverged as exc:
-        print(f"error: divergence: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, KeyError) as exc:
-        print(f"error: invalid: {exc}", file=sys.stderr)
-        return 5
-    except FloatingPointError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return 6
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 7
+    except Exception as exc:
+        for types, kind, code in _ERRORS:
+            if isinstance(exc, types):
+                print(f"error: {kind}: {exc}", file=sys.stderr)
+                return code
+        raise
     json.dump(summary, sys.stdout, indent=2, default=float)
     print()
     return 0

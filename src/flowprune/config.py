@@ -128,8 +128,6 @@ class RunConfig:
     plan_interval: int = 100
     plan_criterion: str = "gradient-flow"
     plan_mode: str = "progressive-soft"
-    plan_granularity: str = "element"
-    plan_final_criterion: str = "taylor"
     plan_score_batches: int = 4
     plan_score_batch_size: int = 256
     eval_samples: int = 10000

@@ -31,9 +31,9 @@ from .seeding import make_rng
 CRITERIA = ("magnitude", "taylor", "gradient-flow")
 
 
-def score_batches(model: NoisePredictor, sched: DiffusionSchedule,
-                  data: np.ndarray, seed: int, n_batches: int = 4,
-                  batch_size: int = 256) -> list[TrainBatch]:
+def score_batches(sched: DiffusionSchedule, data: np.ndarray, seed: int,
+                  n_batches: int = 4, batch_size: int = 256
+                  ) -> list[TrainBatch]:
     """Score-estimation batches with timesteps stratified over [0, T)."""
     t = ((np.arange(batch_size) + 0.5) * sched.T / batch_size).astype(np.int64)
     out = []
@@ -145,7 +145,7 @@ def compute_scores(criterion: str, model: NoisePredictor,
     if criterion == "magnitude":
         scores = magnitude_scores(model)
     elif criterion in CRITERIA:
-        batches = score_batches(model, sched, data, seed, n_batches, batch_size)
+        batches = score_batches(sched, data, seed, n_batches, batch_size)
         scorer = taylor_scores if criterion == "taylor" else gradient_flow_scores
         scores = scorer(model, sched, batches)
     else:

@@ -120,6 +120,10 @@ class NoisePredictor:
             raise ValueError("activation must be 'silu' or 'tanh'")
         if temb_dim % 2:
             raise ValueError("temb_dim must be even")
+        for what, size in (("hidden", hidden), ("depth", depth),
+                           ("temb_dim", temb_dim)):
+            if size < 1:
+                raise ValueError(f"{what} must be at least 1, got {size}")
         self.dim = dim
         self.hidden = hidden
         self.depth = depth

@@ -86,18 +86,17 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
     """The plan of one prune run: the config's ``plan_*`` values, or an
     experiment arm's.
 
-    Every arm runs the structural regime of Tables 1 and 2, where one-shot
-    pruning carries a real information-loss cost: row groups in the soft
-    loop as in the final prune, with the arm's criterion driving both.
+    The config's plan ranks elements and prunes by Taylor at the end. Every
+    arm runs the structural regime of Tables 1 and 2, where one-shot pruning
+    carries a real information-loss cost: row groups in the soft loop as in
+    the final prune, with the arm's criterion driving both.
     """
     if arm is None:
         criterion, mode = cfg.plan_criterion, cfg.plan_mode
-        granularity = cfg.plan_granularity
-        final_criterion = cfg.plan_final_criterion
+        granularity, final_criterion = "element", "taylor"
     else:
         criterion, mode = arm.criterion, arm.mode
-        granularity = "row-group"
-        final_criterion = arm.criterion
+        granularity, final_criterion = "row-group", arm.criterion
     m_iters = 0 if mode == "one-shot" else cfg.plan_m_iters
     n_iters = 0 if mode == "one-shot" else cfg.plan_n_iters
     return PrunePlan(
@@ -319,20 +318,9 @@ def _write_report(out_dir: Path, report: dict) -> None:
 
 def result_row(experiment: str, method: str, criterion: str, mode: str,
                seed: int, metrics: dict, wall: float) -> dict:
-    return {
-        "experiment": experiment,
-        "method": method,
-        "criterion": criterion,
-        "mode": mode,
-        "seed": seed,
-        "frechet": metrics["frechet"],
-        "ssim": metrics["ssim"],
-        "nonzero_params": metrics["nonzero_params"],
-        "dense_params": metrics["dense_params"],
-        "macs_dense": metrics["macs_dense"],
-        "macs_sparse": metrics["macs_sparse"],
-        "wall_clock_s": wall,
-    }
+    row = {"experiment": experiment, "method": method, "criterion": criterion,
+           "mode": mode, "seed": seed, "wall_clock_s": wall}
+    return {f: row[f] if f in row else metrics[f] for f in RESULT_FIELDS}
 
 
 # Experiment arms; build_plan sets the regime they share. Baselines are
@@ -366,13 +354,12 @@ def run_experiment(cfg: RunConfig, experiment: str,
     ``cfg.out_dir/pretrain``, which every experiment and the ``pretrain``
     and ``prune`` commands share, with one dense row per seed.
 
-    Returns {"rows": [...], "reports": {(method, seed): report}, ...} and
-    writes results.csv (plus trace.csv when tracing is on).
+    Writes results.csv (plus trace.csv when tracing is on) and returns
+    {"rows": [...], "results_csv": path} (plus "trace_csv").
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
-    reports: dict = {}
     trace_rows: list[dict] = []
     for seed in cfg.seeds:
         t0 = time.perf_counter()
@@ -389,7 +376,6 @@ def run_experiment(cfg: RunConfig, experiment: str,
                 cfg, seed, pre_path, arm_dir, arm=arm,
                 dense_samples=dense_samples, quality_trace=trace,
             )
-            reports[(arm.method, seed)] = report
             rows.append(result_row(experiment, arm.method, arm.criterion,
                                    arm.mode, seed, report["metrics"],
                                    report["wall_clock_s"]))
@@ -399,13 +385,12 @@ def run_experiment(cfg: RunConfig, experiment: str,
                     "criterion": arm.criterion, "seed": seed,
                     "iteration": t, "frechet": q,
                 })
-    out = {"rows": rows, "reports": reports,
+    out = {"rows": rows,
            "results_csv": _write_csv(out_root / "results.csv", RESULT_FIELDS,
                                      rows)}
     if trace_rows:
         out["trace_csv"] = _write_csv(out_root / "trace.csv", TRACE_FIELDS,
                                       trace_rows)
-        out["trace_rows"] = trace_rows
     return out
 
 

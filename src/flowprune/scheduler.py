@@ -70,10 +70,11 @@ class PrunePlan:
                 raise ValueError(f"unknown {what} {getattr(self, what)!r}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        for what in ("interval", "score_n_batches", "score_batch_size",
-                     "train_batch"):
-            if getattr(self, what) < 1:
-                raise ValueError(f"{what} must be at least 1, got "
+        for what, least in (("m_iters", 0), ("n_iters", 0), ("interval", 1),
+                            ("score_n_batches", 1), ("score_batch_size", 1),
+                            ("train_batch", 1)):
+            if getattr(self, what) < least:
+                raise ValueError(f"{what} must be at least {least}, got "
                                  f"{getattr(self, what)}")
         if self.mode == "one-shot" and self.m_iters != 0:
             raise ValueError("one-shot mode requires m_iters == 0")
@@ -97,7 +98,7 @@ class ScheduleStep:
 
 def schedule_at(plan: PrunePlan, t: int) -> ScheduleStep:
     """Current (s_t, p_t) at mask iteration t for the plan's mode."""
-    if not 0 <= t <= max(plan.m_iters, 0):
+    if not 0 <= t <= plan.m_iters:
         raise ValueError(f"iteration {t} outside [0, {plan.m_iters}]")
     if plan.mode == "one-shot":
         return ScheduleStep(t, plan.s, 0.0)
@@ -172,7 +173,7 @@ def run_progressive_soft(
         )
         prev_kept = state.kept
         diag_batch = score_batches(
-            model, sched, data, _score_seed(seed, t), n_batches=1,
+            sched, data, _score_seed(seed, t), n_batches=1,
             batch_size=plan.score_batch_size,
         )[0]
         rows.append({

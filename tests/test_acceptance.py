@@ -69,7 +69,7 @@ class TestAcceptance1HVPOracle:
     def test_hvp_against_fd_and_explicit_hessian(self):
         t_start = time.time()
         model, sched, data = tiny_trained_denoiser()
-        batch = score_batches(model, sched, data, seed=3, n_batches=1,
+        batch = score_batches(sched, data, seed=3, n_batches=1,
                               batch_size=64)[0]
         ctx = loss(model, sched, batch)
         names = sorted(model.params)
@@ -131,7 +131,7 @@ class TestAcceptance2GradientFlowDelta:
             rng = make_rng(55, "setting", k)
             for p in model.params.values():
                 p[:] = rng.normal(size=p.shape) * 0.6
-            batch = score_batches(model, sched, data, seed=7 + k, n_batches=1,
+            batch = score_batches(sched, data, seed=7 + k, n_batches=1,
                                   batch_size=32)[0]
             ctx = loss(model, sched, batch)
             names = sorted(model.params)
@@ -150,7 +150,7 @@ class TestAcceptance2GradientFlowDelta:
 class TestAcceptance3SignTest:
     def test_brute_force_removal_direction(self):
         model, sched, data = tiny_trained_denoiser(seed=2, steps=400)
-        batch = score_batches(model, sched, data, seed=9, n_batches=1,
+        batch = score_batches(sched, data, seed=9, n_batches=1,
                               batch_size=128)[0]
         ctx = loss(model, sched, batch)
         names = sorted(model.params)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -6,8 +7,8 @@ import pytest
 
 from flowprune import pipeline
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
-from flowprune.cli import main
-from flowprune.config import RunConfig
+from flowprune.cli import build_parser, main
+from flowprune.config import RunConfig, dump_kv
 from test_checkpoint import v1_container
 
 
@@ -196,10 +197,25 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
     assert err_lines[0].startswith("error: numeric: non-finite values")
 
 
+def prune_rejected(capsys, small_cfg_path, tmp_path, key, value) -> str:
+    """Run ``prune`` on the small config with ``key = value`` added; assert
+    it exits 2 with one ``error: config:`` line before writing anything, and
+    return that line."""
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    path = tmp_path / "bad.cfg"
+    path.write_text(cfg.to_text() + dump_kv({key: value}))
+    code, out = run_cli(capsys, "prune", "--config", str(path))
+    assert code == 2
+    line = one_error_line(out, "error: config:")
+    assert not (tmp_path / "runs").exists()
+    return line
+
+
 @pytest.mark.parametrize("key, value", [
-    ("plan_final_criterion", "bogus"),
-    ("plan_granularity", "bogus"),
     ("plan_mode", "bogus"),
+    ("plan_m_iters", -1),
+    ("plan_n_iters", -1),
     ("plan_interval", 0),
     ("plan_score_batches", 0),
     ("plan_score_batch_size", 0),
@@ -207,18 +223,57 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
 ])
 def test_bad_plan_rejected_before_any_stage(capsys, small_cfg_path, tmp_path,
                                             key, value):
-    cfg = RunConfig.load(small_cfg_path)
-    setattr(cfg, key, value)
-    cfg.out_dir = str(tmp_path / "runs")
-    path = tmp_path / "bad.cfg"
-    cfg.save(path)
-    code, out = run_cli(capsys, "prune", "--config", str(path))
+    line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
+    assert str(value) in line
+
+
+@pytest.mark.parametrize("key", ["model_hidden", "model_depth",
+                                 "model_temb_dim"])
+def test_model_size_below_one_rejected_before_any_stage(
+        capsys, small_cfg_path, tmp_path, key):
+    line = prune_rejected(capsys, small_cfg_path, tmp_path, key, 0)
+    assert "must be at least 1, got 0" in line
+
+
+def test_removed_plan_key_is_unknown(capsys, small_cfg_path, tmp_path):
+    line = prune_rejected(capsys, small_cfg_path, tmp_path,
+                          "plan_granularity", "element")
+    assert "unknown config keys: ['plan_granularity']" in line
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--criterion", "taylor"], "unrecognized arguments: --criterion taylor"),
+    (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+])
+def test_usage_errors_are_one_line(capsys, small_cfg_path, tmp_path, extra,
+                                   message):
+    code, out = run_cli(capsys, "table1", "--config", str(small_cfg_path),
+                        "--out", str(tmp_path), *extra)
     assert code == 2
-    err_lines = [l for l in out.err.splitlines() if l]
-    assert len(err_lines) == 1
-    assert err_lines[0].startswith("error: config:")
-    assert str(value) in err_lines[0]
-    assert not (tmp_path / "runs").exists()
+    assert one_error_line(out, "error: usage:") == f"error: usage: {message}"
+    assert not any(tmp_path.iterdir())
+
+
+def test_missing_config_flag_is_usage_error(capsys):
+    code, out = run_cli(capsys, "pretrain")
+    assert code == 2
+    assert one_error_line(out, "error: usage:") == (
+        "error: usage: the following arguments are required: --config")
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {flag for action in parser._actions
+                  for flag in action.option_strings
+                  if flag not in ("-h", "--help")}
+           for name, parser in sub.choices.items()}
+    common = {"--config", "--seed", "--out"}
+    loads = common | {"--stage", "--checkpoint"}
+    assert got == {"pretrain": common, "prune": common,
+                   "sample": loads | {"--n"}, "evaluate": loads,
+                   "table1": common, "table2": common, "fig2": common}
+    assert sum(len(flags) for flags in got.values()) == 26
 
 
 def test_table1_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,

@@ -76,7 +76,7 @@ class TestTaylorQuadratic:
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=1)
         sched = make_schedule(20, 0.01, 0.05)
         data = generate(DatasetSpec("ring-mixture", 128, seed=0))
-        batches = score_batches(model, sched, data, seed=5, n_batches=2,
+        batches = score_batches(sched, data, seed=5, n_batches=2,
                                 batch_size=16)
         both = taylor_scores(model, sched, batches)
         one = taylor_scores(model, sched, batches[:1])
@@ -126,7 +126,7 @@ class TestGradientFlowQuadratic:
         model = NoisePredictor(dim=2, hidden=6, depth=2, temb_dim=4, seed=2)
         sched = make_schedule(20, 0.01, 0.05)
         data = generate(DatasetSpec("ring-mixture", 128, seed=0))
-        batches = score_batches(model, sched, data, seed=6, n_batches=1,
+        batches = score_batches(sched, data, seed=6, n_batches=1,
                                 batch_size=16)
         exact = gradient_flow_scores(model, sched, batches)
         # model-level oracle: finite-difference H g on the same record,
@@ -159,7 +159,7 @@ class TestDelta:
             p[:] = rng.normal(size=p.shape) * 0.6
         sched = make_schedule(20, 0.01, 0.05)
         data = generate(DatasetSpec("ring-mixture", 128, seed=0))[:, :1]
-        batch = score_batches(model, sched, data, seed=7, n_batches=1,
+        batch = score_batches(sched, data, seed=7, n_batches=1,
                               batch_size=32)[0]
         from flowprune.diffusion import loss
 
@@ -224,7 +224,7 @@ class TestDeterminismAndMasks:
             size=model.params["layer1.w"].shape)
         sched = make_schedule(50, 0.001, 0.05)
         data = generate(DatasetSpec("ring-mixture", 256, seed=0))
-        batches = score_batches(model, sched, data, seed=3, n_batches=3,
+        batches = score_batches(sched, data, seed=3, n_batches=3,
                                 batch_size=32)
         got = gradient_flow_scores(model, sched, batches)
 
