@@ -42,6 +42,7 @@ from .pipeline import (
     pretrain,
     prune_run,
     run_experiment,
+    stage_path,
 )
 
 
@@ -54,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(args) -> RunConfig:
     """The config with ``--out`` and ``--seed`` applied; a plan or model
-    that ``PrunePlan`` or ``NoisePredictor`` rejects fails here, before any
-    stage runs."""
+    that ``PrunePlan`` or ``NoisePredictor`` rejects, or an evaluation size
+    the metrics or the sampler reject, fails here, before any stage runs."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
@@ -63,15 +64,24 @@ def _load_config(args) -> RunConfig:
         cfg.seeds = [args.seed]
     try:
         build_plan(cfg)
-        build_model(cfg, 0)
+        dim = build_model(cfg, 0).dim
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # Frechet needs dim + 1 points per set; DDIM takes 1 to T steps
+    for key in ("eval_samples", "trace_samples"):
+        if getattr(cfg, key) < dim + 1:
+            raise ConfigError(f"{key} must be at least dim + 1 = {dim + 1}, "
+                              f"got {getattr(cfg, key)}")
+    for key in ("eval_substeps", "trace_substeps"):
+        if not 1 <= getattr(cfg, key) <= cfg.diffusion_t:
+            raise ConfigError(f"{key} must be in [1, diffusion_t = "
+                              f"{cfg.diffusion_t}], got {getattr(cfg, key)}")
     return cfg
 
 
 def cmd_pretrain(args) -> dict:
     cfg = _load_config(args)
-    paths = [pretrain(cfg, seed, Path(cfg.out_dir) / "pretrain")
+    paths = [pretrain(cfg, seed, stage_path(cfg, "pretrain", seed).parent)
              for seed in cfg.seeds]
     return {"command": "pretrain", "checkpoints": paths}
 
@@ -80,27 +90,19 @@ def cmd_prune(args) -> dict:
     cfg = _load_config(args)
     reports = []
     for seed in cfg.seeds:
-        pre = pretrain(cfg, seed, Path(cfg.out_dir) / "pretrain")
+        pre = pretrain(cfg, seed, stage_path(cfg, "pretrain", seed).parent)
         dense = load_stage_model(cfg, seed, pre)
         dense_samples = dense_sample_cache(cfg, dense)
-        out = Path(cfg.out_dir) / "prune" / f"seed{seed}"
+        out = stage_path(cfg, "finetune", seed).parent
         reports.append(prune_run(cfg, seed, pre, out,
                                  dense_samples=dense_samples))
     return {"command": "prune", "reports": reports}
 
 
-def _stage_path(cfg: RunConfig, stage: str) -> Path:
-    """Where ``stage``'s checkpoint of the first configured seed is written."""
-    seed = cfg.seeds[0]
-    if stage == "pretrain":
-        return Path(cfg.out_dir) / "pretrain" / f"pretrain_seed{seed}.ckpt"
-    return Path(cfg.out_dir) / "prune" / f"seed{seed}" / f"{stage}.ckpt"
-
-
 def _load_checkpoint_arg(args, cfg: RunConfig):
     """The ``--checkpoint`` path, else ``--stage``'s, and its model."""
     path = (Path(args.checkpoint) if args.checkpoint
-            else _stage_path(cfg, args.stage))
+            else stage_path(cfg, args.stage, cfg.seeds[0]))
     if not path.exists():
         raise FileNotFoundError(f"missing checkpoint {path}")
     return path, load_stage_model(cfg, cfg.seeds[0], path)
@@ -122,7 +124,7 @@ def cmd_evaluate(args) -> dict:
     cfg = _load_config(args)
     path, model = _load_checkpoint_arg(args, cfg)
     seed = cfg.seeds[0]
-    pre = _stage_path(cfg, "pretrain")
+    pre = stage_path(cfg, "pretrain", seed)
     dense_samples = None
     if pre.exists() and pre != path:
         dense_samples = dense_sample_cache(cfg, load_stage_model(cfg, seed, pre))

@@ -147,21 +147,38 @@ def restore_model(model: NoisePredictor, tensors: dict) -> None:
         model.masks[name] = np.array(take(f"{name}.mask", mask.shape))
 
 
-def save_stage(path, model: NoisePredictor, cfg: RunConfig, stage: str,
-               iteration: int, opt: Adam | None = None,
+def stage_path(cfg: RunConfig, stage: str, seed: int, run_dir=None) -> Path:
+    """Where ``stage``'s checkpoint for ``seed`` is written: in ``run_dir``,
+    the directory a ``pretrain`` or ``prune_run`` call writes to, or by
+    default where the commands keep it. Pretrains go to
+    ``<out_dir>/pretrain``, which every command and experiment shares; the
+    ``prune`` command's stages go to ``<out_dir>/prune/seed<seed>``."""
+    if stage == "pretrain":
+        default, name = ("pretrain",), f"pretrain_seed{seed}.ckpt"
+    else:
+        default, name = ("prune", f"seed{seed}"), f"{stage}.ckpt"
+    if run_dir is None:
+        run_dir = Path(cfg.out_dir).joinpath(*default)
+    return Path(run_dir) / name
+
+
+def save_stage(run_dir, model: NoisePredictor, cfg: RunConfig, stage: str,
+               seed: int, iteration: int, opt: Adam | None = None,
                extra_meta: dict | None = None) -> str:
+    """Write ``stage``'s checkpoint for ``seed`` in ``run_dir``; returns its
+    path."""
     meta = {"stage": stage, "iteration": iteration, "config_hash": cfg.digest()}
     if extra_meta:
         meta.update(extra_meta)
+    path = stage_path(cfg, stage, seed, run_dir)
     save_checkpoint(path, model_tensors(model, opt), meta)
     return str(path)
 
 
 def pretrain(cfg: RunConfig, seed: int, out_dir) -> str:
     """Train a dense model from scratch; returns the checkpoint path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"pretrain_seed{seed}.ckpt"
+    path = stage_path(cfg, "pretrain", seed, out_dir)
+    path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
         _, meta = load_checkpoint(path)
         if meta.get("pretrain_hash") == cfg.pretrain_digest():
@@ -172,7 +189,8 @@ def pretrain(cfg: RunConfig, seed: int, out_dir) -> str:
     opt = Adam(model.params, opt_config(cfg))
     train(model, sched, data, steps=cfg.pretrain_steps, opt=opt, seed=seed,
           stage="pretrain", batch_size=cfg.train_batch)
-    return save_stage(path, model, cfg, "pretrain", cfg.pretrain_steps, opt,
+    return save_stage(out_dir, model, cfg, "pretrain", seed,
+                      cfg.pretrain_steps, opt,
                       extra_meta={"pretrain_hash": cfg.pretrain_digest()})
 
 
@@ -279,9 +297,7 @@ def prune_run(
     )
     report["stages"]["soft_prune"] = time.perf_counter() - t0
     report["checkpoints"]["soft_prune"] = save_stage(
-        out_dir / "soft_prune.ckpt", model, cfg, "soft_prune",
-        plan.m_iters * plan.interval,
-    )
+        out_dir, model, cfg, "soft_prune", seed, plan.m_iters * plan.interval)
     report["diagnostics_csv"] = _write_csv(
         out_dir / "diagnostics.csv", DIAG_FIELDS, diag_rows
     )
@@ -293,16 +309,13 @@ def prune_run(
     report["stages"]["hard_prune"] = time.perf_counter() - t0
     report["hard_prune"] = hard_diag
     report["checkpoints"]["hard_prune"] = save_stage(
-        out_dir / "hard_prune.ckpt", model, cfg, "hard_prune",
-        plan.m_iters * plan.interval,
-    )
+        out_dir, model, cfg, "hard_prune", seed, plan.m_iters * plan.interval)
 
     t0 = time.perf_counter()
     finetune(model, sched, data, plan, seed=seed, opt_config=opt_config(cfg))
     report["stages"]["finetune"] = time.perf_counter() - t0
     report["checkpoints"]["finetune"] = save_stage(
-        out_dir / "finetune.ckpt", model, cfg, "finetune", plan.total_steps
-    )
+        out_dir, model, cfg, "finetune", seed, plan.total_steps)
 
     quality = evaluate_model(cfg, model, dense_samples, seed)
     report["metrics"] = quality.as_dict()
@@ -363,7 +376,8 @@ def run_experiment(cfg: RunConfig, experiment: str,
     trace_rows: list[dict] = []
     for seed in cfg.seeds:
         t0 = time.perf_counter()
-        pre_path = pretrain(cfg, seed, Path(cfg.out_dir) / "pretrain")
+        pre_path = pretrain(cfg, seed,
+                            stage_path(cfg, "pretrain", seed).parent)
         pre_wall = time.perf_counter() - t0
         dense_model = load_stage_model(cfg, seed, pre_path)
         dense_samples = dense_sample_cache(cfg, dense_model)

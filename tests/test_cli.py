@@ -7,7 +7,7 @@ import pytest
 
 from flowprune import pipeline
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
-from flowprune.cli import build_parser, main
+from flowprune.cli import _load_config, build_parser, main
 from flowprune.config import RunConfig, dump_kv
 from test_checkpoint import v1_container
 
@@ -80,6 +80,17 @@ def test_pretrain_then_prune_and_evaluate(capsys, small_cfg_path):
     # metrics recorded when the run produced it
     for key in ("frechet", "ssim", "nonzero_params", "macs_sparse"):
         assert evaluated["metrics"][key] == report["metrics"][key]
+
+
+def test_stages_are_found_where_prune_wrote_them(capsys, small_cfg_path):
+    code, out = run_cli(capsys, "prune", "--config", str(small_cfg_path))
+    assert code == 0
+    written = json.loads(out.out)["reports"][0]["checkpoints"]
+    for stage in ("pretrain", "hard_prune"):
+        code, out = run_cli(capsys, "evaluate", "--config",
+                            str(small_cfg_path), "--stage", stage)
+        assert code == 0
+        assert json.loads(out.out)["checkpoint"] == written[stage]
 
 
 def test_sample_writes_container(capsys, small_cfg_path):
@@ -233,6 +244,31 @@ def test_model_size_below_one_rejected_before_any_stage(
         capsys, small_cfg_path, tmp_path, key):
     line = prune_rejected(capsys, small_cfg_path, tmp_path, key, 0)
     assert "must be at least 1, got 0" in line
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("eval_samples", 0, "at least dim + 1 = 3, got 0"),
+    ("eval_samples", 2, "at least dim + 1 = 3, got 2"),
+    ("trace_samples", 2, "at least dim + 1 = 3, got 2"),
+    ("eval_substeps", 0, "in [1, diffusion_t = 50], got 0"),
+    ("eval_substeps", 51, "in [1, diffusion_t = 50], got 51"),
+    ("trace_substeps", 0, "in [1, diffusion_t = 50], got 0"),
+    ("trace_substeps", 51, "in [1, diffusion_t = 50], got 51"),
+])
+def test_eval_size_out_of_range_rejected_before_any_stage(
+        capsys, small_cfg_path, tmp_path, key, value, message):
+    line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
+    assert line == f"error: config: {key} must be {message}"
+
+
+def test_eval_sizes_at_their_limits_load(small_cfg_path, tmp_path):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.eval_samples = cfg.trace_samples = 3
+    cfg.eval_substeps, cfg.trace_substeps = 1, cfg.diffusion_t
+    path = tmp_path / "edge.cfg"
+    cfg.save(path)
+    args = build_parser().parse_args(["prune", "--config", str(path)])
+    assert _load_config(args) == cfg
 
 
 def test_removed_plan_key_is_unknown(capsys, small_cfg_path, tmp_path):

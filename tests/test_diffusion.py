@@ -217,6 +217,59 @@ class TestSamplers:
         assert frechet_distance(after, ref) < frechet_distance(before, ref)
 
 
+def one_block_ddim(model, sched, n, substeps, noise_seed):
+    """DDIM with every row in one block and one timestep per row."""
+    model = model.compact()
+    ts = ddim_timesteps(sched.T, substeps)[::-1]
+    x = make_rng(noise_seed, "ddim-init").standard_normal((n, model.dim))
+    for i, t in enumerate(ts):
+        eps_hat = model.predict(x, np.full(n, t))
+        ab = sched.alpha_bar[t]
+        x0_hat = (x - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+        ab_prev = sched.alpha_bar[ts[i + 1]] if i + 1 < len(ts) else 1.0
+        x = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+    return x
+
+
+def test_block_sampler_matches_one_block_loop(monkeypatch):
+    from flowprune import diffusion
+
+    hidden = 512
+    model = NoisePredictor(dim=2, hidden=hidden, depth=2, temb_dim=8, seed=0)
+    rng = make_rng(0, "blocks")
+    for name in model.bias_names:
+        bias = model.params[name]
+        bias[...] = rng.normal(scale=0.5, size=bias.shape)
+    sched = make_schedule(100, 1e-3, 0.1)
+    rows = diffusion._BLOCK_BYTES // (8 * hidden)
+    n = 3 * rows + rows // 2  # three full blocks and a ragged one
+    want = one_block_ddim(model, sched, n, 10, noise_seed=4)
+
+    sizes = []
+    predict = NoisePredictor.predict
+
+    def counting(self, x, t):
+        sizes.append(x.shape[0])
+        return predict(self, x, t)
+
+    monkeypatch.setattr(NoisePredictor, "predict", counting)
+    got = sample_ddim(model, sched, n, 10, noise_seed=4)
+    assert sizes == [rows] * 30 + [rows // 2] * 10
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0, 517, np.int64(999)])
+def test_scalar_timestep_matches_one_per_row(t):
+    model = NoisePredictor(dim=2, hidden=128, depth=4, temb_dim=64, seed=1)
+    x = make_rng(1, "scalar-t").standard_normal((300, 2))
+    got = model.predict(x, t)
+    want = model.predict(x, np.full(300, t))
+    # rounding differs in the last bits, so an output near zero gets an
+    # absolute allowance on the scale of the largest
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
 def test_draw_batch_shapes():
     data = np.zeros((100, 2))
     sched = make_schedule(10, 0.01, 0.02)
