@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError, save_checkpoint
 from .config import ConfigError, RunConfig
+from .datasets import DatasetSpec
 from .diffusion import TrainingDiverged, sample_ddim
 from .pipeline import (
     FIG2_ARMS,
@@ -54,19 +55,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> RunConfig:
-    """The config with ``--out`` and ``--seed`` applied; a plan or model
-    that ``PrunePlan`` or ``NoisePredictor`` rejects, or an evaluation size
-    the metrics or the sampler reject, fails here, before any stage runs."""
+    """The config with ``--out`` and ``--seed`` applied; a dataset,
+    schedule, plan or model that ``DatasetSpec``, ``make_schedule``,
+    ``PrunePlan`` or ``NoisePredictor`` rejects, a negative seed or step
+    count, or an evaluation size the metrics or the sampler reject, fails
+    here, before any stage runs."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seeds = [args.seed]
     try:
+        DatasetSpec(cfg.dataset_kind, cfg.dataset_size, cfg.dataset_seed)
+        build_schedule(cfg)
         build_plan(cfg)
         dim = build_model(cfg, 0).dim
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in ("dataset_seed", "eval_seed", "pretrain_steps"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be at least 0, got "
+                              f"{getattr(cfg, key)}")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"seeds must be at least 0, got {cfg.seeds}")
     # Frechet needs dim + 1 points per set; DDIM takes 1 to T steps
     for key in ("eval_samples", "trace_samples"):
         if getattr(cfg, key) < dim + 1:
@@ -109,6 +120,9 @@ def _load_checkpoint_arg(args, cfg: RunConfig):
 
 
 def cmd_sample(args) -> dict:
+    if args.n < 1:
+        raise argparse.ArgumentError(
+            None, f"argument --n: must be at least 1, got {args.n}")
     cfg = _load_config(args)
     path, model = _load_checkpoint_arg(args, cfg)
     samples = sample_ddim(model, build_schedule(cfg), args.n,

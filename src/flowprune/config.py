@@ -112,13 +112,10 @@ class RunConfig:
     model_hidden: int = 128
     model_depth: int = 4
     model_temb_dim: int = 64
-    model_activation: str = "silu"
     diffusion_t: int = 1000
     diffusion_beta_start: float = 1e-4
     diffusion_beta_end: float = 0.02
     train_lr: float = 2e-4
-    train_beta1: float = 0.9
-    train_beta2: float = 0.999
     train_batch: int = 128
     pretrain_steps: int = 20000
     plan_s: float = 0.5
@@ -187,9 +184,9 @@ class RunConfig:
         arms with different plans can share one pretrain."""
         keys = [
             "dataset_kind", "dataset_size", "dataset_seed", "model_hidden",
-            "model_depth", "model_temb_dim", "model_activation", "diffusion_t",
+            "model_depth", "model_temb_dim", "diffusion_t",
             "diffusion_beta_start", "diffusion_beta_end", "train_lr",
-            "train_beta1", "train_beta2", "train_batch", "pretrain_steps",
+            "train_batch", "pretrain_steps",
         ]
         items = asdict(self)
         return _digest({k: items[k] for k in keys})

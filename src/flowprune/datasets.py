@@ -26,6 +26,14 @@ class DatasetSpec:
     size: int
     seed: int
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown dataset kind {self.kind!r}, expected "
+                             f"one of {', '.join(KINDS)}")
+        if self.size < 1:
+            raise ValueError(f"dataset size must be at least 1, got "
+                             f"{self.size}")
+
     @property
     def dim(self) -> int:
         return 64 if self.kind == "tiny-shapes" else 2
@@ -48,10 +56,6 @@ def generate(spec: DatasetSpec) -> np.ndarray:
     tiny-shapes: 8x8 binary images (flattened) of full-length bars or small
     axis-aligned rectangles, values in {0,1}, no standardization.
     """
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown dataset kind {spec.kind!r}")
-    if spec.size < 1:
-        raise ValueError("size must be positive")
     rng = _rng(spec)
     if spec.kind == "ring-mixture":
         mode = rng.integers(0, 8, size=spec.size)

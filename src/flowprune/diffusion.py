@@ -61,7 +61,8 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSchedu
     if T < 2:
         raise ValueError("T must be at least 2")
     if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
+        raise ValueError(f"need 0 < beta_start <= beta_end < 1, got "
+                         f"{beta_start} and {beta_end}")
     beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     return DiffusionSchedule(T=T, beta=beta, alpha=alpha,
@@ -122,12 +123,10 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 class NoisePredictor:
-    """MLP noise predictor over [batch, dim] data."""
+    """MLP noise predictor over [batch, dim] data, with SiLU activations."""
 
     def __init__(self, dim: int, hidden: int = 128, depth: int = 4,
-                 temb_dim: int = 64, activation: str = "silu", seed: int = 0):
-        if activation not in ("silu", "tanh"):
-            raise ValueError("activation must be 'silu' or 'tanh'")
+                 temb_dim: int = 64, seed: int = 0):
         if temb_dim % 2:
             raise ValueError("temb_dim must be even")
         for what, size in (("hidden", hidden), ("depth", depth),
@@ -138,7 +137,6 @@ class NoisePredictor:
         self.hidden = hidden
         self.depth = depth
         self.temb_dim = temb_dim
-        self.activation = activation
         rng = make_rng(seed, "init")
 
         def he(out_n, in_n):
@@ -184,14 +182,14 @@ class NoisePredictor:
         return {n: rec.input(n, self.params[n].shape) for n in self.params}
 
     def _net(self, rec: Record, x, temb, prefs) -> engine.Ref:
-        act = rec.silu if self.activation == "silu" else rec.tanh
-        h = act(rec.linear(x, prefs["layer0.w"], prefs["layer0.b"]))
+        h = rec.silu(rec.linear(x, prefs["layer0.w"], prefs["layer0.b"]))
         proj = rec.linear(temb, prefs["temb.w"], prefs["temb.b"])
         if proj.shape != h.shape:  # one embedding row shared by every row
             proj = rec.broadcast(proj, h.shape)
         h = rec.add(h, proj)
         for k in range(1, self.depth):
-            h = act(rec.linear(h, prefs[f"layer{k}.w"], prefs[f"layer{k}.b"]))
+            h = rec.silu(rec.linear(h, prefs[f"layer{k}.w"],
+                                    prefs[f"layer{k}.b"]))
         return rec.linear(h, prefs["out.w"], prefs["out.b"])
 
     def eps_record(self, batch: int, temb_rows: int) -> Record:
@@ -247,11 +245,9 @@ class NoisePredictor:
         bit, and it can be trained with the same frozen entries;
         :meth:`write_back` copies its parameters into ``self``.
         """
-        if self.activation == "silu":
-            def act(z):
-                return z / (1.0 + np.exp(-z))
-        else:
-            act = np.tanh
+        def act(z):
+            return z / (1.0 + np.exp(-z))
+
         params = dict(self.params)
         masks = dict(self.masks)
 
@@ -348,36 +344,32 @@ def draw_batch(data: np.ndarray, sched: DiffusionSchedule, batch: int,
     return TrainBatch(x0=data[idx], t=t, eps=eps)
 
 
-@dataclass
-class OptimizerConfig:
-    lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 class Adam:
     """Adam over the model's parameter dict, updating arrays in place."""
 
-    def __init__(self, params: dict[str, np.ndarray], config: OptimizerConfig):
-        self.config = config
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.lr = lr
         self.step_count = 0
         self.m = {n: np.zeros_like(p) for n, p in params.items()}
         self.v = {n: np.zeros_like(p) for n, p in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        c = self.config
+        b1, b2 = self.BETA1, self.BETA2
         self.step_count += 1
-        bc1 = 1.0 - c.beta1**self.step_count
-        bc2 = 1.0 - c.beta2**self.step_count
+        bc1 = 1.0 - b1**self.step_count
+        bc2 = 1.0 - b2**self.step_count
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * (g * g)
-            params[name] -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         out = {f"adam.m.{n}": a for n, a in self.m.items()}

@@ -2,8 +2,8 @@
 
 A ``Record`` is an append-only list of primitive operations over named input
 tensors. The vocabulary is deliberately small: matmul, transpose, reshape,
-broadcast, add, elementwise multiply, scalar affine, sigmoid / tanh / silu,
-axis sums and sum-of-squares. Every backward rule emits nodes from the same
+broadcast, add, elementwise multiply, scalar affine, sigmoid, silu, axis
+sums and sum-of-squares. Every backward rule emits nodes from the same
 vocabulary, so a gradient is itself a differentiable graph and
 Hessian-vector products fall out of a second reverse pass (double backprop).
 A central-finite-difference HVP is provided as an independent cross-check.
@@ -175,9 +175,6 @@ class Record:
     def sigmoid(self, a: Ref) -> Ref:
         return self._append("sigmoid", (a.nid,), (), self._node(a).shape)
 
-    def tanh(self, a: Ref) -> Ref:
-        return self._append("tanh", (a.nid,), (), self._node(a).shape)
-
     def silu(self, a: Ref) -> Ref:
         return self._append("silu", (a.nid,), (), self._node(a).shape)
 
@@ -312,8 +309,6 @@ class Record:
             elif op == "sigmoid":
                 x = vals[node.args[0]]
                 vals[nid] = 1.0 / (1.0 + np.exp(-x))
-            elif op == "tanh":
-                vals[nid] = np.tanh(vals[node.args[0]])
             elif op == "silu":
                 x = vals[node.args[0]]
                 vals[nid] = x / (1.0 + np.exp(-x))
@@ -368,9 +363,6 @@ class Record:
         elif node.op == "sigmoid":
             y = Ref(self, node.nid)
             out.append((args[0], self.mul(g, self.mul(y, self.affine(y, -1.0, 1.0)))))
-        elif node.op == "tanh":
-            y = Ref(self, node.nid)
-            out.append((args[0], self.mul(g, self.affine(self.mul(y, y), -1.0, 1.0))))
         elif node.op == "silu":
             x = refs[args[0]]
             s = self.sigmoid(x)
@@ -520,14 +512,13 @@ def hessian_vector_product(
     wrt: Iterable[str],
     v: Mapping[str, np.ndarray],
     method: str = "exact",
-    fd_step: float | None = None,
     values: dict | None = None,
 ) -> dict[str, np.ndarray]:
     """H @ v for the Hessian of the scalar output w.r.t. the named inputs.
 
     ``method="exact"`` differentiates the gradient graph (double backprop);
     ``method="fd"`` uses central differences of the gradient along ``v`` with
-    step ``fd_step`` (default ``1e-4 * (1 + max|theta|)``).
+    step ``1e-4 * (1 + max|theta|)``.
 
     The exact method reuses ``values`` from an earlier call on the same
     inputs but evaluates into a copy, releasing each double-backward node
@@ -557,14 +548,11 @@ def hessian_vector_product(
             name: _check_finite(vals[hv[name]], f"hvp[{name}]") for name in names
         }
     if method == "fd":
-        if fd_step is None:
-            theta_inf = max(
-                (float(np.max(np.abs(_as_f64(inputs[n])))) for n in names),
-                default=0.0,
-            )
-            fd_step = 1e-4 * (1.0 + theta_inf)
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        theta_inf = max(
+            (float(np.max(np.abs(_as_f64(inputs[n])))) for n in names),
+            default=0.0,
+        )
+        fd_step = 1e-4 * (1.0 + theta_inf)
         plus = dict(inputs)
         minus = dict(inputs)
         for name in names:

@@ -105,15 +105,15 @@ def batch_ssim(imgs_a: np.ndarray, imgs_b: np.ndarray) -> float:
     return float(np.mean([ssim(x, y) for x, y in zip(imgs_a, imgs_b)]))
 
 
-def kde_raster(points: np.ndarray, bins: int = KDE_BINS,
-               extent: float = KDE_EXTENT, blur: float = KDE_BLUR) -> np.ndarray:
-    """Binned kernel-density image of a 2-D point set (unnormalized)."""
+def kde_raster(points: np.ndarray) -> np.ndarray:
+    """Binned kernel-density image of a 2-D point set (unnormalized):
+    ``KDE_BINS`` bins a side over [-KDE_EXTENT, KDE_EXTENT]^2, blurred by a
+    Gaussian of ``KDE_BLUR`` bins."""
     pts = np.asarray(points, dtype=np.float64)
-    hist, _, _ = np.histogram2d(
-        pts[:, 0], pts[:, 1], bins=bins,
-        range=[[-extent, extent], [-extent, extent]],
-    )
-    return scipy.ndimage.gaussian_filter(hist, sigma=blur)
+    extent = [-KDE_EXTENT, KDE_EXTENT]
+    hist, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=KDE_BINS,
+                                range=[extent, extent])
+    return scipy.ndimage.gaussian_filter(hist, sigma=KDE_BLUR)
 
 
 def consistency_ssim(samples_ref: np.ndarray, samples_cmp: np.ndarray) -> float:

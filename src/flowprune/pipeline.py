@@ -27,7 +27,6 @@ from .diffusion import (
     Adam,
     DiffusionSchedule,
     NoisePredictor,
-    OptimizerConfig,
     make_schedule,
     sample_ddim,
     train,
@@ -69,7 +68,7 @@ def build_model(cfg: RunConfig, seed: int) -> NoisePredictor:
     spec = DatasetSpec(cfg.dataset_kind, 1, 0)
     return NoisePredictor(dim=spec.dim, hidden=cfg.model_hidden,
                           depth=cfg.model_depth, temb_dim=cfg.model_temb_dim,
-                          activation=cfg.model_activation, seed=seed)
+                          seed=seed)
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,10 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
     """
     if arm is None:
         criterion, mode = cfg.plan_criterion, cfg.plan_mode
-        granularity, final_criterion = "element", "taylor"
+        granularity = "element"
     else:
         criterion, mode = arm.criterion, arm.mode
-        granularity, final_criterion = "row-group", arm.criterion
+        granularity = "row-group"
     m_iters = 0 if mode == "one-shot" else cfg.plan_m_iters
     n_iters = 0 if mode == "one-shot" else cfg.plan_n_iters
     return PrunePlan(
@@ -108,16 +107,10 @@ def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
         criterion=criterion,
         mode=mode,
         granularity=granularity,
-        final_criterion=final_criterion,
         score_n_batches=cfg.plan_score_batches,
         score_batch_size=cfg.plan_score_batch_size,
         train_batch=cfg.train_batch,
     )
-
-
-def opt_config(cfg: RunConfig) -> OptimizerConfig:
-    return OptimizerConfig(lr=cfg.train_lr, beta1=cfg.train_beta1,
-                           beta2=cfg.train_beta2)
 
 
 def model_tensors(model: NoisePredictor, opt: Adam | None = None) -> dict:
@@ -186,7 +179,7 @@ def pretrain(cfg: RunConfig, seed: int, out_dir) -> str:
     data = build_dataset(cfg)
     sched = build_schedule(cfg)
     model = build_model(cfg, seed)
-    opt = Adam(model.params, opt_config(cfg))
+    opt = Adam(model.params, cfg.train_lr)
     train(model, sched, data, steps=cfg.pretrain_steps, opt=opt, seed=seed,
           stage="pretrain", batch_size=cfg.train_batch)
     return save_stage(out_dir, model, cfg, "pretrain", seed,
@@ -272,15 +265,6 @@ def prune_run(
         "checkpoints": {"pretrain": str(pretrain_path)},
     }
 
-    if plan.s == 0.0:
-        # identity run: nothing to prune, nothing to recover
-        report["stages"]["identity"] = 0.0
-        quality = evaluate_model(cfg, model, dense_samples, seed)
-        report["metrics"] = quality.as_dict()
-        report["wall_clock_s"] = time.perf_counter() - t_start
-        _write_report(out_dir, report)
-        return report
-
     trace_eval = None
     if quality_trace:
         ref = eval_reference(cfg)[: cfg.trace_samples]
@@ -292,7 +276,7 @@ def prune_run(
 
     t0 = time.perf_counter()
     diag_rows, trace, _ = run_progressive_soft(
-        model, sched, data, plan, seed=seed, opt_config=opt_config(cfg),
+        model, sched, data, plan, seed=seed, lr=cfg.train_lr,
         quality_eval=trace_eval,
     )
     report["stages"]["soft_prune"] = time.perf_counter() - t0
@@ -312,7 +296,7 @@ def prune_run(
         out_dir, model, cfg, "hard_prune", seed, plan.m_iters * plan.interval)
 
     t0 = time.perf_counter()
-    finetune(model, sched, data, plan, seed=seed, opt_config=opt_config(cfg))
+    finetune(model, sched, data, plan, seed=seed, lr=cfg.train_lr)
     report["stages"]["finetune"] = time.perf_counter() - t0
     report["checkpoints"]["finetune"] = save_stage(
         out_dir, model, cfg, "finetune", seed, plan.total_steps)
@@ -320,13 +304,9 @@ def prune_run(
     quality = evaluate_model(cfg, model, dense_samples, seed)
     report["metrics"] = quality.as_dict()
     report["wall_clock_s"] = time.perf_counter() - t_start
-    _write_report(out_dir, report)
-    return report
-
-
-def _write_report(out_dir: Path, report: dict) -> None:
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
+    return report
 
 
 def result_row(experiment: str, method: str, criterion: str, mode: str,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CRITERIA, compute_scores, gradient_flow_delta, score_batches
-from .diffusion import Adam, DiffusionSchedule, NoisePredictor, OptimizerConfig, train
+from .diffusion import Adam, DiffusionSchedule, NoisePredictor, train
 from .masking import GRANULARITIES, MaskState, apply_mask_update
 
 DIAG_FIELDS = ["iteration", "loss", "grad_flow_delta", "delta_e", "s_t", "p_t",
@@ -43,8 +43,8 @@ class PrunePlan:
 
     ``total_steps`` is the weight-update budget K shared by the prune stage
     and fine-tuning; the prune stage consumes m_iters * interval of it.
-    Both stages train on batches of ``train_batch``.
-    s == 0 is allowed as an explicit identity run.
+    Both stages train on batches of ``train_batch``. The target sparsity s
+    lies in (0, 1).
     """
 
     s: float
@@ -55,19 +55,17 @@ class PrunePlan:
     criterion: str = "gradient-flow"
     mode: str = "progressive-soft"
     granularity: str = "element"
-    final_criterion: str = "taylor"
     score_n_batches: int = 4
     score_batch_size: int = 256
     train_batch: int = 128
 
     def __post_init__(self):
-        if not 0.0 <= self.s < 1.0:
-            raise ValueError("target sparsity must lie in [0, 1)")
+        if not 0.0 < self.s < 1.0:
+            raise ValueError(f"target sparsity s must lie in (0, 1), got {self.s}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for what in ("criterion", "final_criterion"):
-            if getattr(self, what) not in CRITERIA:
-                raise ValueError(f"unknown {what} {getattr(self, what)!r}")
+        if self.criterion not in CRITERIA:
+            raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         for what, least in (("m_iters", 0), ("n_iters", 0), ("interval", 1),
@@ -83,6 +81,12 @@ class PrunePlan:
                 raise ValueError("need 0 < n_iters <= m_iters")
         if self.m_iters * self.interval > self.total_steps:
             raise ValueError("prune stage exceeds the total step budget")
+
+    @property
+    def final_criterion(self) -> str:
+        """The final hard prune's criterion: Taylor after an element-wise
+        soft loop, the plan's own criterion after a row-group one."""
+        return "taylor" if self.granularity == "element" else self.criterion
 
     @property
     def finetune_steps(self) -> int:
@@ -132,19 +136,20 @@ def run_progressive_soft(
     data: np.ndarray,
     plan: PrunePlan,
     seed: int,
-    opt_config: OptimizerConfig | None = None,
+    lr: float,
     quality_eval=None,
 ) -> tuple[list[dict], list[tuple[int, float]], MaskState | None]:
     """Alternate weight training and mask updates for m_iters iterations.
 
-    Returns the diagnostics rows (one per mask update, keyed by
-    ``DIAG_FIELDS``), the quality trace and the last mask state.
+    The weights train with Adam at learning rate ``lr``. Returns the
+    diagnostics rows (one per mask update, keyed by ``DIAG_FIELDS``), the
+    quality trace and the last mask state.
     ``quality_eval(model)``, when given, is called after every mask update
     and its value recorded in the quality trace as ``(t, value)``.
     """
     rows: list[dict] = []
     quality_trace: list[tuple[int, float]] = []
-    opt = Adam(model.params, opt_config or OptimizerConfig())
+    opt = Adam(model.params, lr)
     state: MaskState | None = None
     prev_kept = None
     for t in range(1, plan.m_iters + 1):
@@ -215,7 +220,7 @@ def final_hard_prune(
 ) -> tuple[MaskState, dict]:
     """One-shot hard prune at sparsity s; masks are {0,1} afterwards.
 
-    Uses the plan's final criterion (Taylor by default) on row groups,
+    Uses the plan's final criterion on row groups,
     ranked within each layer; the output projection stays dense. Returns
     the mask state plus a diagnostic with the kept-set overlap against the
     pre-existing mask.
@@ -243,11 +248,11 @@ def finetune(
     data: np.ndarray,
     plan: PrunePlan,
     seed: int,
-    opt_config: OptimizerConfig | None = None,
+    lr: float,
 ) -> list[tuple[int, float]]:
-    """Train ``model.compact()`` for ``plan.finetune_steps``, so a step
-    costs what the pruned network computes, then write it back into
-    ``model``.
+    """Train ``model.compact()`` for ``plan.finetune_steps`` with Adam at
+    learning rate ``lr``, so a step costs what the pruned network computes,
+    then write it back into ``model``.
 
     The removed units' biases, and the next layer's columns reading them,
     stay frozen at their hard-prune values: they only add a constant to the
@@ -256,7 +261,7 @@ def finetune(
     them bit-identical throughout.
     """
     small = model.compact()
-    opt = Adam(small.params, opt_config or OptimizerConfig())
+    opt = Adam(small.params, lr)
     trace = train(
         small, sched, data, steps=plan.finetune_steps, opt=opt, seed=seed,
         stage="finetune", batch_size=plan.train_batch,

@@ -24,7 +24,6 @@ from flowprune.datasets import DatasetSpec, generate
 from flowprune.diffusion import (
     Adam,
     NoisePredictor,
-    OptimizerConfig,
     loss,
     make_schedule,
     train,
@@ -57,7 +56,7 @@ def tiny_trained_denoiser(seed=0, steps=300):
     model = NoisePredictor(dim=1, hidden=3, depth=1, temb_dim=2, seed=seed)
     sched = make_schedule(20, 0.01, 0.05)
     data = generate(DatasetSpec("ring-mixture", 512, seed=1))[:, :1]
-    opt = Adam(model.params, OptimizerConfig(lr=1e-3))
+    opt = Adam(model.params, 1e-3)
     train(model, sched, data, steps=steps, opt=opt, seed=seed, stage="tiny",
           batch_size=32)
     n_params = sum(p.size for p in model.params.values())
@@ -342,7 +341,7 @@ class TestAcceptance11Determinism:
         data = generate(DatasetSpec("ring-mixture", 512, seed=0))
         sched = make_schedule(50, 1e-3, 0.05)
         model = NoisePredictor(dim=2, hidden=12, depth=2, temb_dim=8, seed=0)
-        opt = Adam(model.params, OptimizerConfig())
+        opt = Adam(model.params, 2e-4)
         train(model, sched, data, steps=9, opt=opt, seed=4, stage="acc11",
               batch_size=32)
         ck = tmp_path / "resume.ckpt"
@@ -350,7 +349,7 @@ class TestAcceptance11Determinism:
         ref = train(model, sched, data, steps=1, opt=opt, seed=4,
                     stage="acc11", start_step=9, batch_size=32, log_interval=1)
         model2 = NoisePredictor(dim=2, hidden=12, depth=2, temb_dim=8, seed=0)
-        opt2 = Adam(model2.params, OptimizerConfig())
+        opt2 = Adam(model2.params, 2e-4)
         tensors, _ = load_checkpoint(ck)
         restore_model(model2, tensors)
         opt2.load_state(tensors)

@@ -149,7 +149,6 @@ def test_resume_bit_identical_next_loss(tmp_path):
     from flowprune.diffusion import (
         Adam,
         NoisePredictor,
-        OptimizerConfig,
         make_schedule,
         train,
     )
@@ -159,7 +158,7 @@ def test_resume_bit_identical_next_loss(tmp_path):
     sched = make_schedule(50, 1e-3, 0.05)
 
     model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
-    opt = Adam(model.params, OptimizerConfig())
+    opt = Adam(model.params, 2e-4)
     train(model, sched, data, steps=7, opt=opt, seed=3, stage="resume",
           batch_size=16)
     save_checkpoint(tmp_path / "mid.ckpt", model_tensors(model, opt),
@@ -169,7 +168,7 @@ def test_resume_bit_identical_next_loss(tmp_path):
                       log_interval=1)
 
     model2 = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
-    opt2 = Adam(model2.params, OptimizerConfig())
+    opt2 = Adam(model2.params, 2e-4)
     tensors, meta = load_checkpoint(tmp_path / "mid.ckpt")
     restore_model(model2, tensors)
     opt2.load_state(tensors)

@@ -103,26 +103,16 @@ def test_sample_writes_container(capsys, small_cfg_path):
     assert meta["stage"] == "samples"
 
 
-def test_prune_identity_run_matches_dense(capsys, small_cfg_path, tmp_path):
-    cfg = RunConfig.load(small_cfg_path)
-    cfg.plan_s = 0.0
-    cfg.out_dir = str(tmp_path / "identity")
-    path = tmp_path / "id.cfg"
-    cfg.save(path)
-    code, out = run_cli(capsys, "pretrain", "--config", str(path))
-    assert code == 0
-    code, out = run_cli(capsys, "prune", "--config", str(path))
-    assert code == 0
-    report = json.loads(out.out)["reports"][0]
-    m = report["metrics"]
-    assert m["nonzero_params"] == m["dense_params"]
-    assert m["macs_sparse"] == m["macs_dense"]
-    assert m["ssim"] == 1.0
-
-    code, out = run_cli(capsys, "evaluate", "--config", str(path),
-                        "--stage", "pretrain")
-    dense = json.loads(out.out)["metrics"]
-    assert dense["frechet"] == m["frechet"]
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_n_below_one_is_usage_error(capsys, small_cfg_path, tmp_path,
+                                           n):
+    code, out = run_cli(capsys, "sample", "--config", str(small_cfg_path),
+                        "--stage", "pretrain", "--out", str(tmp_path / "s"),
+                        "--n", str(n))
+    assert code == 2
+    assert one_error_line(out, "error: usage:") == (
+        f"error: usage: argument --n: must be at least 1, got {n}")
+    assert not (tmp_path / "s").exists()
 
 
 def test_missing_checkpoint_error(capsys, small_cfg_path, tmp_path):
@@ -224,6 +214,7 @@ def prune_rejected(capsys, small_cfg_path, tmp_path, key, value) -> str:
 
 
 @pytest.mark.parametrize("key, value", [
+    ("plan_s", 0.0),
     ("plan_mode", "bogus"),
     ("plan_m_iters", -1),
     ("plan_n_iters", -1),
@@ -271,10 +262,27 @@ def test_eval_sizes_at_their_limits_load(small_cfg_path, tmp_path):
     assert _load_config(args) == cfg
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dataset_kind", "bogus", "unknown dataset kind 'bogus'"),
+    ("dataset_size", 0, "dataset size must be at least 1, got 0"),
+    ("diffusion_beta_end", 1.5, "beta_end < 1, got 0.001 and 1.5"),
+    ("pretrain_steps", -1, "pretrain_steps must be at least 0, got -1"),
+    ("seeds", -1, "seeds must be at least 0, got [-1]"),
+    ("dataset_seed", -2, "dataset_seed must be at least 0, got -2"),
+    ("eval_seed", -3, "eval_seed must be at least 0, got -3"),
+])
+def test_value_a_stage_rejects_fails_at_load(capsys, small_cfg_path,
+                                             tmp_path, key, value, message):
+    line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
+    assert message in line
+
+
 def test_removed_plan_key_is_unknown(capsys, small_cfg_path, tmp_path):
-    line = prune_rejected(capsys, small_cfg_path, tmp_path,
-                          "plan_granularity", "element")
-    assert "unknown config keys: ['plan_granularity']" in line
+    for key, value in [("plan_granularity", "element"),
+                       ("model_activation", "silu"), ("train_beta1", 0.9),
+                       ("train_beta2", 0.999)]:
+        line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
+        assert f"unknown config keys: ['{key}']" in line
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from flowprune.config import ConfigError, RunConfig, dump_kv, parse_kv
@@ -107,6 +109,21 @@ def test_digest_covers_what_a_run_computes():
     moved = RunConfig(out_dir="elsewhere", seeds=[7])
     assert moved.digest() == base.digest()
     assert RunConfig(plan_s=0.25).digest() != base.digest()
-    # the pretrain hash is unchanged, so existing pretrain checkpoints are
-    # still reused
-    assert base.pretrain_digest() == "098dfcd6ba853e61"
+    # pinned: a change here retrains every existing pretrain checkpoint
+    assert base.pretrain_digest() == "306221b9a53e5a85"
+
+
+def test_runconfig_keys_are_the_settings_a_run_reads():
+    assert [f.name for f in fields(RunConfig)] == [
+        "dataset_kind", "dataset_size", "dataset_seed",
+        "model_hidden", "model_depth", "model_temb_dim",
+        "diffusion_t", "diffusion_beta_start", "diffusion_beta_end",
+        "train_lr", "train_batch", "pretrain_steps",
+        "plan_s", "plan_total_steps", "plan_m_iters", "plan_n_iters",
+        "plan_interval", "plan_criterion", "plan_mode", "plan_score_batches",
+        "plan_score_batch_size",
+        "eval_samples", "eval_substeps", "eval_seed",
+        "trace_samples", "trace_substeps",
+        "seeds", "out_dir",
+    ]
+    assert len(fields(RunConfig)) == 28

@@ -6,7 +6,6 @@ from flowprune.datasets import DatasetSpec, generate
 from flowprune.diffusion import (
     Adam,
     NoisePredictor,
-    OptimizerConfig,
     TrainBatch,
     ddim_timesteps,
     draw_batch,
@@ -168,7 +167,7 @@ class TestTraining:
         data = generate(DatasetSpec("ring-mixture", 4096, seed=0))
         model = NoisePredictor(dim=2, seed=0)
         sched = make_schedule(1000, 1e-4, 0.02)
-        opt = Adam(model.params, OptimizerConfig())
+        opt = Adam(model.params, 2e-4)
         trace = train(model, sched, data, steps=5000, opt=opt, seed=0,
                       stage="pretrain", batch_size=128)
         first = trace[0][1]
@@ -181,7 +180,7 @@ class TestTraining:
         outs = []
         for _ in range(2):
             model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=5)
-            opt = Adam(model.params, OptimizerConfig())
+            opt = Adam(model.params, 2e-4)
             train(model, sched, data, steps=20, opt=opt, seed=9, stage="s",
                   batch_size=16)
             outs.append(np.concatenate([p.ravel() for p in model.params.values()]))
@@ -209,7 +208,7 @@ class TestSamplers:
         sched = make_schedule(200, 1e-4, 0.05)
         model = NoisePredictor(dim=2, hidden=32, depth=2, temb_dim=16, seed=0)
         before = sample_ddim(model, sched, 2000, 50, noise_seed=3)
-        opt = Adam(model.params, OptimizerConfig(lr=1e-3))
+        opt = Adam(model.params, 1e-3)
         train(model, sched, data, steps=1500, opt=opt, seed=0, stage="t",
               batch_size=128)
         after = sample_ddim(model, sched, 2000, 50, noise_seed=3)
@@ -367,11 +366,10 @@ def test_predict_peak_memory_is_a_few_activations():
     assert peak <= 8 * (512 * 128 * 8)
 
 
-def row_pruned(s, activation, seed=0):
+def row_pruned(s, seed=0):
     """A model with random biases and a per-layer row-group hard prune at
     sparsity ``s`` on every weight but the output projection."""
-    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
-                           activation=activation, seed=seed)
+    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=seed)
     rng = make_rng(seed, "compact")
     for name in model.bias_names:
         model.params[name][...] = rng.normal(scale=0.5, size=model.params[name].shape)
@@ -390,10 +388,11 @@ def assert_same_predictions(model, small, seed=1):
 
 
 class TestCompaction:
-    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    # ``activation`` is the network's one activation, named in the test ids
+    @pytest.mark.parametrize("activation", ["silu"])
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_row_pruned_model_predicts_the_same(self, s, activation):
-        model = row_pruned(s, activation)
+        model = row_pruned(s)
         small = model.compact()
         assert small is not model
         dropped = int(np.floor(s * 16))
@@ -407,10 +406,9 @@ class TestCompaction:
         assert_same_predictions(model, small)
         assert small.compact() is small
 
-    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    @pytest.mark.parametrize("activation", ["silu"])
     def test_layer0_unit_kept_through_its_temb_row(self, activation):
-        model = NoisePredictor(dim=2, hidden=6, depth=2, temb_dim=4,
-                               activation=activation, seed=3)
+        model = NoisePredictor(dim=2, hidden=6, depth=2, temb_dim=4, seed=3)
         rng = make_rng(3, "temb-row")
         for name in model.bias_names:
             model.params[name][...] = rng.normal(size=model.params[name].shape)
@@ -433,9 +431,9 @@ class TestCompaction:
             model.masks[n][:, 0] = 1.0
         assert model.compact() is model
 
-    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    @pytest.mark.parametrize("activation", ["silu"])
     def test_ddim_samples_match_masked_dense(self, activation, monkeypatch):
-        model = row_pruned(0.5, activation, seed=4)
+        model = row_pruned(0.5, seed=4)
         sched = make_schedule(100, 1e-3, 0.1)
         got = sample_ddim(model, sched, 256, 20, noise_seed=5)
         monkeypatch.setattr(NoisePredictor, "compact", lambda self: self)
@@ -446,8 +444,8 @@ class TestCompaction:
 def test_rebound_weight_is_what_predict_loss_and_compact_use():
     """A weight replaced in ``model.params`` by a new array, not written in
     place, is what the forward, the loss and compaction read."""
-    rebound = row_pruned(0.5, "silu", seed=2)
-    in_place = row_pruned(0.5, "silu", seed=2)
+    rebound = row_pruned(0.5, seed=2)
+    in_place = row_pruned(0.5, seed=2)
     rebound.params["layer1.w"] = rebound.params["layer1.w"] * 2.0
     in_place.params["layer1.w"] *= 2.0
     rng = make_rng(2, "rebind")

@@ -149,7 +149,6 @@ def build_single_op(name):
         "mul": (lambda r, a, b: r.mul(a, b), [(3, 4), (3, 4)]),
         "affine": (lambda r, a: r.affine(a, 1.7, -0.3), [(3, 4)]),
         "sigmoid": (lambda r, a: r.sigmoid(a), [(3, 4)]),
-        "tanh": (lambda r, a: r.tanh(a), [(3, 4)]),
         "silu": (lambda r, a: r.silu(a), [(3, 4)]),
         "sum_axes": (lambda r, a: r.sum_axes(a, (0,)), [(3, 4)]),
         "sum_sq": (lambda r, a: r.sum_sq(a), [(3, 4)]),
@@ -160,7 +159,7 @@ def build_single_op(name):
 
 ALL_OPS = [
     "matmul", "transpose", "reshape", "broadcast", "add", "mul", "affine",
-    "sigmoid", "tanh", "silu", "sum_axes", "sum_sq",
+    "sigmoid", "silu", "sum_axes", "sum_sq",
 ]
 
 
@@ -232,7 +231,7 @@ class TestHVP:
         rng = np.random.default_rng(11)
         rec = Record()
         t = rec.input("t", (4,))
-        rec.set_output(rec.sum_sq(rec.tanh(t)))
+        rec.set_output(rec.sum_sq(rec.silu(t)))
         feed = {"t": rng.normal(size=4)}
         v = rng.normal(size=4)
         w = rng.normal(size=4)
@@ -263,18 +262,6 @@ class TestHVP:
         with pytest.raises(ValueError):
             hessian_vector_product(
                 rec, {"theta": [1.0, 1.0]}, ["theta"], {"theta": [1.0, 1.0, 1.0]}
-            )
-
-    def test_bad_fd_step_rejected(self):
-        rec = quadratic_record()
-        with pytest.raises(ValueError):
-            hessian_vector_product(
-                rec,
-                {"theta": [1.0, 1.0]},
-                ["theta"],
-                {"theta": [1.0, 1.0]},
-                method="fd",
-                fd_step=0.0,
             )
 
 
