@@ -54,12 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+EXPERIMENTS = {"table1": TABLE1_ARMS, "table2": TABLE2_ARMS, "fig2": FIG2_ARMS}
+
+
 def _load_config(args) -> RunConfig:
     """The config with ``--out`` and ``--seed`` applied; a dataset,
     schedule, plan or model that ``DatasetSpec``, ``make_schedule``,
     ``PrunePlan`` or ``NoisePredictor`` rejects, a negative seed or step
     count, or an evaluation size the metrics or the sampler reject, fails
-    here, before any stage runs."""
+    here, before any stage runs. The plans checked are the config's own and
+    those of every arm of the experiment ``args.command`` names."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
@@ -68,7 +72,8 @@ def _load_config(args) -> RunConfig:
     try:
         DatasetSpec(cfg.dataset_kind, cfg.dataset_size, cfg.dataset_seed)
         build_schedule(cfg)
-        build_plan(cfg)
+        for arm in (None, *EXPERIMENTS.get(args.command, ())):
+            build_plan(cfg, arm)
         dim = build_model(cfg, 0).dim
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -147,10 +152,13 @@ def cmd_evaluate(args) -> dict:
             "metrics": quality.as_dict()}
 
 
-def _experiment(args, name: str, arms, trace: bool = False) -> dict:
+def cmd_experiment(args) -> dict:
+    """``table1``, ``table2`` or ``fig2``: the experiment's arms over the
+    seeds; ``fig2`` also traces quality per mask iteration."""
     cfg = _load_config(args)
-    out = run_experiment(cfg, name, arms, Path(cfg.out_dir) / name,
-                         trace=trace)
+    name = args.command
+    out = run_experiment(cfg, name, EXPERIMENTS[name],
+                         Path(cfg.out_dir) / name, trace=name == "fig2")
     summary = {
         "command": name,
         "results_csv": out["results_csv"],
@@ -161,18 +169,6 @@ def _experiment(args, name: str, arms, trace: bool = False) -> dict:
     if "trace_csv" in out:
         summary["trace_csv"] = out["trace_csv"]
     return summary
-
-
-def cmd_table1(args) -> dict:
-    return _experiment(args, "table1", TABLE1_ARMS)
-
-
-def cmd_table2(args) -> dict:
-    return _experiment(args, "table2", TABLE2_ARMS)
-
-
-def cmd_fig2(args) -> dict:
-    return _experiment(args, "fig2", FIG2_ARMS, trace=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
         "prune": cmd_prune,
         "sample": cmd_sample,
         "evaluate": cmd_evaluate,
-        "table1": cmd_table1,
-        "table2": cmd_table2,
-        "fig2": cmd_fig2,
+        "table1": cmd_experiment,
+        "table2": cmd_experiment,
+        "fig2": cmd_experiment,
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)

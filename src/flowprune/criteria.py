@@ -14,13 +14,15 @@ S(-theta) = -theta * Hg (Wang, Zhang and Grosse, ICLR 2020, arXiv
 GraSP removes first, which are GraSP's highest scores. Acceptance criterion 3
 checks the sign by removing the lowest-scored weights one at a time.
 
-All criteria average over a fixed set of batches whose timesteps are
-stratified evenly over [0, T); the batch seed fully determines the scores.
+``compute_scores`` is the one scoring driver. Magnitude reads only the
+weights; Taylor and gradient-flow average the record-level scorers over the
+batches the caller passes, which ``score_batches`` draws with timesteps
+stratified evenly over [0, T), so the batch seed fully determines the
+scores. The prune loop draws one such set per stage and scores every mask
+update of that stage on it.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -43,11 +45,6 @@ def score_batches(sched: DiffusionSchedule, data: np.ndarray, seed: int,
         eps = rng.standard_normal((batch_size, data.shape[1]))
         out.append(TrainBatch(x0=data[idx], t=t, eps=eps))
     return out
-
-
-def magnitude_scores(model: NoisePredictor) -> dict[str, np.ndarray]:
-    """|effective weight| per weight."""
-    return {n: np.abs(model.params[n] * m) for n, m in model.masks.items()}
 
 
 def taylor_scores_from_record(
@@ -83,42 +80,6 @@ def gradient_flow_scores_from_record(record, inputs, names,
     return {n: np.asarray(pre[n]) * hg[n] for n in names}
 
 
-def _batch_mean(model: NoisePredictor, sched: DiffusionSchedule,
-                batches: list[TrainBatch], masked: bool, score) -> dict:
-    """Mean over batches of a per-record scorer's per-weight scores, each
-    batch's loss taken on the masked or the dense forward."""
-    if not batches:
-        raise ValueError("need at least one batch")
-    names = model.weight_names
-    acc = {n: np.zeros_like(model.params[n]) for n in names}
-    for batch in batches:
-        ctx = loss(model, sched, batch, masked=masked)
-        per = score(ctx.record, ctx.inputs, names, values=ctx.values)
-        # free this batch's node values before the next forward
-        del ctx
-        for n in names:
-            acc[n] += per[n]
-    return {n: acc[n] / len(batches) for n in names}
-
-
-def taylor_scores(model: NoisePredictor, sched: DiffusionSchedule,
-                  batches: list[TrainBatch]) -> dict[str, np.ndarray]:
-    """Mean over batches of |effective weight * dL/dw|."""
-    return _batch_mean(model, sched, batches, True, taylor_scores_from_record)
-
-
-def gradient_flow_scores(model: NoisePredictor, sched: DiffusionSchedule,
-                         batches: list[TrainBatch]) -> dict[str, np.ndarray]:
-    """Mean over batches of (effective weight) * (H g); signed.
-
-    H g is measured on the dense network at the current stored weights; the
-    mask enters only through the effective-weight prefactor.
-    """
-    prefactor = {n: model.params[n] * m for n, m in model.masks.items()}
-    score = partial(gradient_flow_scores_from_record, prefactor=prefactor)
-    return _batch_mean(model, sched, batches, False, score)
-
-
 def gradient_flow_delta_from_record(record, inputs, names,
                                     values: dict | None = None) -> float:
     grads = engine.gradient(record, inputs, names, values)
@@ -134,20 +95,46 @@ def gradient_flow_delta(model: NoisePredictor, sched: DiffusionSchedule,
 
 
 def compute_scores(criterion: str, model: NoisePredictor,
-                   sched: DiffusionSchedule, data: np.ndarray, seed: int,
-                   n_batches: int = 4, batch_size: int = 256
+                   sched: DiffusionSchedule, batches: list[TrainBatch]
                    ) -> dict[str, np.ndarray]:
     """Per-weight scores of one criterion, the pruning driver's entry point.
 
-    Raises ``FloatingPointError`` for a non-finite score and ``ValueError``
-    when every score is zero, since no ranking can then be read from them.
+    Magnitude is |effective weight|. Taylor and gradient-flow average their
+    record scorers over ``batches``: Taylor on the masked loss,
+    gradient-flow on the dense loss with the effective weights as
+    prefactor, so H g is measured at the stored weights and the mask enters
+    only through the prefactor.
+
+    Raises ``ValueError`` for an unknown criterion, for Taylor or
+    gradient-flow without batches, and when every score is zero, since no
+    ranking can then be read from them; ``FloatingPointError`` for a
+    non-finite score.
     """
     if criterion == "magnitude":
-        scores = magnitude_scores(model)
+        scores = {n: np.abs(model.params[n] * m)
+                  for n, m in model.masks.items()}
     elif criterion in CRITERIA:
-        batches = score_batches(sched, data, seed, n_batches, batch_size)
-        scorer = taylor_scores if criterion == "taylor" else gradient_flow_scores
-        scores = scorer(model, sched, batches)
+        if not batches:
+            raise ValueError("need at least one batch")
+        names = model.weight_names
+        taylor = criterion == "taylor"
+        prefactor = None if taylor else {
+            n: model.params[n] * model.masks[n] for n in names}
+        scores = {n: np.zeros_like(model.params[n]) for n in names}
+        for batch in batches:
+            ctx = loss(model, sched, batch, masked=taylor)
+            if taylor:
+                per = taylor_scores_from_record(ctx.record, ctx.inputs, names,
+                                                values=ctx.values)
+            else:
+                per = gradient_flow_scores_from_record(
+                    ctx.record, ctx.inputs, names, prefactor=prefactor,
+                    values=ctx.values)
+            # free this batch's node values before the next forward
+            del ctx
+            for n in names:
+                scores[n] += per[n]
+        scores = {n: scores[n] / len(batches) for n in names}
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
     for name, arr in scores.items():

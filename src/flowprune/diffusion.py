@@ -233,7 +233,7 @@ class NoisePredictor:
         constant, or ``self`` when there are none.
 
         A unit of layer k >= 1 whose effective incoming row is all zero
-        emits ``act(b_k)``. A layer-0 unit emits ``act(b0) + temb.b`` if its
+        emits ``silu(b_k)``. A layer-0 unit emits ``silu(b0) + temb.b`` if its
         ``layer0.w`` and ``temb.w`` rows are both zero; a nonzero ``temb.w``
         row keeps it. ``W_{k+1}[:, dead] @ const[dead]`` is folded into the
         next layer's bias, then the dead rows of layer k and the matching
@@ -245,9 +245,6 @@ class NoisePredictor:
         bit, and it can be trained with the same frozen entries;
         :meth:`write_back` copies its parameters into ``self``.
         """
-        def act(z):
-            return z / (1.0 + np.exp(-z))
-
         params = dict(self.params)
         masks = dict(self.masks)
 
@@ -258,7 +255,7 @@ class NoisePredictor:
         tags = [f"layer{k}" for k in range(self.depth)] + ["out"]
         changed = False
         for k, tag in enumerate(tags[:-1]):
-            const = act(params[f"{tag}.b"])
+            const = engine.silu(params[f"{tag}.b"])
             dead = ~eff(f"{tag}.w").any(axis=1)
             if k == 0:
                 dead &= ~eff("temb.w").any(axis=1)

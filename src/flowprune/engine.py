@@ -72,6 +72,18 @@ def _as_f64(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _exp_neg(x: np.ndarray) -> np.ndarray:
+    """exp(-x); below x = -709 it overflows to inf, quietly, since sigmoid
+    and SiLU turn that inf into their exact limits 0 and -0.0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-x)
+
+
+def silu(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x), computed as x / (1 + exp(-x))."""
+    return x / (1.0 + _exp_neg(x))
+
+
 class Record:
     """Append-only computation record; also the graph builder.
 
@@ -307,11 +319,9 @@ class Record:
                 scale, shift = node.attrs
                 vals[nid] = vals[node.args[0]] * scale + shift
             elif op == "sigmoid":
-                x = vals[node.args[0]]
-                vals[nid] = 1.0 / (1.0 + np.exp(-x))
+                vals[nid] = 1.0 / (1.0 + _exp_neg(vals[node.args[0]]))
             elif op == "silu":
-                x = vals[node.args[0]]
-                vals[nid] = x / (1.0 + np.exp(-x))
+                vals[nid] = silu(vals[node.args[0]])
             elif op == "sum_axes":
                 vals[nid] = np.sum(vals[node.args[0]], axis=node.attrs[0])
             elif op == "sum_sq":

@@ -28,13 +28,15 @@ from .masking import GRANULARITIES, MaskState, apply_mask_update
 DIAG_FIELDS = ["iteration", "loss", "grad_flow_delta", "delta_e", "s_t", "p_t",
                "churn"]
 
-MODES = (
-    "one-shot",
-    "iterative",
-    "iterative+soft",
-    "iterative+progressive",
-    "progressive-soft",
-)
+# mode -> (s_t ramps from 0 to s, p_t ramps from 1 to 0) over n_iters; a
+# schedule that does not ramp sits at s_t = s or p_t = 0 from the start
+MODES = {
+    "one-shot": (False, False),
+    "iterative": (False, False),
+    "iterative+soft": (False, True),
+    "iterative+progressive": (True, False),
+    "progressive-soft": (True, True),
+}
 
 
 @dataclass
@@ -104,17 +106,11 @@ def schedule_at(plan: PrunePlan, t: int) -> ScheduleStep:
     """Current (s_t, p_t) at mask iteration t for the plan's mode."""
     if not 0 <= t <= plan.m_iters:
         raise ValueError(f"iteration {t} outside [0, {plan.m_iters}]")
-    if plan.mode == "one-shot":
-        return ScheduleStep(t, plan.s, 0.0)
-    ramp_s = t * plan.s / plan.n_iters if t < plan.n_iters else plan.s
-    ramp_p = 1.0 - t / plan.n_iters if t < plan.n_iters else 0.0
-    if plan.mode == "iterative":
-        return ScheduleStep(t, plan.s, 0.0)
-    if plan.mode == "iterative+soft":
-        return ScheduleStep(t, plan.s, ramp_p)
-    if plan.mode == "iterative+progressive":
-        return ScheduleStep(t, ramp_s, 0.0)
-    return ScheduleStep(t, ramp_s, ramp_p)  # progressive-soft
+    ramp_s, ramp_p = MODES[plan.mode]
+    ramping = t < plan.n_iters
+    s_t = t * plan.s / plan.n_iters if ramp_s and ramping else plan.s
+    p_t = 1.0 - t / plan.n_iters if ramp_p and ramping else 0.0
+    return ScheduleStep(t, s_t, p_t)
 
 
 def energy_flow(state: MaskState) -> float:
@@ -152,6 +148,11 @@ def run_progressive_soft(
     opt = Adam(model.params, lr)
     state: MaskState | None = None
     prev_kept = None
+    # one fixed batch set per run: consecutive updates then rank with
+    # correlated estimates and mask churn reflects model drift, not
+    # resampling noise
+    batches = (_score_set(plan.criterion, sched, data, plan, seed)
+               if plan.m_iters else [])
     for t in range(1, plan.m_iters + 1):
         trace = train(
             model, sched, data, steps=plan.interval, opt=opt, seed=seed,
@@ -162,13 +163,7 @@ def run_progressive_soft(
             grad_mode="dense",
         )
         step = schedule_at(plan, t)
-        # one fixed batch set per run: consecutive updates then rank with
-        # correlated estimates and mask churn reflects model drift, not
-        # resampling noise
-        scores = compute_scores(
-            plan.criterion, model, sched, data, seed=_score_seed(seed, 0),
-            n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
-        )
+        scores = compute_scores(plan.criterion, model, sched, batches)
         state = _update_masks(model, scores, step.s_t, step.p_t,
                               plan.granularity)
         # units whose kept/pruned status changed since the last update
@@ -199,6 +194,17 @@ def _score_seed(seed: int, t: int) -> int:
     return (int(seed) * 1_000_003 + t) & 0x7FFFFFFF
 
 
+def _score_set(criterion: str, sched: DiffusionSchedule, data: np.ndarray,
+               plan: PrunePlan, seed: int) -> list:
+    """The score batches of ``seed``'s run, drawn from ``_score_seed(seed,
+    0)``; none for magnitude, which reads only the weights."""
+    if criterion == "magnitude":
+        return []
+    return score_batches(sched, data, _score_seed(seed, 0),
+                         n_batches=plan.score_n_batches,
+                         batch_size=plan.score_batch_size)
+
+
 def _update_masks(model: NoisePredictor, scores: dict[str, np.ndarray],
                   s_t: float, p_t: float, granularity: str) -> MaskState:
     """Mask update under the grouped-prune policy: group-granular pruning
@@ -226,10 +232,8 @@ def final_hard_prune(
     pre-existing mask.
     """
     before = {n: np.abs(m) > 0.5 for n, m in model.masks.items()}
-    scores = compute_scores(
-        plan.final_criterion, model, sched, data, seed=_score_seed(seed, 0),
-        n_batches=plan.score_n_batches, batch_size=plan.score_batch_size,
-    )
+    batches = _score_set(plan.final_criterion, sched, data, plan, seed)
+    scores = compute_scores(plan.final_criterion, model, sched, batches)
     state = _update_masks(model, scores, plan.s, 0.0, "row-group")
     after_kept = sum(
         int(np.count_nonzero((np.abs(m) > 0.5) & before[n]))

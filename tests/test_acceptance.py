@@ -3,7 +3,7 @@
 Criteria 1-6, 10 and 11 are deterministic oracles and run in seconds.
 Criteria 7-9 (the Table 1, Table 2 and Fig 2 comparisons on a shared
 experiment grid) are pending: no test for them exists yet (ROADMAP
-direction 2).
+direction 1).
 """
 
 import time

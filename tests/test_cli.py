@@ -277,6 +277,33 @@ def test_value_a_stage_rejects_fails_at_load(capsys, small_cfg_path,
     assert message in line
 
 
+@pytest.mark.parametrize("command", ["table1", "table2", "fig2"])
+@pytest.mark.parametrize("plan, message", [
+    pytest.param({"plan_m_iters": 2, "plan_n_iters": 5},
+                 "need 0 < n_iters <= m_iters", id="n_iters"),
+    pytest.param({"plan_interval": 20, "plan_total_steps": 10},
+                 "prune stage exceeds the total step budget", id="budget"),
+])
+def test_experiment_arm_plans_checked_at_load(capsys, small_cfg_path,
+                                              tmp_path, command, plan,
+                                              message):
+    """A one-shot config leaves the iteration keys unchecked by its own
+    plan; an experiment whose arms read them rejects them at load."""
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    cfg.plan_mode = "one-shot"
+    for key, value in plan.items():
+        setattr(cfg, key, value)
+    path = tmp_path / "one-shot.cfg"
+    cfg.save(path)
+    args = build_parser().parse_args(["prune", "--config", str(path)])
+    assert _load_config(args) == cfg
+    code, out = run_cli(capsys, command, "--config", str(path))
+    assert code == 2
+    assert one_error_line(out, "error: config:") == f"error: config: {message}"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_removed_plan_key_is_unknown(capsys, small_cfg_path, tmp_path):
     for key, value in [("plan_granularity", "element"),
                        ("model_activation", "silu"), ("train_beta1", 0.9),
@@ -388,6 +415,37 @@ def test_prune_stages_train_on_the_configured_batch(small_cfg_path, tmp_path,
     pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
     pipeline.prune_run(cfg, 0, pre, tmp_path / "prune")
     assert by_stage == {"prune-train": {32}, "finetune": {32}}
+
+
+@pytest.mark.parametrize("criterion, mode", [
+    ("gradient-flow", "progressive-soft"),
+    ("taylor", "iterative"),
+    ("magnitude", "progressive-soft"),
+    ("taylor", "one-shot"),
+])
+def test_prune_run_draws_one_score_set_per_stage(small_cfg_path, tmp_path,
+                                                 monkeypatch, criterion, mode):
+    from flowprune import criteria, scheduler
+
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.plan_criterion, cfg.plan_mode = criterion, mode
+    plan = pipeline.build_plan(cfg)
+    drawn = []
+    real = scheduler.score_batches
+
+    def counting(*args, **kwargs):
+        drawn.append(args[2])  # the batch seed
+        return real(*args, **kwargs)
+
+    for module in (criteria, scheduler):
+        monkeypatch.setattr(module, "score_batches", counting)
+    pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
+    pipeline.prune_run(cfg, 0, pre, tmp_path / "prune")
+    # one diagnostic batch per mask update, one score set for the soft loop
+    # unless it is empty or ranks magnitudes, one for the Taylor hard prune
+    soft = int(plan.m_iters > 0 and criterion != "magnitude")
+    assert len(drawn) == plan.m_iters + soft + 1
+    assert drawn.count(scheduler._score_seed(0, 0)) == soft + 1
 
 
 def test_every_arm_runs_the_row_group_regime_with_its_criterion():

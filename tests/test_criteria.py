@@ -6,11 +6,8 @@ from flowprune.criteria import (
     compute_scores,
     gradient_flow_delta,
     gradient_flow_delta_from_record,
-    gradient_flow_scores,
     gradient_flow_scores_from_record,
-    magnitude_scores,
     score_batches,
-    taylor_scores,
     taylor_scores_from_record,
 )
 from flowprune.datasets import DatasetSpec, generate
@@ -35,7 +32,7 @@ class TestMagnitude:
         model.params["layer0.w"][:] = np.array(
             [[-3.0, 1.0], [2.0, 0.5], [1.5, -2.5], [0.1, 0.2]]
         )
-        s = magnitude_scores(model)
+        s = compute_scores("magnitude", model, None, [])
         np.testing.assert_array_equal(
             s["layer0.w"], np.abs(model.params["layer0.w"])
         )
@@ -45,14 +42,15 @@ class TestMagnitude:
         mask = np.ones_like(model.params["layer0.w"])
         mask[0, :] = 0.0
         model.masks["layer0.w"] = mask
-        s = magnitude_scores(model)
+        s = compute_scores("magnitude", model, None, [])
         np.testing.assert_array_equal(s["layer0.w"][0], 0.0)
 
     def test_scale_preserves_rank_order(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=3)
         def pooled():
             return np.concatenate([s.ravel() for s in
-                                   magnitude_scores(model).values()])
+                                   compute_scores("magnitude", model, None,
+                                                  []).values()])
 
         before = np.argsort(pooled())
         for p in model.params.values():
@@ -78,9 +76,9 @@ class TestTaylorQuadratic:
         data = generate(DatasetSpec("ring-mixture", 128, seed=0))
         batches = score_batches(sched, data, seed=5, n_batches=2,
                                 batch_size=16)
-        both = taylor_scores(model, sched, batches)
-        one = taylor_scores(model, sched, batches[:1])
-        two = taylor_scores(model, sched, batches[1:])
+        both = compute_scores("taylor", model, sched, batches)
+        one = compute_scores("taylor", model, sched, batches[:1])
+        two = compute_scores("taylor", model, sched, batches[1:])
         for n in both:
             np.testing.assert_allclose(both[n], (one[n] + two[n]) / 2.0,
                                        rtol=1e-12)
@@ -128,7 +126,7 @@ class TestGradientFlowQuadratic:
         data = generate(DatasetSpec("ring-mixture", 128, seed=0))
         batches = score_batches(sched, data, seed=6, n_batches=1,
                                 batch_size=16)
-        exact = gradient_flow_scores(model, sched, batches)
+        exact = compute_scores("gradient-flow", model, sched, batches)
         # model-level oracle: finite-difference H g on the same record,
         # times the effective weights
         names = model.weight_names
@@ -197,10 +195,12 @@ class TestDeterminismAndMasks:
         model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
         sched = make_schedule(50, 0.001, 0.05)
         data = generate(DatasetSpec("ring-mixture", 256, seed=0))
-        a = compute_scores("gradient-flow", model, sched, data, seed=11,
-                           n_batches=2, batch_size=32)
-        b = compute_scores("gradient-flow", model, sched, data, seed=11,
-                           n_batches=2, batch_size=32)
+        a = compute_scores("gradient-flow", model, sched,
+                           score_batches(sched, data, seed=11, n_batches=2,
+                                         batch_size=32))
+        b = compute_scores("gradient-flow", model, sched,
+                           score_batches(sched, data, seed=11, n_batches=2,
+                                         batch_size=32))
         for n in a:
             assert a[n].tobytes() == b[n].tobytes()
 
@@ -212,8 +212,9 @@ class TestDeterminismAndMasks:
         mask[:4] = 0.0
         model.masks["layer1.w"] = mask
         for crit in ("magnitude", "taylor", "gradient-flow"):
-            s = compute_scores(crit, model, sched, data, seed=12,
-                               n_batches=1, batch_size=16)
+            s = compute_scores(crit, model, sched,
+                               score_batches(sched, data, seed=12,
+                                             n_batches=1, batch_size=16))
             np.testing.assert_array_equal(s["layer1.w"][:4], 0.0)
 
     def test_gradient_flow_matches_fresh_replays(self):
@@ -226,7 +227,7 @@ class TestDeterminismAndMasks:
         data = generate(DatasetSpec("ring-mixture", 256, seed=0))
         batches = score_batches(sched, data, seed=3, n_batches=3,
                                 batch_size=32)
-        got = gradient_flow_scores(model, sched, batches)
+        got = compute_scores("gradient-flow", model, sched, batches)
 
         names = model.weight_names
         want = {n: np.zeros_like(model.params[n]) for n in names}
@@ -245,7 +246,15 @@ class TestDeterminismAndMasks:
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
         sched = make_schedule(20, 0.01, 0.05)
         with pytest.raises(ValueError):
-            compute_scores("fisher", model, sched, np.zeros((10, 2)), seed=0)
+            compute_scores("fisher", model, sched,
+                           score_batches(sched, np.zeros((10, 2)), seed=0))
+
+    @pytest.mark.parametrize("criterion", ["taylor", "gradient-flow"])
+    def test_empty_batch_list_rejected(self, criterion):
+        model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
+        sched = make_schedule(20, 0.01, 0.05)
+        with pytest.raises(ValueError, match="at least one batch"):
+            compute_scores(criterion, model, sched, [])
 
     def test_all_zero_scores_rejected(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
@@ -253,13 +262,13 @@ class TestDeterminismAndMasks:
             model.params[w][...] = 0.0
         sched = make_schedule(20, 0.01, 0.05)
         with pytest.raises(ValueError, match="all zero"):
-            compute_scores("magnitude", model, sched, np.zeros((10, 2)),
-                           seed=0)
+            compute_scores("magnitude", model, sched,
+                           score_batches(sched, np.zeros((10, 2)), seed=0))
 
     def test_non_finite_scores_rejected(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
         model.params["layer0.w"][1, 0] = np.nan
         sched = make_schedule(20, 0.01, 0.05)
         with pytest.raises(FloatingPointError, match="layer0.w"):
-            compute_scores("magnitude", model, sched, np.zeros((10, 2)),
-                           seed=0)
+            compute_scores("magnitude", model, sched,
+                           score_batches(sched, np.zeros((10, 2)), seed=0))

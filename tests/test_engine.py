@@ -1,5 +1,7 @@
 """Engine tests: forward replay, gradients vs finite differences, HVPs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,26 @@ class TestForward:
         rec.set_output(rec.sum_axes(rec.mul(x, x)))
         with pytest.raises(FloatingPointError):
             forward(rec, {"x": [1e200, 1e200]})
+
+
+def test_silu_saturates_quietly():
+    """exp(-x) overflows below x = -709; SiLU and the sigmoids of its
+    derivatives still give their exact limits, with no warning."""
+    rec = Record()
+    x = rec.input("x", (2,))
+    act = rec.silu(x)
+    loss = rec.sum_axes(act)
+    feed = {"x": np.array([-1000.0, 2.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec.set_output(act)
+        y = forward(rec, feed)
+        rec.set_output(loss)
+        grad = gradient(rec, feed, ["x"])["x"]
+        hv = hessian_vector_product(rec, feed, ["x"], {"x": np.ones(2)})["x"]
+    assert y[0] == 0.0 and np.signbit(y[0])  # -1000 / inf
+    assert y[1] == 2.0 / (1.0 + np.exp(-2.0))
+    assert grad[0] == 0.0 and hv[0] == 0.0
 
 
 class TestGradient:
