@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,9 @@ def _load_config(args) -> RunConfig:
                               f"{getattr(cfg, key)}")
     if min(cfg.seeds) < 0:
         raise ConfigError(f"seeds must be at least 0, got {cfg.seeds}")
+    if not 0 < cfg.train_lr < math.inf:  # Adam never moves a weight at 0
+        raise ConfigError(f"train_lr must be finite and above 0, got "
+                          f"{cfg.train_lr}")
     # Frechet needs dim + 1 points per set; DDIM takes 1 to T steps
     for key in ("eval_samples", "trace_samples"):
         if getattr(cfg, key) < dim + 1:
@@ -97,8 +101,7 @@ def _load_config(args) -> RunConfig:
 
 def cmd_pretrain(args) -> dict:
     cfg = _load_config(args)
-    paths = [pretrain(cfg, seed, stage_path(cfg, "pretrain", seed).parent)
-             for seed in cfg.seeds]
+    paths = [pretrain(cfg, seed) for seed in cfg.seeds]
     return {"command": "pretrain", "checkpoints": paths}
 
 
@@ -106,7 +109,7 @@ def cmd_prune(args) -> dict:
     cfg = _load_config(args)
     reports = []
     for seed in cfg.seeds:
-        pre = pretrain(cfg, seed, stage_path(cfg, "pretrain", seed).parent)
+        pre = pretrain(cfg, seed)
         dense = load_stage_model(cfg, seed, pre)
         dense_samples = dense_sample_cache(cfg, dense)
         out = stage_path(cfg, "finetune", seed).parent

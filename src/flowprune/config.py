@@ -166,10 +166,14 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_text(Path(path).read_text())
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+        return cls.from_text(text)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
+        Path(path).write_text(self.to_text(), encoding="utf-8")
 
     def digest(self) -> str:
         """Hash of every field that decides what a run computes; ``out_dir``

@@ -26,8 +26,8 @@ A replay nobody keeps frees as it goes. Without a ``values`` dict, and in
 the exact HVP (which evaluates into a copy of the caller's dict), each node
 value is released right after the last node in the plan that reads it, so
 large-batch replays hold a few live activations instead of all of them.
-Targets are never released; the caller's dict is never touched. The release
-points are computed once per plan and cached with it.
+Targets are never released; the caller's dict is never touched. A target
+set's plan and release points are computed once and cached together.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ class Record:
         self.output: int | None = None
         self._grad_cache: dict[tuple, dict[int, int]] = {}
         self._hvp_cache: dict[tuple, dict[str, int]] = {}
-        self._plan_cache: dict[tuple, list[int]] = {}
-        self._release_cache: dict[tuple, list[tuple]] = {}
+        self._schedules: dict[tuple, tuple[list[int], list[tuple]]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -208,11 +207,7 @@ class Record:
         """x @ weight.T (+ bias), with weight stored as [out, in]."""
         out = self.matmul(x, self.transpose(weight))
         if bias is not None:
-            rows = self._node(x).shape[0]
-            cols = self._node(bias).shape[0]
-            out = self.add(
-                out, self.broadcast(self.reshape(bias, (1, cols)), (rows, cols))
-            )
+            out = self.add(out, self.broadcast(bias, self._node(out).shape))
         return out
 
     def set_output(self, ref: Ref) -> None:
@@ -221,10 +216,12 @@ class Record:
 
     # -- evaluation --------------------------------------------------------
 
-    def _plan(self, targets: tuple) -> list[int]:
-        """Ids of all nodes needed for ``targets``, ascending (toposorted)."""
-        if targets in self._plan_cache:
-            return self._plan_cache[targets]
+    def _schedule(self, targets: tuple) -> tuple[list[int], list[tuple]]:
+        """The plan for ``targets``, the ids of every node they need in
+        ascending (topological) order, and per plan position the non-target
+        ids it reads for the last time."""
+        if targets in self._schedules:
+            return self._schedules[targets]
         needed = set()
         stack = list(targets)
         while stack:
@@ -234,15 +231,6 @@ class Record:
             needed.add(nid)
             stack.extend(self.nodes[nid].args)
         plan = sorted(needed)
-        self._plan_cache[targets] = plan
-        return plan
-
-    def _releases(self, targets: tuple) -> list[tuple]:
-        """Per position of ``_plan(targets)``, the non-target ids it reads
-        for the last time."""
-        if targets in self._release_cache:
-            return self._release_cache[targets]
-        plan = self._plan(targets)
         last = {}
         for pos, nid in enumerate(plan):
             for arg in self.nodes[nid].args:
@@ -251,9 +239,8 @@ class Record:
         for nid, pos in last.items():
             if nid not in targets:
                 dead[pos].append(nid)
-        releases = [tuple(ids) for ids in dead]
-        self._release_cache[targets] = releases
-        return releases
+        self._schedules[targets] = plan, [tuple(ids) for ids in dead]
+        return self._schedules[targets]
 
     def evaluate(
         self,
@@ -277,8 +264,8 @@ class Record:
                 vals: dict, release: bool) -> dict:
         """Evaluate the plan into ``vals``; with ``release``, delete each
         non-target value from ``vals`` after its last use."""
-        plan = self._plan(targets)
-        drops = self._releases(targets) if release else repeat(())
+        plan, releases = self._schedule(targets)
+        drops = releases if release else repeat(())
         for nid, drop in zip(plan, drops):
             node = self.nodes[nid]
             op = node.op
@@ -335,14 +322,15 @@ class Record:
 
     # -- differentiation ---------------------------------------------------
 
-    def _vjp(self, node: Node, g: Ref, refs: dict[int, Ref]) -> list[tuple[int, Ref]]:
+    def _vjp(self, node: Node, g: Ref) -> list[tuple[int, Ref]]:
         """Contributions (parent id, grad ref) for one node, built from primitives."""
         out: list[tuple[int, Ref]] = []
         args = node.args
         if node.op in ("input", "const"):
             return out
+        refs = [Ref(self, a) for a in args]
         if node.op == "matmul":
-            a, b = refs[args[0]], refs[args[1]]
+            a, b = refs
             out.append((args[0], self.matmul(g, self.transpose(b))))
             out.append((args[1], self.matmul(self.transpose(a), g)))
         elif node.op == "transpose":
@@ -366,15 +354,15 @@ class Record:
             out.append((args[0], g))
             out.append((args[1], g))
         elif node.op == "mul":
-            out.append((args[0], self.mul(g, refs[args[1]])))
-            out.append((args[1], self.mul(g, refs[args[0]])))
+            out.append((args[0], self.mul(g, refs[1])))
+            out.append((args[1], self.mul(g, refs[0])))
         elif node.op == "affine":
             out.append((args[0], self.affine(g, node.attrs[0], 0.0)))
         elif node.op == "sigmoid":
             y = Ref(self, node.nid)
             out.append((args[0], self.mul(g, self.mul(y, self.affine(y, -1.0, 1.0)))))
         elif node.op == "silu":
-            x = refs[args[0]]
+            x = refs[0]
             s = self.sigmoid(x)
             inner = self.add(s, self.mul(self.mul(x, s), self.affine(s, -1.0, 1.0)))
             out.append((args[0], self.mul(g, inner)))
@@ -386,7 +374,7 @@ class Record:
                 (args[0], self.broadcast(self.reshape(g, keep), src_shape))
             )
         elif node.op == "sum_sq":
-            src = refs[args[0]]
+            src = refs[0]
             src_shape = self.nodes[args[0]].shape
             gb = self.broadcast(g, src_shape) if src_shape else g
             out.append((args[0], self.affine(self.mul(gb, src), 2.0, 0.0)))
@@ -406,36 +394,31 @@ class Record:
         if self.nodes[out_id].shape != ():
             raise ValueError("gradient target must be scalar")
 
-        ancestors = set(self._plan((out_id,)))
         # Nodes through which a wrt leaf can influence the output.
         relevant = set()
-        for nid in sorted(ancestors):
+        for nid in self._schedule((out_id,))[0]:
             node = self.nodes[nid]
             if nid in wrt_ids or any(a in relevant for a in node.args):
                 relevant.add(nid)
 
-        refs = {nid: Ref(self, nid) for nid in ancestors}
         contribs: dict[int, list[Ref]] = {out_id: [self.const(np.float64(1.0))]}
-        for nid in sorted(ancestors & relevant, reverse=True):
+        grads: dict[int, Ref] = {}
+        for nid in sorted(relevant, reverse=True):
             parts = contribs.get(nid)
             if not parts:
                 continue
             g = parts[0]
             for extra in parts[1:]:
                 g = self.add(g, extra)
-            contribs[nid] = [g]
-            for parent, grad_ref in self._vjp(self.nodes[nid], g, refs):
+            grads[nid] = g
+            for parent, grad_ref in self._vjp(self.nodes[nid], g):
                 if parent in relevant:
                     contribs.setdefault(parent, []).append(grad_ref)
 
         result = {}
         for wid in wrt_ids:
-            parts = contribs.get(wid)
-            if parts:
-                g = parts[0]
-                for extra in parts[1:]:
-                    g = self.add(g, extra)
-                result[wid] = g.nid
+            if wid in grads:
+                result[wid] = grads[wid].nid
             else:
                 result[wid] = self.const(np.zeros(self.nodes[wid].shape)).nid
         self._grad_cache[key] = result
@@ -504,8 +487,6 @@ def gradient(
     with the backward nodes.
     """
     out = _require_output(record)
-    if record.nodes[out].shape != ():
-        raise ValueError("gradient requires a scalar record output")
     wrt_ids, names = record._wrt_ids(wrt)
     grads = record._build_grad(out, wrt_ids)
     targets = tuple(grads[w] for w in wrt_ids)
@@ -535,14 +516,12 @@ def hessian_vector_product(
     after its last use; the caller's dict is left as it was. The fd method
     feeds perturbed inputs and ignores ``values``.
     """
-    out = _require_output(record)
-    if record.nodes[out].shape != ():
-        raise ValueError("HVP requires a scalar record output")
+    _require_output(record)
     wrt_ids, names = record._wrt_ids(wrt)
     for name in names:
         if name not in v:
             raise KeyError(f"v missing entry for {name!r}")
-        vs = _as_f64(v[name]).shape
+        vs = np.shape(v[name])
         ps = record.nodes[record.inputs[name]].shape
         if vs != ps:
             raise ValueError(f"v[{name!r}] has shape {vs}, parameter has {ps}")

@@ -10,7 +10,7 @@ counting on the compacted network, the one sampling runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.ndimage
@@ -41,15 +41,7 @@ class QualityReport:
     seeds: tuple[int, ...] = field(default_factory=tuple)
 
     def as_dict(self) -> dict:
-        return {
-            "frechet": self.frechet,
-            "ssim": self.ssim,
-            "nonzero_params": self.nonzero_params,
-            "dense_params": self.dense_params,
-            "macs_dense": self.macs_dense,
-            "macs_sparse": self.macs_sparse,
-            "seeds": list(self.seeds),
-        }
+        return {**asdict(self), "seeds": list(self.seeds)}
 
 
 def frechet_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

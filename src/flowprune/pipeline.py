@@ -168,8 +168,11 @@ def save_stage(run_dir, model: NoisePredictor, cfg: RunConfig, stage: str,
     return str(path)
 
 
-def pretrain(cfg: RunConfig, seed: int, out_dir) -> str:
-    """Train a dense model from scratch; returns the checkpoint path."""
+def pretrain(cfg: RunConfig, seed: int, out_dir=None) -> str:
+    """Train a dense model from scratch into ``out_dir`` (by default
+    ``<cfg.out_dir>/pretrain``, which the commands share); returns the
+    checkpoint path. A checkpoint there whose ``pretrain_hash`` matches the
+    config is reused, and any other is overwritten."""
     path = stage_path(cfg, "pretrain", seed, out_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
@@ -356,8 +359,7 @@ def run_experiment(cfg: RunConfig, experiment: str,
     trace_rows: list[dict] = []
     for seed in cfg.seeds:
         t0 = time.perf_counter()
-        pre_path = pretrain(cfg, seed,
-                            stage_path(cfg, "pretrain", seed).parent)
+        pre_path = pretrain(cfg, seed)
         pre_wall = time.perf_counter() - t0
         dense_model = load_stage_model(cfg, seed, pre_path)
         dense_samples = dense_sample_cache(cfg, dense_model)

@@ -8,7 +8,7 @@ import pytest
 from flowprune import pipeline
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
 from flowprune.cli import _load_config, build_parser, main
-from flowprune.config import RunConfig, dump_kv
+from flowprune.config import RunConfig
 from test_checkpoint import v1_container
 
 
@@ -199,13 +199,13 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
 
 
 def prune_rejected(capsys, small_cfg_path, tmp_path, key, value) -> str:
-    """Run ``prune`` on the small config with ``key = value`` added; assert
-    it exits 2 with one ``error: config:`` line before writing anything, and
-    return that line."""
+    """Run ``prune`` on the small config with the line ``key = value``
+    added; assert it exits 2 with one ``error: config:`` line before
+    writing anything, and return that line."""
     cfg = RunConfig.load(small_cfg_path)
     cfg.out_dir = str(tmp_path / "runs")
     path = tmp_path / "bad.cfg"
-    path.write_text(cfg.to_text() + dump_kv({key: value}))
+    path.write_text(cfg.to_text() + f"{key} = {value}\n")
     code, out = run_cli(capsys, "prune", "--config", str(path))
     assert code == 2
     line = one_error_line(out, "error: config:")
@@ -270,11 +270,26 @@ def test_eval_sizes_at_their_limits_load(small_cfg_path, tmp_path):
     ("seeds", -1, "seeds must be at least 0, got [-1]"),
     ("dataset_seed", -2, "dataset_seed must be at least 0, got -2"),
     ("eval_seed", -3, "eval_seed must be at least 0, got -3"),
+    ("train_lr", -0.01, "train_lr must be finite and above 0, got -0.01"),
+    ("train_lr", 0, "train_lr must be finite and above 0, got 0.0"),
+    # a float literal that overflows to inf
+    ("train_lr", "1e400", "train_lr must be finite and above 0, got inf"),
 ])
 def test_value_a_stage_rejects_fails_at_load(capsys, small_cfg_path,
                                              tmp_path, key, value, message):
     line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
     assert message in line
+
+
+def test_config_that_is_not_utf8_is_config_error(capsys, tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9, saved as Latin-1\nout_dir = \""
+                     + str(tmp_path / "runs").encode() + b"\"\n")
+    code, out = run_cli(capsys, "prune", "--config", str(path))
+    assert code == 2
+    line = one_error_line(out, "error: config:")
+    assert "is not UTF-8 text" in line and "0xe9" in line
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["table1", "table2", "fig2"])
@@ -362,7 +377,8 @@ def test_table1_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,
     assert code == 0
     # one dense pass per seed, then one per arm
     assert len(calls) == 1 + len(pipeline.TABLE1_ARMS)
-    rows = list(csv.DictReader(open(json.loads(out.out)["results_csv"])))
+    with open(json.loads(out.out)["results_csv"]) as fh:
+        rows = list(csv.DictReader(fh))
     dense = [r for r in rows if r["method"] == "dense"]
     assert len(dense) == 1 and float(dense[0]["ssim"]) == 1.0
 
@@ -389,6 +405,30 @@ def test_experiments_share_one_pretrain_per_seed(capsys, small_cfg_path,
     assert pretrained == [0, 1]
     assert sorted(p.name for p in (tmp_path / "runs" / "pretrain").iterdir()) \
         == ["pretrain_seed0.ckpt", "pretrain_seed1.ckpt"]
+
+
+def test_pretrain_reuses_only_a_checkpoint_of_the_same_config(
+        small_cfg_path, tmp_path, monkeypatch):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    trained = []
+    real = pipeline.train
+
+    def counting(*args, **kwargs):
+        trained.append(kwargs["steps"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", counting)
+    path = pipeline.pretrain(cfg, 0)
+    assert path == str(pipeline.stage_path(cfg, "pretrain", 0))
+    assert pipeline.pretrain(cfg, 0) == path
+    assert trained == [60]
+    cfg.pretrain_steps = 70
+    assert pipeline.pretrain(cfg, 0) == path
+    assert trained == [60, 70]
+    _, meta = load_checkpoint(path)
+    assert meta["pretrain_hash"] == cfg.pretrain_digest()
+    assert meta["iteration"] == 70
 
 
 def test_prune_stages_train_on_the_configured_batch(small_cfg_path, tmp_path,
