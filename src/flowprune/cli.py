@@ -148,7 +148,7 @@ def cmd_evaluate(args) -> dict:
     seed = cfg.seeds[0]
     pre = stage_path(cfg, "pretrain", seed)
     dense_samples = None
-    if pre.exists() and pre != path:
+    if pre.exists() and not pre.samefile(path):
         dense_samples = dense_sample_cache(cfg, load_stage_model(cfg, seed, pre))
     quality = evaluate_model(cfg, model, dense_samples, seed)
     return {"command": "evaluate", "checkpoint": str(path),

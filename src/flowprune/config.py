@@ -82,6 +82,8 @@ def parse_kv(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not _KEY_RE.match(key):
             raise ConfigError(f"line {lineno}: bad key {key!r}")
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         tokens = _COMMA_RE.split(value)
         if len(tokens) > 1:
             out[key] = [_parse_scalar(tok) for tok in tokens]

@@ -185,7 +185,7 @@ class NoisePredictor:
         h = rec.silu(rec.linear(x, prefs["layer0.w"], prefs["layer0.b"]))
         proj = rec.linear(temb, prefs["temb.w"], prefs["temb.b"])
         if proj.shape != h.shape:  # one embedding row shared by every row
-            proj = rec.broadcast(proj, h.shape)
+            proj = rec.broadcast(rec.sum_axes(proj, 1), h.shape)
         h = rec.add(h, proj)
         for k in range(1, self.depth):
             h = rec.silu(rec.linear(h, prefs[f"layer{k}.w"],

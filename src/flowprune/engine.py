@@ -1,11 +1,13 @@
 """Dense float64 tensor graphs with reverse-mode differentiation.
 
 A ``Record`` is an append-only list of primitive operations over named input
-tensors. The vocabulary is deliberately small: matmul, transpose, reshape,
-broadcast, add, elementwise multiply, scalar affine, sigmoid, silu, axis
-sums and sum-of-squares. Every backward rule emits nodes from the same
-vocabulary, so a gradient is itself a differentiable graph and
-Hessian-vector products fall out of a second reverse pass (double backprop).
+tensors. The vocabulary is deliberately small: matmul, transpose, broadcast,
+add, elementwise multiply, scalar affine, sigmoid, silu, leading-axis sums
+and sum-of-squares. Shape ops act on leading axes only: ``broadcast`` adds
+leading axes and ``sum_axes`` sums them away, so each is the other's backward
+rule. Every backward rule emits nodes from the same vocabulary, so a gradient
+is itself a differentiable graph and Hessian-vector products fall out of a
+second reverse pass (double backprop).
 A central-finite-difference HVP is provided as an independent cross-check.
 
 Replaying a record is deterministic: evaluation walks needed nodes in id
@@ -148,22 +150,14 @@ class Record:
             raise ValueError(f"transpose needs a 2-D shape, got {sa}")
         return self._append("transpose", (a.nid,), (), (sa[1], sa[0]))
 
-    def reshape(self, a: Ref, shape: Iterable[int]) -> Ref:
-        shape = tuple(int(s) for s in shape)
-        sa = self._node(a).shape
-        if int(np.prod(sa, dtype=np.int64)) != int(np.prod(shape, dtype=np.int64)):
-            raise ValueError(f"cannot reshape {sa} to {shape}")
-        return self._append("reshape", (a.nid,), (shape,), shape)
-
     def broadcast(self, a: Ref, shape: Iterable[int]) -> Ref:
+        """``a`` repeated along new leading axes: ``shape`` ends with
+        ``a``'s shape."""
         shape = tuple(int(s) for s in shape)
         sa = self._node(a).shape
-        try:
-            out = np.broadcast_shapes(sa, shape)
-        except ValueError as exc:
-            raise ValueError(f"cannot broadcast {sa} to {shape}") from exc
-        if out != shape:
-            raise ValueError(f"cannot broadcast {sa} to {shape}")
+        if shape[len(shape) - len(sa):] != sa:
+            raise ValueError(f"cannot broadcast {sa} to {shape}: only "
+                             "leading axes can be added")
         return self._append("broadcast", (a.nid,), (shape,), shape)
 
     def _binary(self, op: str, a: Ref, b: Ref) -> Ref:
@@ -189,16 +183,14 @@ class Record:
     def silu(self, a: Ref) -> Ref:
         return self._append("silu", (a.nid,), (), self._node(a).shape)
 
-    def sum_axes(self, a: Ref, axes: Iterable[int] | None = None) -> Ref:
+    def sum_axes(self, a: Ref, lead: int | None = None) -> Ref:
+        """``a`` summed over its first ``lead`` axes, or over all of them."""
         sa = self._node(a).shape
-        if axes is None:
-            axes_t = tuple(range(len(sa)))
-        else:
-            axes_t = tuple(sorted(ax % len(sa) for ax in axes))
-        if len(set(axes_t)) != len(axes_t):
-            raise ValueError(f"duplicate axes {axes_t}")
-        shape = tuple(s for i, s in enumerate(sa) if i not in axes_t)
-        return self._append("sum_axes", (a.nid,), (axes_t,), shape)
+        lead = len(sa) if lead is None else lead
+        if not 0 <= lead <= len(sa):
+            raise ValueError(f"cannot sum the first {lead} axes of {sa}")
+        return self._append("sum_axes", (a.nid,), (tuple(range(lead)),),
+                            sa[lead:])
 
     def sum_sq(self, a: Ref) -> Ref:
         return self._append("sum_sq", (a.nid,), (), ())
@@ -294,8 +286,6 @@ class Record:
                 vals[nid] = vals[node.args[0]] @ vals[node.args[1]]
             elif op == "transpose":
                 vals[nid] = vals[node.args[0]].T
-            elif op == "reshape":
-                vals[nid] = vals[node.args[0]].reshape(node.attrs[0])
             elif op == "broadcast":
                 vals[nid] = np.broadcast_to(vals[node.args[0]], node.attrs[0])
             elif op == "add":
@@ -335,21 +325,9 @@ class Record:
             out.append((args[1], self.matmul(self.transpose(a), g)))
         elif node.op == "transpose":
             out.append((args[0], self.transpose(g)))
-        elif node.op == "reshape":
-            src_shape = self.nodes[args[0]].shape
-            out.append((args[0], self.reshape(g, src_shape)))
         elif node.op == "broadcast":
-            src_shape = self.nodes[args[0]].shape
-            target = node.attrs[0]
-            pre = len(target) - len(src_shape)
-            axes = list(range(pre))
-            for i, s in enumerate(src_shape):
-                if s == 1 and target[pre + i] != 1:
-                    axes.append(pre + i)
-            red = self.sum_axes(g, axes) if axes else g
-            if red.shape != src_shape:
-                red = self.reshape(red, src_shape)
-            out.append((args[0], red))
+            lead = len(node.shape) - len(self.nodes[args[0]].shape)
+            out.append((args[0], self.sum_axes(g, lead)))
         elif node.op == "add":
             out.append((args[0], g))
             out.append((args[1], g))
@@ -367,12 +345,7 @@ class Record:
             inner = self.add(s, self.mul(self.mul(x, s), self.affine(s, -1.0, 1.0)))
             out.append((args[0], self.mul(g, inner)))
         elif node.op == "sum_axes":
-            src_shape = self.nodes[args[0]].shape
-            axes = node.attrs[0]
-            keep = tuple(1 if i in axes else s for i, s in enumerate(src_shape))
-            out.append(
-                (args[0], self.broadcast(self.reshape(g, keep), src_shape))
-            )
+            out.append((args[0], self.broadcast(g, self.nodes[args[0]].shape)))
         elif node.op == "sum_sq":
             src = refs[0]
             src_shape = self.nodes[args[0]].shape

@@ -172,11 +172,14 @@ def pretrain(cfg: RunConfig, seed: int, out_dir=None) -> str:
     """Train a dense model from scratch into ``out_dir`` (by default
     ``<cfg.out_dir>/pretrain``, which the commands share); returns the
     checkpoint path. A checkpoint there whose ``pretrain_hash`` matches the
-    config is reused, and any other is overwritten."""
+    config is reused, and any other, readable or not, is overwritten."""
     path = stage_path(cfg, "pretrain", seed, out_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
-        _, meta = load_checkpoint(path)
+        try:
+            _, meta = load_checkpoint(path)
+        except CheckpointError:
+            meta = {}
         if meta.get("pretrain_hash") == cfg.pretrain_digest():
             return str(path)
     data = build_dataset(cfg)

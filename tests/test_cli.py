@@ -199,13 +199,15 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
 
 
 def prune_rejected(capsys, small_cfg_path, tmp_path, key, value) -> str:
-    """Run ``prune`` on the small config with the line ``key = value``
-    added; assert it exits 2 with one ``error: config:`` line before
-    writing anything, and return that line."""
+    """Run ``prune`` on the small config with the line ``key = value`` in
+    place of its own line for ``key``; assert it exits 2 with one
+    ``error: config:`` line before writing anything, and return that line."""
     cfg = RunConfig.load(small_cfg_path)
     cfg.out_dir = str(tmp_path / "runs")
     path = tmp_path / "bad.cfg"
-    path.write_text(cfg.to_text() + f"{key} = {value}\n")
+    lines = [line for line in cfg.to_text().splitlines(keepends=True)
+             if not line.startswith(f"{key} = ")]
+    path.write_text("".join(lines) + f"{key} = {value}\n")
     code, out = run_cli(capsys, "prune", "--config", str(path))
     assert code == 2
     line = one_error_line(out, "error: config:")
@@ -279,6 +281,19 @@ def test_value_a_stage_rejects_fails_at_load(capsys, small_cfg_path,
                                              tmp_path, key, value, message):
     line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
     assert message in line
+
+
+def test_duplicate_key_is_config_error(capsys, small_cfg_path, tmp_path):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    path = tmp_path / "twice.cfg"
+    path.write_text(cfg.to_text() + "plan_s = 0.75\n")
+    code, out = run_cli(capsys, "prune", "--config", str(path))
+    assert code == 2
+    line = one_error_line(out, "error: config:")
+    assert line.endswith(f"line {len(cfg.to_text().splitlines()) + 1}: "
+                         "duplicate key 'plan_s'")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_config_that_is_not_utf8_is_config_error(capsys, tmp_path):
@@ -429,6 +444,53 @@ def test_pretrain_reuses_only_a_checkpoint_of_the_same_config(
     _, meta = load_checkpoint(path)
     assert meta["pretrain_hash"] == cfg.pretrain_digest()
     assert meta["iteration"] == 70
+
+
+@pytest.mark.parametrize("damage", ["flipped-byte", "version-1"])
+def test_pretrain_overwrites_a_checkpoint_it_cannot_read(
+        capsys, small_cfg_path, tmp_path, damage):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    path = tmp_path / "run.cfg"
+    cfg.save(path)
+    ckpt = pipeline.stage_path(cfg, "pretrain", 0)
+    ckpt.parent.mkdir(parents=True)
+    if damage == "flipped-byte":
+        save_checkpoint(ckpt, {"x": np.zeros(4)},
+                        {"pretrain_hash": cfg.pretrain_digest()})
+        data = bytearray(ckpt.read_bytes())
+        data[-12] ^= 0xFF
+        ckpt.write_bytes(bytes(data))
+    else:
+        ckpt.write_bytes(v1_container({"layer0.w": np.zeros((12, 2))}))
+    code, _ = run_cli(capsys, "pretrain", "--config", str(path))
+    assert code == 0
+    _, meta = load_checkpoint(ckpt)
+    assert meta["pretrain_hash"] == cfg.pretrain_digest()
+
+
+def test_evaluate_knows_the_pretrain_checkpoint_by_its_file(
+        capsys, small_cfg_path, monkeypatch):
+    assert main(["pretrain", "--config", str(small_cfg_path)]) == 0
+    capsys.readouterr()
+    cfg = RunConfig.load(small_cfg_path)
+    pre = pipeline.stage_path(cfg, "pretrain", 0)
+    calls = []
+    real = pipeline.sample_ddim
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_ddim", counting)
+    monkeypatch.chdir(pre.parent)
+    for spelling in (pre.resolve(), pre.name):
+        calls.clear()
+        code, out = run_cli(capsys, "evaluate", "--config",
+                            str(small_cfg_path), "--checkpoint", str(spelling))
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out.out)["metrics"]["ssim"] == 1.0
 
 
 def test_prune_stages_train_on_the_configured_batch(small_cfg_path, tmp_path,

@@ -33,6 +33,11 @@ def test_bad_lines_rejected():
         parse_kv("9bad = 1\n")
 
 
+def test_duplicate_key_rejected():
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'plan_s'"):
+        parse_kv("plan_s = 0.25\n# again\nplan_s = 0.75\n")
+
+
 def test_dump_parse_roundtrip():
     items = {
         "name": "a b c", "count": 7, "rate": 0.125, "flag": True,

@@ -165,14 +165,13 @@ def build_single_op(name):
     table = {
         "matmul": (lambda r, a, b: r.matmul(a, b), [(3, 4), (4, 2)]),
         "transpose": (lambda r, a: r.transpose(a), [(3, 4)]),
-        "reshape": (lambda r, a: r.reshape(a, (2, 6)), [(3, 4)]),
-        "broadcast": (lambda r, a: r.broadcast(a, (5, 4)), [(1, 4)]),
+        "broadcast": (lambda r, a: r.broadcast(a, (5, 4)), [(4,)]),
         "add": (lambda r, a, b: r.add(a, b), [(3, 4), (3, 4)]),
         "mul": (lambda r, a, b: r.mul(a, b), [(3, 4), (3, 4)]),
         "affine": (lambda r, a: r.affine(a, 1.7, -0.3), [(3, 4)]),
         "sigmoid": (lambda r, a: r.sigmoid(a), [(3, 4)]),
         "silu": (lambda r, a: r.silu(a), [(3, 4)]),
-        "sum_axes": (lambda r, a: r.sum_axes(a, (0,)), [(3, 4)]),
+        "sum_axes": (lambda r, a: r.sum_axes(a, 1), [(3, 4)]),
         "sum_sq": (lambda r, a: r.sum_sq(a), [(3, 4)]),
     }
     body, shapes = table[name]
@@ -180,9 +179,47 @@ def build_single_op(name):
 
 
 ALL_OPS = [
-    "matmul", "transpose", "reshape", "broadcast", "add", "mul", "affine",
-    "sigmoid", "silu", "sum_axes", "sum_sq",
+    "matmul", "transpose", "broadcast", "add", "mul", "affine", "sigmoid",
+    "silu", "sum_axes", "sum_sq",
 ]
+
+
+def test_all_ops_are_the_record_builders():
+    """Every primitive a Record builds is in ALL_OPS, so none skips the
+    finite-difference check; the rest build nothing of their own."""
+    public = {name for name, attr in vars(Record).items()
+              if callable(attr) and not name.startswith("_")}
+    composite = {"input", "const", "linear", "set_output", "evaluate"}
+    assert set(ALL_OPS) == public - composite
+
+
+@pytest.mark.parametrize("src, shape", [
+    pytest.param((1, 4), (5, 4), id="stretch"),
+    pytest.param((3, 4), (3, 4, 2), id="not-suffix"),
+    pytest.param((3, 4), (4,), id="fewer-axes"),
+])
+def test_broadcast_only_adds_leading_axes(src, shape):
+    rec = Record()
+    with pytest.raises(ValueError, match="only leading axes"):
+        rec.broadcast(rec.input("a", src), shape)
+
+
+@pytest.mark.parametrize("lead", [-1, 3])
+def test_sum_axes_lead_within_rank(lead):
+    rec = Record()
+    with pytest.raises(ValueError, match="cannot sum the first"):
+        rec.sum_axes(rec.input("a", (3, 4)), lead)
+
+
+@pytest.mark.parametrize("lead, shape", [(0, (3, 4)), (1, (4,)), (2, ())])
+def test_sum_axes_sums_leading_axes(lead, shape):
+    rec = Record()
+    out = rec.sum_axes(rec.input("a", (3, 4)), lead)
+    rec.set_output(out)
+    a = np.arange(12.0).reshape(3, 4)
+    assert out.shape == shape
+    np.testing.assert_array_equal(forward(rec, {"a": a}),
+                                  a.sum(axis=tuple(range(lead))))
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
