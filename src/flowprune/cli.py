@@ -61,10 +61,11 @@ EXPERIMENTS = {"table1": TABLE1_ARMS, "table2": TABLE2_ARMS, "fig2": FIG2_ARMS}
 def _load_config(args) -> RunConfig:
     """The config with ``--out`` and ``--seed`` applied; a dataset,
     schedule, plan or model that ``DatasetSpec``, ``make_schedule``,
-    ``PrunePlan`` or ``NoisePredictor`` rejects, a negative seed or step
-    count, or an evaluation size the metrics or the sampler reject, fails
-    here, before any stage runs. The plans checked are the config's own and
-    those of every arm of the experiment ``args.command`` names."""
+    ``PrunePlan`` or ``NoisePredictor`` rejects, a negative or repeated
+    seed, a negative step count, or an evaluation size the metrics or the
+    sampler reject, fails here, before any stage runs. The plans checked
+    are the config's own and those of every arm of the experiment
+    ``args.command`` names."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
@@ -84,6 +85,8 @@ def _load_config(args) -> RunConfig:
                               f"{getattr(cfg, key)}")
     if min(cfg.seeds) < 0:
         raise ConfigError(f"seeds must be at least 0, got {cfg.seeds}")
+    if len(set(cfg.seeds)) < len(cfg.seeds):  # a run per seed, in its own dir
+        raise ConfigError(f"seeds must not repeat, got {cfg.seeds}")
     if not 0 < cfg.train_lr < math.inf:  # Adam never moves a weight at 0
         raise ConfigError(f"train_lr must be finite and above 0, got "
                           f"{cfg.train_lr}")

@@ -20,15 +20,22 @@ their masks, so masked-out entries of surviving rows stay frozen when it
 trains, and ``write_back`` scatters its parameters into the full layout. An
 unpruned model compacts to itself, so its samples do not change.
 
-``sample_ddim`` draws all its starting noise at once, then carries one block
-of rows at a time through every step, so a block's widest activation fits
-in ``_BLOCK_BYTES`` (512 KiB: 512 rows at width 128) and its elementwise ops
-work in cache. Every row of a step shares its timestep, so ``predict`` takes
-a scalar ``t`` and projects that one embedding row, broadcast to the block.
+``sample_ddim`` runs the compacted predictor in float32. It casts the
+effective weights to float32 once per call, and ``predict`` casts each
+block's rows and the step's embedding row to the weights' dtype, so the
+engine replays the forward in single precision. The DDIM update and the
+returned samples stay float64, and so do training, scoring, the HVP and
+every ``predict`` call without a ``weights`` feed. The sampler draws all its
+starting noise at once, then carries one block of rows at a time through
+every step, so a block's widest activation fits in ``_BLOCK_BYTES``
+(512 KiB: 1024 float32 rows at width 128) and its elementwise ops work in
+cache. Every row of a step shares its timestep, so ``predict`` takes a
+scalar ``t`` and projects that one embedding row, broadcast to the block.
 Loss records still feed one embedding row per batch row, so training,
-scoring and the HVP replay exactly the records they did. Samples are exact
-up to rounding, not bit-identical, to one block of all rows: BLAS rounds
-some rows of a matmul differently when its row count changes.
+scoring and the HVP replay exactly the records they did. Samples differ
+from a float64 forward by float32 rounding (3e-7 to 5e-7 of their largest
+magnitude on two trained default-width models at 100 steps), and the
+matmuls' rounding also depends on a block's row count.
 """
 
 from __future__ import annotations
@@ -218,14 +225,20 @@ class NoisePredictor:
             self._records[key] = rec
         return self._records[key]
 
-    def predict(self, x: np.ndarray, t) -> np.ndarray:
+    def predict(self, x: np.ndarray, t,
+                weights: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """eps_hat for the rows of ``x`` at timesteps ``t``: one per row, or
-        a scalar every row shares, whose embedding is projected once."""
+        a scalar every row shares, whose embedding is projected once.
+
+        ``weights`` is a :meth:`param_inputs` feed, built once by a caller
+        that predicts many times; ``x`` and the embedding are cast to its
+        dtype, so a float32 feed runs the forward in float32."""
         temb = time_embedding(np.atleast_1d(t), self.temb_dim)
         rec = self.eps_record(x.shape[0], temb.shape[0])
-        feed = self.param_inputs()
-        feed["x"] = x
-        feed["temb"] = temb
+        feed = dict(self.param_inputs() if weights is None else weights)
+        dtype = feed["out.w"].dtype
+        feed["x"] = np.asarray(x, dtype=dtype)
+        feed["temb"] = temb.astype(dtype, copy=False)
         return engine.forward(rec, feed)
 
     def compact(self) -> "NoisePredictor":
@@ -442,7 +455,7 @@ def ddim_timesteps(T: int, substeps: int) -> np.ndarray:
 
 
 # Rows a DDIM block carries through every step: the widest activation of a
-# block, in float64, spans this many bytes. The few arrays a layer has live
+# block, in float32, spans this many bytes. The few arrays a layer has live
 # at once then fit a core's L2 cache (2 MiB on the benchmark host); larger
 # blocks stream through memory, smaller ones pay more per-call overhead.
 _BLOCK_BYTES = 512 * 1024
@@ -450,25 +463,27 @@ _BLOCK_BYTES = 512 * 1024
 
 def sample_ddim(model: NoisePredictor, sched: DiffusionSchedule, n: int,
                 substeps: int, noise_seed: int) -> np.ndarray:
-    """Deterministic (eta = 0) DDIM samples, [n, dim], from the compacted
-    predictor.
+    """Deterministic (eta = 0) DDIM samples, [n, dim] float64, from the
+    compacted predictor run in float32.
 
     The [n, dim] starting noise is drawn at once; then each block of rows
     runs every step before the next block starts. Rows never mix, so only
     the matmuls' rounding depends on the block size.
     """
     model = model.compact()
+    weights = {name: a.astype(np.float32)
+               for name, a in model.param_inputs().items()}
     ts = ddim_timesteps(sched.T, substeps)[::-1]
     ab = sched.alpha_bar[ts]
     ab_prev = np.append(ab[1:], 1.0)
     noise = make_rng(noise_seed, "ddim-init").standard_normal((n, model.dim))
     width = max(len(w) for w in model.masks.values())
-    rows = max(1, _BLOCK_BYTES // (8 * width))
+    rows = max(1, _BLOCK_BYTES // (weights["out.w"].itemsize * width))
     out = np.empty_like(noise)
     for start in range(0, n, rows):
         x = noise[start:start + rows]
         for i, t in enumerate(ts):
-            eps_hat = model.predict(x, t)
+            eps_hat = model.predict(x, t, weights)
             x0_hat = (x - np.sqrt(1.0 - ab[i]) * eps_hat) / np.sqrt(ab[i])
             x = (np.sqrt(ab_prev[i]) * x0_hat
                  + np.sqrt(1.0 - ab_prev[i]) * eps_hat)

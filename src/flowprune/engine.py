@@ -1,4 +1,4 @@
-"""Dense float64 tensor graphs with reverse-mode differentiation.
+"""Dense tensor graphs with reverse-mode differentiation.
 
 A ``Record`` is an append-only list of primitive operations over named input
 tensors. The vocabulary is deliberately small: matmul, transpose, broadcast,
@@ -9,6 +9,11 @@ rule. Every backward rule emits nodes from the same vocabulary, so a gradient
 is itself a differentiable graph and Hessian-vector products fall out of a
 second reverse pass (double backprop).
 A central-finite-difference HVP is provided as an independent cross-check.
+
+Values are float64. The one exception is an input fed as float32, which
+replays as float32, so a forward fed only float32 arrays runs in single
+precision end to end (the DDIM sampler's). Every other input is converted
+to float64, and consts are float64.
 
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.
@@ -75,8 +80,9 @@ def _as_f64(value) -> np.ndarray:
 
 
 def _exp_neg(x: np.ndarray) -> np.ndarray:
-    """exp(-x); below x = -709 it overflows to inf, quietly, since sigmoid
-    and SiLU turn that inf into their exact limits 0 and -0.0."""
+    """exp(-x); below x = -709 (-88.7 in float32) it overflows to inf,
+    quietly, since sigmoid and SiLU turn that inf into their exact limits 0
+    and -0.0."""
     with np.errstate(over="ignore"):
         return np.exp(-x)
 
@@ -265,7 +271,9 @@ class Record:
                 name = node.attrs[0]
                 if name not in inputs:
                     raise KeyError(f"missing input {name!r}")
-                arr = _as_f64(inputs[name])
+                arr = np.asarray(inputs[name])
+                if arr.dtype != np.float32:
+                    arr = _as_f64(arr)
                 if arr.shape != node.shape:
                     raise ValueError(
                         f"input {name!r} has shape {arr.shape}, record expects "

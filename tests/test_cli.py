@@ -270,6 +270,7 @@ def test_eval_sizes_at_their_limits_load(small_cfg_path, tmp_path):
     ("diffusion_beta_end", 1.5, "beta_end < 1, got 0.001 and 1.5"),
     ("pretrain_steps", -1, "pretrain_steps must be at least 0, got -1"),
     ("seeds", -1, "seeds must be at least 0, got [-1]"),
+    ("seeds", "0, 1, 0", "seeds must not repeat, got [0, 1, 0]"),
     ("dataset_seed", -2, "dataset_seed must be at least 0, got -2"),
     ("eval_seed", -3, "eval_seed must be at least 0, got -3"),
     ("train_lr", -0.01, "train_lr must be finite and above 0, got -0.01"),

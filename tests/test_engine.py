@@ -94,23 +94,28 @@ class TestForward:
 
 
 def test_silu_saturates_quietly():
-    """exp(-x) overflows below x = -709; SiLU and the sigmoids of its
-    derivatives still give their exact limits, with no warning."""
+    """exp(-x) overflows below x = -709 in float64 and below -88.7 in
+    float32; SiLU and the sigmoids of its derivatives still give their
+    exact limits, with no warning."""
     rec = Record()
     x = rec.input("x", (2,))
     act = rec.silu(x)
     loss = rec.sum_axes(act)
-    feed = {"x": np.array([-1000.0, 2.0])}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rec.set_output(act)
-        y = forward(rec, feed)
-        rec.set_output(loss)
-        grad = gradient(rec, feed, ["x"])["x"]
-        hv = hessian_vector_product(rec, feed, ["x"], {"x": np.ones(2)})["x"]
-    assert y[0] == 0.0 and np.signbit(y[0])  # -1000 / inf
-    assert y[1] == 2.0 / (1.0 + np.exp(-2.0))
-    assert grad[0] == 0.0 and hv[0] == 0.0
+    for dtype, low in ((np.float64, -1000.0), (np.float32, -100.0)):
+        feed = {"x": np.array([low, 2.0], dtype=dtype)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec.set_output(act)
+            y = forward(rec, feed)
+            rec.set_output(loss)
+            grad = gradient(rec, feed, ["x"])["x"]
+            hv = hessian_vector_product(rec, feed, ["x"],
+                                        {"x": np.ones(2)})["x"]
+        assert y.dtype == dtype
+        assert y[0] == 0.0 and np.signbit(y[0])  # low / inf
+        two = dtype(2.0)
+        assert y[1] == two / (1 + np.exp(-two))
+        assert grad[0] == 0.0 and hv[0] == 0.0
 
 
 class TestGradient:
@@ -220,6 +225,22 @@ def test_sum_axes_sums_leading_axes(lead, shape):
     assert out.shape == shape
     np.testing.assert_array_equal(forward(rec, {"a": a}),
                                   a.sum(axis=tuple(range(lead))))
+
+
+# A float32 replay of these records rounds at most a 4-term dot product and
+# then a sum of 20 squares, with no cancellation: under 32 roundings of
+# eps32 / 2 each, relative to the output.
+FLOAT32_RTOL = 16 * float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("op", ALL_OPS)
+def test_float32_feed_replays_in_float32(op):
+    rec, feed = build_single_op(op)
+    feed32 = {n: a.astype(np.float32) for n, a in feed.items()}
+    got = forward(rec, feed32)
+    want = forward(rec, {n: a.astype(np.float64) for n, a in feed32.items()})
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=FLOAT32_RTOL)
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
