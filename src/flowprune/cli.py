@@ -5,10 +5,8 @@ Subcommands:
     prune     run the prune pipeline from a pretrained checkpoint
     sample    draw DDIM samples from a checkpoint into a tensor container
     evaluate  recompute quality metrics for a checkpoint
-    table1    criterion comparison (magnitude / taylor / gradient-flow),
-              medians over seeds
-    table2    schedule ablation at a fixed criterion, six method rows
-    fig2      per-iteration quality traces for gradient-flow vs taylor
+    grid      Table 1 (criteria), Table 2 (schedule ablation) and Fig 2
+              (quality traces), each distinct arm run once per seed
 
 The config file says what a run computes. Every command takes --config PATH,
 --seed N (run that seed only) and --out DIR (the output directory).
@@ -31,19 +29,17 @@ from .config import ConfigError, RunConfig
 from .datasets import DatasetSpec
 from .diffusion import TrainingDiverged, sample_ddim
 from .pipeline import (
-    FIG2_ARMS,
-    TABLE1_ARMS,
-    TABLE2_ARMS,
+    GRID,
     build_model,
     build_plan,
     build_schedule,
     dense_sample_cache,
     evaluate_model,
     load_stage_model,
-    median_by_method,
+    medians,
     pretrain,
     prune_run,
-    run_experiment,
+    run_grid,
     stage_path,
 )
 
@@ -55,17 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-EXPERIMENTS = {"table1": TABLE1_ARMS, "table2": TABLE2_ARMS, "fig2": FIG2_ARMS}
-
-
 def _load_config(args) -> RunConfig:
     """The config with ``--out`` and ``--seed`` applied; a dataset,
     schedule, plan or model that ``DatasetSpec``, ``make_schedule``,
     ``PrunePlan`` or ``NoisePredictor`` rejects, a negative or repeated
     seed, a negative step count, or an evaluation size the metrics or the
     sampler reject, fails here, before any stage runs. The plans checked
-    are the config's own and those of every arm of the experiment
-    ``args.command`` names."""
+    are the config's own and, for ``grid``, that of every ``GRID`` arm."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
@@ -74,7 +66,7 @@ def _load_config(args) -> RunConfig:
     try:
         DatasetSpec(cfg.dataset_kind, cfg.dataset_size, cfg.dataset_seed)
         build_schedule(cfg)
-        for arm in (None, *EXPERIMENTS.get(args.command, ())):
+        for arm in (None, *(GRID if args.command == "grid" else ())):
             build_plan(cfg, arm)
         dim = build_model(cfg, 0).dim
     except ValueError as exc:
@@ -158,23 +150,17 @@ def cmd_evaluate(args) -> dict:
             "metrics": quality.as_dict()}
 
 
-def cmd_experiment(args) -> dict:
-    """``table1``, ``table2`` or ``fig2``: the experiment's arms over the
-    seeds; ``fig2`` also traces quality per mask iteration."""
+def cmd_grid(args) -> dict:
     cfg = _load_config(args)
-    name = args.command
-    out = run_experiment(cfg, name, EXPERIMENTS[name],
-                         Path(cfg.out_dir) / name, trace=name == "fig2")
-    summary = {
-        "command": name,
+    out = run_grid(cfg, GRID, Path(cfg.out_dir) / "grid")
+    return {
+        "command": "grid",
         "results_csv": out["results_csv"],
-        "median_frechet": median_by_method(out["rows"], "frechet"),
-        "median_ssim": median_by_method(out["rows"], "ssim"),
+        "trace_csv": out["trace_csv"],
+        "median_frechet": medians(out["rows"], "frechet"),
+        "median_ssim": medians(out["rows"], "ssim"),
         "rows": len(out["rows"]),
     }
-    if "trace_csv" in out:
-        summary["trace_csv"] = out["trace_csv"]
-    return summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,9 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "prune": cmd_prune,
         "sample": cmd_sample,
         "evaluate": cmd_evaluate,
-        "table1": cmd_experiment,
-        "table2": cmd_experiment,
-        "fig2": cmd_experiment,
+        "grid": cmd_grid,
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)

@@ -3,11 +3,12 @@ evaluate, with a checkpoint at every stage boundary.
 
 Each run owns an output directory containing stage checkpoints, a
 diagnostics CSV (the soft loop's rows, one per mask iteration) and a JSON
-report. Experiment drivers (criterion comparison, schedule ablation,
-convergence traces) share one pretrained checkpoint per seed, in
-``<out_dir>/pretrain``, so arms differ only in the pruning stage. An arm is
-a method label, a criterion and a schedule mode; ``build_plan`` alone
-decides the structural regime every arm shares.
+report. ``run_grid`` runs ``GRID``, whose rows are Table 1's criteria, Table
+2's schedule ablation and Fig 2's traces, once per distinct criterion and
+mode per seed, all from the seed's one pretrained checkpoint in
+``<out_dir>/pretrain``. An arm is a result row: experiment, method label,
+criterion and schedule mode; ``build_plan`` alone decides the structural
+regime every arm shares.
 """
 
 from __future__ import annotations
@@ -73,20 +74,23 @@ def build_model(cfg: RunConfig, seed: int) -> NoisePredictor:
 
 @dataclass(frozen=True)
 class Arm:
-    """One experiment arm: a method label, its criterion and its schedule
-    mode."""
+    """One result row of the experiment grid: the experiment it belongs to
+    (``table1``, ``table2`` or ``fig2``), a method label, its criterion and
+    its schedule mode. Arms with the same criterion and mode share one
+    prune run."""
 
+    experiment: str
     method: str
     criterion: str
     mode: str
 
 
 def build_plan(cfg: RunConfig, arm: Arm | None = None) -> PrunePlan:
-    """The plan of one prune run: the config's ``plan_*`` values, or an
-    experiment arm's.
+    """The plan of one prune run: the config's ``plan_*`` values, or a grid
+    arm's, which reads only the arm's criterion and mode.
 
     The config's plan ranks elements and prunes by Taylor at the end. Every
-    arm runs the structural regime of Tables 1 and 2, where one-shot pruning
+    arm runs the structural regime of the grid, where one-shot pruning
     carries a real information-loss cost: row groups in the soft loop as in
     the final prune, with the arm's criterion driving both.
     """
@@ -144,7 +148,7 @@ def stage_path(cfg: RunConfig, stage: str, seed: int, run_dir=None) -> Path:
     """Where ``stage``'s checkpoint for ``seed`` is written: in ``run_dir``,
     the directory a ``pretrain`` or ``prune_run`` call writes to, or by
     default where the commands keep it. Pretrains go to
-    ``<out_dir>/pretrain``, which every command and experiment shares; the
+    ``<out_dir>/pretrain``, which every command shares; the
     ``prune`` command's stages go to ``<out_dir>/prune/seed<seed>``."""
     if stage == "pretrain":
         default, name = ("pretrain",), f"pretrain_seed{seed}.ckpt"
@@ -322,42 +326,41 @@ def result_row(experiment: str, method: str, criterion: str, mode: str,
     return {f: row[f] if f in row else metrics[f] for f in RESULT_FIELDS}
 
 
-# Experiment arms; build_plan sets the regime they share. Baselines are
-# one-shot prunes with their criterion; "ours" is the full progressive-soft
-# loop.
-TABLE1_ARMS = [
-    Arm("magnitude", "magnitude", "one-shot"),
-    Arm("taylor", "taylor", "one-shot"),
-    Arm("gradient-flow", "gradient-flow", "progressive-soft"),
+# The experiment grid, one arm per result row; build_plan sets the regime
+# they share. Baselines are one-shot prunes with their criterion; "ours" is
+# the full progressive-soft loop.
+GRID = [
+    Arm("table1", "magnitude", "magnitude", "one-shot"),
+    Arm("table1", "taylor", "taylor", "one-shot"),
+    Arm("table1", "gradient-flow", "gradient-flow", "progressive-soft"),
+    Arm("table2", "iterative/magnitude", "magnitude", "iterative"),
+    Arm("table2", "iterative/taylor", "taylor", "iterative"),
+    Arm("table2", "iterative/gradient-flow", "gradient-flow", "iterative"),
+    Arm("table2", "+soft", "gradient-flow", "iterative+soft"),
+    Arm("table2", "+progressive", "gradient-flow", "iterative+progressive"),
+    Arm("table2", "+progressive-soft", "gradient-flow", "progressive-soft"),
+    Arm("fig2", "gradient-flow", "gradient-flow", "progressive-soft"),
+    Arm("fig2", "taylor", "taylor", "progressive-soft"),
 ]
-
-TABLE2_ARMS = [
-    Arm("iterative/magnitude", "magnitude", "iterative"),
-    Arm("iterative/taylor", "taylor", "iterative"),
-    Arm("iterative/gradient-flow", "gradient-flow", "iterative"),
-    Arm("+soft", "gradient-flow", "iterative+soft"),
-    Arm("+progressive", "gradient-flow", "iterative+progressive"),
-    Arm("+progressive-soft", "gradient-flow", "progressive-soft"),
-]
-
-FIG2_ARMS = [
-    Arm("gradient-flow", "gradient-flow", "progressive-soft"),
-    Arm("taylor", "taylor", "progressive-soft"),
-]
+# perfbench/projection.py imports these two views by name
+TABLE1_ARMS = [arm for arm in GRID if arm.experiment == "table1"]
+TABLE2_ARMS = [arm for arm in GRID if arm.experiment == "table2"]
 
 
-def run_experiment(cfg: RunConfig, experiment: str,
-                   arms: list[Arm], out_root,
-                   trace: bool = False) -> dict:
-    """Run arms x seeds from the pretrained checkpoints in
-    ``cfg.out_dir/pretrain``, which every experiment and the ``pretrain``
-    and ``prune`` commands share, with one dense row per seed.
+def run_grid(cfg: RunConfig, arms: list[Arm], out_root) -> dict:
+    """Run each distinct ``(criterion, mode)`` of ``arms`` once per seed into
+    ``out_root/<criterion>_<mode>/seed<N>``, from the pretrained checkpoint
+    in ``cfg.out_dir/pretrain`` that every command shares.
 
-    Writes results.csv (plus trace.csv when tracing is on) and returns
-    {"rows": [...], "results_csv": path} (plus "trace_csv").
+    Each seed samples its dense model once and writes one dense row per
+    experiment, then each arm's row from its run's report. Only runs that
+    a ``fig2`` arm reads are traced, into trace.csv. Writes results.csv and
+    trace.csv; returns {"rows": [...], "results_csv", "trace_csv"}.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
+    traced = {(arm.criterion, arm.mode) for arm in arms
+              if arm.experiment == "fig2"}
     rows: list[dict] = []
     trace_rows: list[dict] = []
     for seed in cfg.seeds:
@@ -367,35 +370,41 @@ def run_experiment(cfg: RunConfig, experiment: str,
         dense_model = load_stage_model(cfg, seed, pre_path)
         dense_samples = dense_sample_cache(cfg, dense_model)
         dense_quality = _quality(cfg, dense_model, dense_samples, None, seed)
-        rows.append(result_row(experiment, "dense", "-", "-", seed,
-                               dense_quality.as_dict(), pre_wall))
+        experiments: set[str] = set()
+        reports: dict[tuple, dict] = {}
         for arm in arms:
-            arm_dir = out_root / arm.method.replace("/", "_") / f"seed{seed}"
-            report = prune_run(
-                cfg, seed, pre_path, arm_dir, arm=arm,
-                dense_samples=dense_samples, quality_trace=trace,
-            )
-            rows.append(result_row(experiment, arm.method, arm.criterion,
+            if arm.experiment not in experiments:
+                experiments.add(arm.experiment)
+                rows.append(result_row(arm.experiment, "dense", "-", "-", seed,
+                                       dense_quality.as_dict(), pre_wall))
+            key = (arm.criterion, arm.mode)
+            if key not in reports:
+                reports[key] = prune_run(
+                    cfg, seed, pre_path,
+                    out_root / f"{arm.criterion}_{arm.mode}" / f"seed{seed}",
+                    arm=arm, dense_samples=dense_samples,
+                    quality_trace=key in traced)
+            report = reports[key]
+            rows.append(result_row(arm.experiment, arm.method, arm.criterion,
                                    arm.mode, seed, report["metrics"],
                                    report["wall_clock_s"]))
-            for t, q in report.get("quality_trace", []):
-                trace_rows.append({
-                    "experiment": experiment, "method": arm.method,
-                    "criterion": arm.criterion, "seed": seed,
-                    "iteration": t, "frechet": q,
-                })
-    out = {"rows": rows,
-           "results_csv": _write_csv(out_root / "results.csv", RESULT_FIELDS,
-                                     rows)}
-    if trace_rows:
-        out["trace_csv"] = _write_csv(out_root / "trace.csv", TRACE_FIELDS,
-                                      trace_rows)
-    return out
+            if arm.experiment == "fig2":
+                trace_rows += [{"experiment": "fig2", "method": arm.method,
+                                "criterion": arm.criterion, "seed": seed,
+                                "iteration": t, "frechet": q}
+                               for t, q in report["quality_trace"]]
+    return {"rows": rows,
+            "results_csv": _write_csv(out_root / "results.csv", RESULT_FIELDS,
+                                      rows),
+            "trace_csv": _write_csv(out_root / "trace.csv", TRACE_FIELDS,
+                                    trace_rows)}
 
 
-def median_by_method(rows: list[dict], field: str = "frechet") -> dict:
-    """Per-method medians over seeds."""
-    values: dict[str, list[float]] = {}
+def medians(rows: list[dict], field: str) -> dict:
+    """Medians of ``field`` over seeds, by experiment and then by method."""
+    values: dict[str, dict[str, list[float]]] = {}
     for row in rows:
-        values.setdefault(row["method"], []).append(float(row[field]))
-    return {m: float(np.median(v)) for m, v in values.items()}
+        values.setdefault(row["experiment"], {}).setdefault(
+            row["method"], []).append(float(row[field]))
+    return {e: {m: float(np.median(v)) for m, v in by_method.items()}
+            for e, by_method in values.items()}

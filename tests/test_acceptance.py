@@ -34,7 +34,7 @@ from flowprune.pipeline import (
     Arm,
     model_tensors,
     restore_model,
-    run_experiment,
+    run_grid,
 )
 from flowprune.scheduler import (
     PrunePlan,
@@ -323,9 +323,8 @@ class TestAcceptance11Determinism:
         )
         reports = []
         for rep_dir in ("a", "b"):
-            out = run_experiment(
-                cfg, "det",
-                [Arm("gf", "gradient-flow", "progressive-soft")],
+            out = run_grid(
+                cfg, [Arm("det", "gf", "gradient-flow", "progressive-soft")],
                 tmp_path / rep_dir,
             )
             reports.append(

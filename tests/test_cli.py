@@ -308,7 +308,7 @@ def test_config_that_is_not_utf8_is_config_error(capsys, tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("command", ["table1", "table2", "fig2"])
+@pytest.mark.parametrize("experiment", ["table1", "table2", "fig2"])
 @pytest.mark.parametrize("plan, message", [
     pytest.param({"plan_m_iters": 2, "plan_n_iters": 5},
                  "need 0 < n_iters <= m_iters", id="n_iters"),
@@ -316,10 +316,11 @@ def test_config_that_is_not_utf8_is_config_error(capsys, tmp_path):
                  "prune stage exceeds the total step budget", id="budget"),
 ])
 def test_experiment_arm_plans_checked_at_load(capsys, small_cfg_path,
-                                              tmp_path, command, plan,
+                                              tmp_path, experiment, plan,
                                               message):
     """A one-shot config leaves the iteration keys unchecked by its own
-    plan; an experiment whose arms read them rejects them at load."""
+    plan; every experiment has an arm that reads them, and ``grid`` rejects
+    them at load."""
     cfg = RunConfig.load(small_cfg_path)
     cfg.out_dir = str(tmp_path / "runs")
     cfg.plan_mode = "one-shot"
@@ -329,7 +330,11 @@ def test_experiment_arm_plans_checked_at_load(capsys, small_cfg_path,
     cfg.save(path)
     args = build_parser().parse_args(["prune", "--config", str(path)])
     assert _load_config(args) == cfg
-    code, out = run_cli(capsys, command, "--config", str(path))
+    with pytest.raises(ValueError, match=message):
+        for arm in pipeline.GRID:
+            if arm.experiment == experiment:
+                pipeline.build_plan(cfg, arm)
+    code, out = run_cli(capsys, "grid", "--config", str(path))
     assert code == 2
     assert one_error_line(out, "error: config:") == f"error: config: {message}"
     assert not (tmp_path / "runs").exists()
@@ -349,11 +354,20 @@ def test_removed_plan_key_is_unknown(capsys, small_cfg_path, tmp_path):
 ])
 def test_usage_errors_are_one_line(capsys, small_cfg_path, tmp_path, extra,
                                    message):
-    code, out = run_cli(capsys, "table1", "--config", str(small_cfg_path),
+    code, out = run_cli(capsys, "grid", "--config", str(small_cfg_path),
                         "--out", str(tmp_path), *extra)
     assert code == 2
     assert one_error_line(out, "error: usage:") == f"error: usage: {message}"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["table1", "table2", "fig2"])
+def test_experiment_commands_are_gone(capsys, small_cfg_path, command):
+    """The experiments are views of one ``grid`` run."""
+    code, out = run_cli(capsys, command, "--config", str(small_cfg_path))
+    assert code == 2
+    assert one_error_line(out, "error: usage:").startswith(
+        f"error: usage: argument command: invalid choice: '{command}'")
 
 
 def test_missing_config_flag_is_usage_error(capsys):
@@ -374,37 +388,97 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     loads = common | {"--stage", "--checkpoint"}
     assert got == {"pretrain": common, "prune": common,
                    "sample": loads | {"--n"}, "evaluate": loads,
-                   "table1": common, "table2": common, "fig2": common}
-    assert sum(len(flags) for flags in got.values()) == 26
+                   "grid": common}
+    assert sum(len(flags) for flags in got.values()) == 20
 
 
-def test_table1_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,
-                                                      tmp_path, monkeypatch):
-    calls = []
-    real = pipeline.sample_ddim
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "sample_ddim", counting)
-    code, out = run_cli(capsys, "table1", "--config", str(small_cfg_path),
-                        "--out", str(tmp_path))
-    assert code == 0
-    # one dense pass per seed, then one per arm
-    assert len(calls) == 1 + len(pipeline.TABLE1_ARMS)
-    with open(json.loads(out.out)["results_csv"]) as fh:
-        rows = list(csv.DictReader(fh))
-    dense = [r for r in rows if r["method"] == "dense"]
-    assert len(dense) == 1 and float(dense[0]["ssim"]) == 1.0
-
-
-def test_experiments_share_one_pretrain_per_seed(capsys, small_cfg_path,
-                                                 tmp_path, monkeypatch):
+def two_seed_config(small_cfg_path, tmp_path):
     cfg = RunConfig.load(small_cfg_path)
     cfg.seeds = [0, 1]
     path = tmp_path / "two-seeds.cfg"
     cfg.save(path)
+    return cfg, path
+
+
+def read_csv(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_grid_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,
+                                                    tmp_path, monkeypatch):
+    cfg, path = two_seed_config(small_cfg_path, tmp_path)
+    evaluated = []
+    real = pipeline.sample_ddim
+
+    def counting(model, sched, n, *args, **kwargs):
+        if n == cfg.eval_samples:  # not a trace
+            evaluated.append(all((m == 1).all() for m in model.masks.values()))
+        return real(model, sched, n, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_ddim", counting)
+    code, out = run_cli(capsys, "grid", "--config", str(path),
+                        "--out", str(tmp_path))
+    assert code == 0
+    # per seed, one dense pass, then one per distinct arm
+    assert evaluated == 2 * ([True] + 9 * [False])
+    dense = [r for r in read_csv(json.loads(out.out)["results_csv"])
+             if r["method"] == "dense"]
+    assert [(r["experiment"], r["seed"]) for r in dense] == [
+        (e, s) for s in "01" for e in ("table1", "table2", "fig2")]
+    assert all(float(r["ssim"]) == 1.0 for r in dense)
+
+
+def test_grid_runs_each_distinct_arm_once_per_seed(capsys, small_cfg_path,
+                                                   tmp_path, monkeypatch):
+    cfg, path = two_seed_config(small_cfg_path, tmp_path)
+    runs = []
+    real = pipeline.prune_run
+
+    def counting(cfg, seed, pre, out_dir, arm, **kwargs):
+        runs.append((seed, arm.criterion, arm.mode, kwargs["quality_trace"]))
+        return real(cfg, seed, pre, out_dir, arm, **kwargs)
+
+    monkeypatch.setattr(pipeline, "prune_run", counting)
+    code, out = run_cli(capsys, "grid", "--config", str(path),
+                        "--out", str(tmp_path))
+    assert code == 0
+    assert len(runs) == 2 * 9 and len(set(runs)) == len(runs)
+    # only the runs a fig2 row reads are traced
+    assert {r[1:3] for r in runs if r[3]} == {
+        ("gradient-flow", "progressive-soft"), ("taylor", "progressive-soft")}
+    summary = json.loads(out.out)
+    rows = read_csv(summary["results_csv"])
+    assert summary["rows"] == len(rows) == 2 * (3 + len(pipeline.GRID))
+    traces = read_csv(summary["trace_csv"])
+    assert {(r["method"], r["seed"]) for r in traces} == {
+        (m, s) for m in ("gradient-flow", "taylor") for s in "01"}
+    assert len(traces) == 4 * cfg.plan_m_iters
+
+
+def test_grid_medians_keep_experiments_apart(capsys, small_cfg_path,
+                                             tmp_path):
+    _, path = two_seed_config(small_cfg_path, tmp_path)
+    code, out = run_cli(capsys, "grid", "--config", str(path),
+                        "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads(out.out)
+    rows = read_csv(summary["results_csv"])
+    for field in ("frechet", "ssim"):
+        medians = summary[f"median_{field}"]
+        for experiment in ("table1", "fig2"):
+            # table1's one-shot taylor and fig2's progressive-soft taylor
+            # are different arms
+            got = [float(r[field]) for r in rows if r["method"] == "taylor"
+                   and r["experiment"] == experiment]
+            assert len(got) == 2
+            assert medians[experiment]["taylor"] == np.median(got)
+        assert set(medians) == {"table1", "table2", "fig2"}
+
+
+def test_experiments_share_one_pretrain_per_seed(capsys, small_cfg_path,
+                                                 tmp_path, monkeypatch):
+    _, path = two_seed_config(small_cfg_path, tmp_path)
     pretrained = []
     real = pipeline.train
 
@@ -414,7 +488,7 @@ def test_experiments_share_one_pretrain_per_seed(capsys, small_cfg_path,
         return real(model, sched, data, steps, opt, seed, stage, **kwargs)
 
     monkeypatch.setattr(pipeline, "train", counting)
-    for command in ("table1", "table2"):
+    for command in ("prune", "grid"):
         code, _ = run_cli(capsys, command, "--config", str(path),
                           "--out", str(tmp_path / "runs"))
         assert code == 0
@@ -565,17 +639,15 @@ def test_every_arm_runs_the_row_group_regime_with_its_criterion():
         "fig2": [("gradient-flow", "progressive-soft", 40),
                  ("taylor", "progressive-soft", 40)],
     }
-    arms = {"table1": pipeline.TABLE1_ARMS, "table2": pipeline.TABLE2_ARMS,
-            "fig2": pipeline.FIG2_ARMS}
-    for table, table_arms in arms.items():
-        got = []
-        for arm in table_arms:
-            plan = pipeline.build_plan(cfg, arm)
-            assert plan.final_criterion == plan.criterion, arm
-            if plan.m_iters:
-                assert plan.granularity == "row-group", arm
-            got.append((plan.criterion, plan.mode, plan.m_iters))
-        assert got == want[table], table
+    got = {}
+    for arm in pipeline.GRID:
+        plan = pipeline.build_plan(cfg, arm)
+        assert plan.final_criterion == plan.criterion, arm
+        if plan.m_iters:
+            assert plan.granularity == "row-group", arm
+        got.setdefault(arm.experiment, []).append(
+            (plan.criterion, plan.mode, plan.m_iters))
+    assert got == want
     # without an arm the plan is the config's
     plan = pipeline.build_plan(cfg)
     assert (plan.criterion, plan.mode, plan.m_iters, plan.granularity,
