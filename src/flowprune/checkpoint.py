@@ -16,7 +16,9 @@ Layout, format version 2 (all integers little-endian):
 
 Metadata (stage name, iteration, config hash, ...) rides along as one
 reserved uint8 tensor named ``__meta__json`` holding the UTF-8 bytes of a
-JSON object. Other tensors are stored as float64. Only version 2 is read.
+JSON object. Other tensors are stored as float64, so a float32 tensor
+(the model's and the optimizer's) is cast on save and loads back exactly.
+Only version 2 is read.
 
 Saving is atomic: the container is written to a temporary file in the target
 directory and renamed over the target, so a reader sees either the previous

@@ -37,6 +37,7 @@ from .pipeline import (
     evaluate_model,
     load_stage_model,
     medians,
+    paired_counts,
     pretrain,
     prune_run,
     run_grid,
@@ -159,6 +160,7 @@ def cmd_grid(args) -> dict:
         "trace_csv": out["trace_csv"],
         "median_frechet": medians(out["rows"], "frechet"),
         "median_ssim": medians(out["rows"], "ssim"),
+        "paired": paired_counts(out["rows"]),
         "rows": len(out["rows"]),
     }
 

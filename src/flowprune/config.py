@@ -22,6 +22,8 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .diffusion import TRAIN_DTYPE
+
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
@@ -199,6 +201,9 @@ class RunConfig:
 
 
 def _digest(items: dict) -> str:
+    """Hash of ``items`` and the training precision, so a checkpoint
+    trained in another precision does not pass for this config's."""
+    items = {**items, "train_dtype": TRAIN_DTYPE.__name__}
     return hashlib.sha256(dump_kv(items).encode("utf-8")).hexdigest()[:16]
 
 

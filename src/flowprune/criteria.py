@@ -20,6 +20,12 @@ batches the caller passes, which ``score_batches`` draws with timesteps
 stratified evenly over [0, T), so the batch seed fully determines the
 scores. The prune loop draws one such set per stage and scores every mask
 update of that stage on it.
+
+The model trains in float32, but ``compute_scores`` and
+``gradient_flow_delta`` work on a float64 copy of it
+(``NoisePredictor.float64``), dropped when they return: scores, the loss
+they read, its gradient and the HVP are float64, and the model's own arrays
+are left as they were.
 """
 
 from __future__ import annotations
@@ -88,8 +94,9 @@ def gradient_flow_delta_from_record(record, inputs, names,
 
 def gradient_flow_delta(model: NoisePredictor, sched: DiffusionSchedule,
                         batch: TrainBatch) -> float:
-    """Squared gradient norm of the loss over all trainable parameters."""
-    ctx = loss(model, sched, batch)
+    """Squared gradient norm of the loss over all trainable parameters, in
+    float64."""
+    ctx = loss(model.float64(), sched, batch)
     return gradient_flow_delta_from_record(ctx.record, ctx.inputs,
                                            list(model.params), ctx.values)
 
@@ -99,6 +106,7 @@ def compute_scores(criterion: str, model: NoisePredictor,
                    ) -> dict[str, np.ndarray]:
     """Per-weight scores of one criterion, the pruning driver's entry point.
 
+    Scores are float64, computed on a float64 copy of ``model``.
     Magnitude is |effective weight|. Taylor and gradient-flow average their
     record scorers over ``batches``: Taylor on the masked loss,
     gradient-flow on the dense loss with the effective weights as
@@ -110,6 +118,7 @@ def compute_scores(criterion: str, model: NoisePredictor,
     ranking can then be read from them; ``FloatingPointError`` for a
     non-finite score.
     """
+    model = model.float64()
     if criterion == "magnitude":
         scores = {n: np.abs(model.params[n] * m)
                   for n, m in model.masks.items()}

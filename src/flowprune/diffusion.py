@@ -20,12 +20,18 @@ their masks, so masked-out entries of surviving rows stay frozen when it
 trains, and ``write_back`` scatters its parameters into the full layout. An
 unpruned model compacts to itself, so its samples do not change.
 
+Parameters, masks and Adam's moments are float32 (``TRAIN_DTYPE``), and
+``loss`` casts its float64 noisy input, embedding and noise to the
+parameters' dtype, so every training step replays its record, gradient
+included, in float32. Scoring and the oracles run on ``float64()`` copies,
+and ``predict`` without a ``weights`` feed runs in float64 too. The data
+math (``noisy_sample``, the embedding table) stays float64.
+
 ``sample_ddim`` runs the compacted predictor in float32. It casts the
 effective weights to float32 once per call, and ``predict`` casts each
 block's rows and the step's embedding row to the weights' dtype, so the
 engine replays the forward in single precision. The DDIM update and the
-returned samples stay float64, and so do training, scoring, the HVP and
-every ``predict`` call without a ``weights`` feed. The sampler draws all its
+returned samples stay float64. The sampler draws all its
 starting noise at once, then carries one block of rows at a time through
 every step, so a block's widest activation fits in ``_BLOCK_BYTES``
 (512 KiB: 1024 float32 rows at width 128) and its elementwise ops work in
@@ -48,6 +54,11 @@ import numpy as np
 from . import engine
 from .engine import Record
 from .seeding import make_rng
+
+
+# The precision of parameters, masks and Adam's moments, and so of every
+# training step; see the module docstring for what stays float64.
+TRAIN_DTYPE = np.float32
 
 
 class TrainingDiverged(RuntimeError):
@@ -147,7 +158,8 @@ class NoisePredictor:
         rng = make_rng(seed, "init")
 
         def he(out_n, in_n):
-            return rng.standard_normal((out_n, in_n)) * np.sqrt(2.0 / in_n)
+            w = rng.standard_normal((out_n, in_n)) * np.sqrt(2.0 / in_n)
+            return w.astype(TRAIN_DTYPE)
 
         self.params: dict[str, np.ndarray] = {}
         self.masks: dict[str, np.ndarray] = {}
@@ -156,8 +168,8 @@ class NoisePredictor:
         sizes += [("out", hidden, dim)]
         for tag, in_n, out_n in sizes:
             self.params[f"{tag}.w"] = he(out_n, in_n)
-            self.params[f"{tag}.b"] = np.zeros(out_n)
-            self.masks[f"{tag}.w"] = np.ones((out_n, in_n))
+            self.params[f"{tag}.b"] = np.zeros(out_n, TRAIN_DTYPE)
+            self.masks[f"{tag}.w"] = np.ones((out_n, in_n), TRAIN_DTYPE)
         self._records: dict[tuple, Record] = {}
 
     # Final projection: structured (group) pruning skips it, or it could
@@ -176,6 +188,15 @@ class NoisePredictor:
 
     def bias_param_count(self) -> int:
         return sum(self.params[n].size for n in self.bias_names)
+
+    def float64(self) -> "NoisePredictor":
+        """A copy with float64 parameters and masks, for scoring and the
+        oracles. It shares this predictor's records, which replay in the
+        precision of their feed."""
+        wide = copy.copy(self)
+        wide.params = {n: a.astype(np.float64) for n, a in self.params.items()}
+        wide.masks = {n: m.astype(np.float64) for n, m in self.masks.items()}
+        return wide
 
     def param_inputs(self, masked: bool = True) -> dict[str, np.ndarray]:
         """Record feed: effective (masked) or raw weights, plus biases."""
@@ -232,10 +253,12 @@ class NoisePredictor:
 
         ``weights`` is a :meth:`param_inputs` feed, built once by a caller
         that predicts many times; ``x`` and the embedding are cast to its
-        dtype, so a float32 feed runs the forward in float32."""
+        dtype, so a float32 feed runs the forward in float32. Without it
+        the forward runs in float64 on the :meth:`float64` copy's feed."""
         temb = time_embedding(np.atleast_1d(t), self.temb_dim)
         rec = self.eps_record(x.shape[0], temb.shape[0])
-        feed = dict(self.param_inputs() if weights is None else weights)
+        feed = dict(self.float64().param_inputs() if weights is None
+                    else weights)
         dtype = feed["out.w"].dtype
         feed["x"] = np.asarray(x, dtype=dtype)
         feed["temb"] = temb.astype(dtype, copy=False)
@@ -336,11 +359,17 @@ class LossContext:
 
 def loss(model: NoisePredictor, sched: DiffusionSchedule,
          batch: TrainBatch, masked: bool = True) -> LossContext:
+    """The loss of ``batch``, replayed in the precision of the model's
+    parameters: the float64 noisy input, embedding and noise are cast to
+    it."""
     rec = model.loss_record(batch.x0.shape[0])
     feed = model.param_inputs(masked=masked)
-    feed["x"] = noisy_sample(sched, batch.x0, batch.t, batch.eps)
-    feed["temb"] = time_embedding(batch.t, model.temb_dim)
-    feed["eps"] = batch.eps
+    dtype = feed["out.w"].dtype
+    feed["x"] = noisy_sample(sched, batch.x0, batch.t, batch.eps).astype(
+        dtype, copy=False)
+    feed["temb"] = time_embedding(batch.t, model.temb_dim).astype(
+        dtype, copy=False)
+    feed["eps"] = batch.eps.astype(dtype, copy=False)
     values: dict = {}
     value = float(engine.forward(rec, feed, values))
     return LossContext(value=value, record=rec, inputs=feed, values=values)
@@ -355,7 +384,10 @@ def draw_batch(data: np.ndarray, sched: DiffusionSchedule, batch: int,
 
 
 class Adam:
-    """Adam over the model's parameter dict, updating arrays in place."""
+    """Adam over the model's parameter dict, updating arrays in place. Its
+    moments ``m`` and ``v`` take the parameters' dtype and keep it through
+    :meth:`load_state`, so a resumed step computes what an uninterrupted
+    one would."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -389,8 +421,8 @@ class Adam:
 
     def load_state(self, tensors: dict[str, np.ndarray]):
         for n in self.m:
-            self.m[n] = np.array(tensors[f"adam.m.{n}"])
-            self.v[n] = np.array(tensors[f"adam.v.{n}"])
+            self.m[n] = np.array(tensors[f"adam.m.{n}"], self.m[n].dtype)
+            self.v[n] = np.array(tensors[f"adam.v.{n}"], self.v[n].dtype)
         self.step_count = int(tensors["adam.step"])
 
 
@@ -471,7 +503,7 @@ def sample_ddim(model: NoisePredictor, sched: DiffusionSchedule, n: int,
     the matmuls' rounding depends on the block size.
     """
     model = model.compact()
-    weights = {name: a.astype(np.float32)
+    weights = {name: a.astype(np.float32, copy=False)
                for name, a in model.param_inputs().items()}
     ts = ddim_timesteps(sched.T, substeps)[::-1]
     ab = sched.alpha_bar[ts]

@@ -10,10 +10,14 @@ is itself a differentiable graph and Hessian-vector products fall out of a
 second reverse pass (double backprop).
 A central-finite-difference HVP is provided as an independent cross-check.
 
-Values are float64. The one exception is an input fed as float32, which
-replays as float32, so a forward fed only float32 arrays runs in single
-precision end to end (the DDIM sampler's). Every other input is converted
-to float64, and consts are float64.
+A replay runs in the precision of its feed. An input fed as float32
+replays as float32; every other input is converted to float64, and consts
+are float64. The gradient seed is the output's own ``affine(out, 0, 1)``,
+so it takes the output's dtype: a record fed only float32 arrays runs its
+forward, gradient and HVP in single precision end to end (training and the
+DDIM sampler do), and one fed float64 arrays runs in float64 throughout,
+its Python-float ``affine`` scales never rounded to float32 (scoring and
+the oracles do).
 
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.
@@ -382,7 +386,9 @@ class Record:
             if nid in wrt_ids or any(a in relevant for a in node.args):
                 relevant.add(nid)
 
-        contribs: dict[int, list[Ref]] = {out_id: [self.const(np.float64(1.0))]}
+        # d out / d out = 1, in the output's dtype
+        seed = self.affine(Ref(self, out_id), 0.0, 1.0)
+        contribs: dict[int, list[Ref]] = {out_id: [seed]}
         grads: dict[int, Ref] = {}
         for nid in sorted(relevant, reverse=True):
             parts = contribs.get(nid)

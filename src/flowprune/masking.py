@@ -56,6 +56,9 @@ def soft_sparsity(masks: dict[str, np.ndarray], p: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    # a Python float takes each mask's dtype, so a float32 mask entry set
+    # to p compares equal to it
+    p = float(p)
     total = sum(m.size for m in masks.values())
     if total == 0:
         return 0.0
@@ -92,7 +95,8 @@ def apply_mask_update(
     exclude: tuple[str, ...] = (),
 ) -> MaskState:
     """Recompute every mask in ``masks``: the lowest-scoring floor(s_t *
-    units) get ``p_t``, the rest 1. New arrays replace the dict's entries.
+    units) get ``p_t``, the rest 1. New arrays of each mask's dtype replace
+    the dict's entries.
 
     Masks are rebuilt from scratch, so any previously pruned unit whose score
     recovers is restored to 1.
@@ -128,7 +132,7 @@ def apply_mask_update(
 
     for n in active:
         masks[n] = np.where(np.repeat(keep[n], group[n]).reshape(
-            masks[n].shape), 1.0, p_t)
+            masks[n].shape), 1.0, p_t).astype(masks[n].dtype, copy=False)
     return MaskState(
         p_current=float(p_t),
         kept={n: keep[n] for n in active},

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,9 +127,9 @@ def model_tensors(model: NoisePredictor, opt: Adam | None = None) -> dict:
 
 
 def restore_model(model: NoisePredictor, tensors: dict) -> None:
-    """Load the model's parameters and masks from checkpoint tensors; a
-    tensor that is missing or shaped unlike the model's raises
-    ``CheckpointError``."""
+    """Load the model's parameters and masks from checkpoint tensors, cast
+    to the model's dtype; a tensor that is missing or shaped unlike the
+    model's raises ``CheckpointError``."""
 
     def take(name: str, shape: tuple) -> np.ndarray:
         if name not in tensors:
@@ -141,7 +142,8 @@ def restore_model(model: NoisePredictor, tensors: dict) -> None:
     for name, arr in model.params.items():
         arr[...] = take(name, arr.shape)
     for name, mask in model.masks.items():
-        model.masks[name] = np.array(take(f"{name}.mask", mask.shape))
+        model.masks[name] = np.array(take(f"{name}.mask", mask.shape),
+                                     mask.dtype)
 
 
 def stage_path(cfg: RunConfig, stage: str, seed: int, run_dir=None) -> Path:
@@ -408,3 +410,29 @@ def medians(rows: list[dict], field: str) -> dict:
             row["method"], []).append(float(row[field]))
     return {e: {m: float(np.median(v)) for m, v in by_method.items()}
             for e, by_method in values.items()}
+
+
+# how one seed's value beats another's: lower Frechet, higher SSIM
+_BEATS = {"frechet": operator.lt, "ssim": operator.gt}
+
+
+def paired_counts(rows: list[dict]) -> list[str]:
+    """Table 1's and Table 2's rows against their table's
+    gradient-flow/progressive-soft row, seed by seed: for Frechet and SSIM
+    and each other row, "<experiment> <metric>: A beats B on k of n
+    seeds". A tie beats neither."""
+    lines = []
+    for experiment in ("table1", "table2"):
+        table = [r for r in rows if r["experiment"] == experiment]
+        ours = {r["seed"]: r for r in table if (r["criterion"], r["mode"])
+                == ("gradient-flow", "progressive-soft")}
+        a = next(iter(ours.values()))["method"]
+        others = dict.fromkeys(r["method"] for r in table if r["method"] != a)
+        for field, beats in _BEATS.items():
+            for b in others:
+                pairs = [(float(ours[r["seed"]][field]), float(r[field]))
+                         for r in table if r["method"] == b]
+                k = sum(beats(x, y) for x, y in pairs)
+                lines.append(f"{experiment} {field}: {a} beats {b} on {k} of "
+                             f"{len(pairs)} seeds")
+    return lines

@@ -70,7 +70,7 @@ class TestAcceptance1HVPOracle:
         model, sched, data = tiny_trained_denoiser()
         batch = score_batches(sched, data, seed=3, n_batches=1,
                               batch_size=64)[0]
-        ctx = loss(model, sched, batch)
+        ctx = loss(model.float64(), sched, batch)
         names = sorted(model.params)
         g = engine.gradient(ctx.record, ctx.inputs, names)
         hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names, g,
@@ -132,7 +132,7 @@ class TestAcceptance2GradientFlowDelta:
                 p[:] = rng.normal(size=p.shape) * 0.6
             batch = score_batches(sched, data, seed=7 + k, n_batches=1,
                                   batch_size=32)[0]
-            ctx = loss(model, sched, batch)
+            ctx = loss(model.float64(), sched, batch)
             names = sorted(model.params)
             grads = engine.gradient(ctx.record, ctx.inputs, names)
             delta = gradient_flow_delta_from_record(ctx.record, ctx.inputs,
@@ -151,7 +151,7 @@ class TestAcceptance3SignTest:
         model, sched, data = tiny_trained_denoiser(seed=2, steps=400)
         batch = score_batches(sched, data, seed=9, n_batches=1,
                               batch_size=128)[0]
-        ctx = loss(model, sched, batch)
+        ctx = loss(model.float64(), sched, batch)
         names = sorted(model.params)
         scores = gradient_flow_scores_from_record(ctx.record, ctx.inputs,
                                                   names)

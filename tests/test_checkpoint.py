@@ -181,6 +181,39 @@ def test_resume_bit_identical_next_loss(tmp_path):
     ).tobytes()
 
 
+def test_resume_keeps_the_training_precision(tmp_path):
+    """Checkpoints store float64; loading casts back into the float32
+    parameters, masks and Adam moments, so the steps after a resume match
+    uninterrupted training bit for bit."""
+    from flowprune.datasets import DatasetSpec, generate
+    from flowprune.diffusion import Adam, NoisePredictor, make_schedule, train
+    from flowprune.pipeline import model_tensors, restore_model
+
+    data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+    sched = make_schedule(50, 1e-3, 0.05)
+    runs = []
+    for resume in (False, True):
+        model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
+        opt = Adam(model.params, 2e-3)
+        train(model, sched, data, steps=4, opt=opt, seed=3, stage="prec",
+              batch_size=16)
+        if resume:
+            save_checkpoint(tmp_path / "mid.ckpt", model_tensors(model, opt))
+            model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4,
+                                   seed=1)
+            opt = Adam(model.params, 2e-3)
+            tensors, _ = load_checkpoint(tmp_path / "mid.ckpt")
+            restore_model(model, tensors)
+            opt.load_state(tensors)
+        for state in (model.params, model.masks, opt.m, opt.v):
+            assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
+        trace = train(model, sched, data, steps=3, opt=opt, seed=3,
+                      stage="prec", start_step=4, batch_size=16,
+                      log_interval=1)
+        runs.append((trace, {n: a.tobytes() for n, a in model.params.items()}))
+    assert runs[0] == runs[1]
+
+
 class _FailingFile:
     """File stand-in that writes the first half of a buffer, then fails."""
 

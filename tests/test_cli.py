@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from flowprune import pipeline
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
 from flowprune.cli import _load_config, build_parser, main
-from flowprune.config import RunConfig
+from flowprune.config import RunConfig, dump_kv
 from test_checkpoint import v1_container
 
 
@@ -476,6 +477,36 @@ def test_grid_medians_keep_experiments_apart(capsys, small_cfg_path,
         assert set(medians) == {"table1", "table2", "fig2"}
 
 
+def test_grid_prints_paired_counts(capsys, small_cfg_path, tmp_path):
+    _, path = two_seed_config(small_cfg_path, tmp_path)
+    code, out = run_cli(capsys, "grid", "--config", str(path),
+                        "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads(out.out)
+    value = {(r["experiment"], r["method"], r["seed"], field): float(r[field])
+             for r in read_csv(summary["results_csv"])
+             for field in ("frechet", "ssim")}
+    want = []
+    for experiment, ours, others in (
+            ("table1", "gradient-flow", ["dense", "magnitude", "taylor"]),
+            ("table2", "+progressive-soft",
+             ["dense", "iterative/magnitude", "iterative/taylor",
+              "iterative/gradient-flow", "+soft", "+progressive"])):
+        for field in ("frechet", "ssim"):
+            for other in others:
+                wins = 0
+                for seed in "01":
+                    a = value[experiment, ours, seed, field]
+                    b = value[experiment, other, seed, field]
+                    wins += a < b if field == "frechet" else a > b
+                want.append(f"{experiment} {field}: {ours} beats {other} on "
+                            f"{wins} of 2 seeds")
+    assert summary["paired"] == want
+    # each count is one line of the printed summary
+    printed = [line.strip().rstrip(",") for line in out.out.splitlines()]
+    assert all(json.dumps(line) in printed for line in want)
+
+
 def test_experiments_share_one_pretrain_per_seed(capsys, small_cfg_path,
                                                  tmp_path, monkeypatch):
     _, path = two_seed_config(small_cfg_path, tmp_path)
@@ -519,6 +550,43 @@ def test_pretrain_reuses_only_a_checkpoint_of_the_same_config(
     _, meta = load_checkpoint(path)
     assert meta["pretrain_hash"] == cfg.pretrain_digest()
     assert meta["iteration"] == 70
+
+
+def float64_era_pretrain_digest(cfg):
+    """``pretrain_digest`` as it was while training ran in float64: the
+    fields alone, without the training precision."""
+    keys = ["dataset_kind", "dataset_size", "dataset_seed", "model_hidden",
+            "model_depth", "model_temb_dim", "diffusion_t",
+            "diffusion_beta_start", "diffusion_beta_end", "train_lr",
+            "train_batch", "pretrain_steps"]
+    items = {k: getattr(cfg, k) for k in keys}
+    return hashlib.sha256(dump_kv(items).encode("utf-8")).hexdigest()[:16]
+
+
+def test_pretrain_retrains_a_float64_era_checkpoint(small_cfg_path, tmp_path,
+                                                    monkeypatch):
+    # the old formula, checked against the value it was pinned to
+    assert float64_era_pretrain_digest(RunConfig()) == "306221b9a53e5a85"
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    ckpt = pipeline.stage_path(cfg, "pretrain", 0)
+    ckpt.parent.mkdir(parents=True)
+    old = float64_era_pretrain_digest(cfg)
+    assert old != cfg.pretrain_digest()
+    save_checkpoint(ckpt, {"layer0.w": np.zeros((12, 2))},
+                    {"pretrain_hash": old})
+    trained = []
+    real = pipeline.train
+
+    def counting(*args, **kwargs):
+        trained.append(kwargs["steps"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", counting)
+    assert pipeline.pretrain(cfg, 0) == str(ckpt)
+    assert trained == [60]
+    _, meta = load_checkpoint(ckpt)
+    assert meta["pretrain_hash"] == cfg.pretrain_digest()
 
 
 @pytest.mark.parametrize("damage", ["flipped-byte", "version-1"])

@@ -130,7 +130,7 @@ class TestGradientFlowQuadratic:
         # model-level oracle: finite-difference H g on the same record,
         # times the effective weights
         names = model.weight_names
-        ctx = loss(model, sched, batches[0], masked=False)
+        ctx = loss(model.float64(), sched, batches[0], masked=False)
         g = engine.gradient(ctx.record, ctx.inputs, names)
         hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names, g,
                                            method="fd")
@@ -161,7 +161,7 @@ class TestDelta:
                               batch_size=32)[0]
         from flowprune.diffusion import loss
 
-        ctx = loss(model, sched, batch)
+        ctx = loss(model.float64(), sched, batch)
         names = list(model.params)
         grads = engine.gradient(ctx.record, ctx.inputs, names)
         delta = gradient_flow_delta(model, sched, batch)
@@ -220,7 +220,8 @@ class TestDeterminismAndMasks:
     def test_gradient_flow_matches_fresh_replays(self):
         """Reusing forward and gradient values gives the bits of separate
         forward, gradient and HVP replays."""
-        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=4)
+        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
+                               seed=4).float64()
         model.masks["layer1.w"] = make_rng(5, "m").uniform(
             size=model.params["layer1.w"].shape)
         sched = make_schedule(50, 0.001, 0.05)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flowprune import engine
-from flowprune.criteria import compute_scores
+from flowprune import criteria, diffusion, engine
+from flowprune.criteria import compute_scores, gradient_flow_delta
 from flowprune.datasets import DatasetSpec, generate
 from flowprune.diffusion import (
     Adam,
@@ -127,7 +127,7 @@ class TestLoss:
             t=rng.integers(0, 50, 8),
             eps=rng.normal(size=(8, 1)),
         )
-        ctx = loss(model, sched, batch)
+        ctx = loss(model.float64(), sched, batch)
         names = list(model.params)
         grads = engine.gradient(ctx.record, ctx.inputs, names)
         step = 1e-5
@@ -295,28 +295,55 @@ def test_sampler_builds_its_weight_feed_once(monkeypatch):
     assert len(calls) == 1 and calls[0].params["layer1.w"].shape[0] < 16
 
 
-def test_sampling_leaves_the_float64_state_alone():
-    """The float32 sampler casts copies: the model keeps the same float64
-    parameter and mask arrays with the same bits, and the loss, its
-    gradients, the gradient-flow scores and the samples are float64."""
-    model = row_pruned(0.5, seed=1)
+def test_training_runs_float32_and_scoring_float64(monkeypatch):
+    """A default-width training step replays only float32 node values and
+    keeps Adam's moments float32. Scoring, the gradient norm and the
+    sampler read float64 copies: the loss they replay is float64, and the
+    model keeps the same float32 parameter and mask arrays with the same
+    bits."""
+    model = NoisePredictor(dim=2, seed=1)
+    sched = make_schedule(1000, 1e-4, 0.02)
+    data = make_rng(1, "guard").standard_normal((256, 2))
+    contexts = []
+    real_loss = diffusion.loss
+
+    def keeping(*args, **kwargs):
+        contexts.append(real_loss(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(diffusion, "loss", keeping)
+    opt = Adam(model.params, 1e-3)
+    train(model, sched, data, steps=1, opt=opt, seed=1, stage="guard")
+    (ctx,) = contexts
+    # the step's forward and backward nodes
+    assert len(ctx.values) > 100
+    assert {np.asarray(v).dtype for v in ctx.values.values()} == {
+        np.dtype(np.float32)}
+    for state in (model.params, model.masks, opt.m, opt.v):
+        assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
+
     held = [(state, dict(state), {n: a.copy() for n, a in state.items()})
             for state in (model.params, model.masks)]
-    sched = make_schedule(100, 1e-3, 0.1)
+    contexts.clear()
+    monkeypatch.setattr(criteria, "loss", keeping)
+    batch = draw_batch(data, sched, 32, make_rng(1, "guard-batch"))
+    scores = compute_scores("gradient-flow", model, sched, [batch])
+    delta = gradient_flow_delta(model, sched, batch)
     assert sample_ddim(model, sched, 64, 10, noise_seed=2).dtype == np.float64
+    assert len(contexts) == 2
+    for ctx in contexts:
+        assert {np.asarray(v).dtype for v in ctx.values.values()} == {
+            np.dtype(np.float64)}
+    assert {a.dtype for a in scores.values()} == {np.dtype(np.float64)}
+    wide = model.float64()
+    want = compute_scores("gradient-flow", wide, sched, [batch])
+    assert all(scores[n].tobytes() == a.tobytes() for n, a in want.items())
+    assert delta == gradient_flow_delta(wide, sched, batch)
     for state, arrays, bits in held:
         assert state.keys() == arrays.keys()
         for name, arr in arrays.items():
-            assert state[name] is arr and arr.dtype == np.float64
+            assert state[name] is arr and arr.dtype == np.float32
             assert arr.tobytes() == bits[name].tobytes()
-    data = make_rng(1, "guard").standard_normal((256, 2))
-    batch = draw_batch(data, sched, 32, make_rng(1, "guard-batch"))
-    ctx = loss(model, sched, batch)
-    assert ctx.values[ctx.record.output].dtype == np.float64
-    _, grads = loss_and_grads(model, sched, batch)
-    scores = compute_scores("gradient-flow", model, sched, [batch])
-    for arrays in (grads, scores):
-        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("t", [0, 517, np.int64(999)])
@@ -430,8 +457,9 @@ def test_predict_peak_memory_is_a_few_activations():
 
 def row_pruned(s, seed=0):
     """A model with random biases and a per-layer row-group hard prune at
-    sparsity ``s`` on every weight but the output projection."""
-    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=seed)
+    sparsity ``s`` on every weight but the output projection, in float64."""
+    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
+                           seed=seed).float64()
     rng = make_rng(seed, "compact")
     for name in model.bias_names:
         model.params[name][...] = rng.normal(scale=0.5, size=model.params[name].shape)
@@ -470,7 +498,8 @@ class TestCompaction:
 
     @pytest.mark.parametrize("activation", ["silu"])
     def test_layer0_unit_kept_through_its_temb_row(self, activation):
-        model = NoisePredictor(dim=2, hidden=6, depth=2, temb_dim=4, seed=3)
+        model = NoisePredictor(dim=2, hidden=6, depth=2, temb_dim=4,
+                               seed=3).float64()
         rng = make_rng(3, "temb-row")
         for name in model.bias_names:
             model.params[name][...] = rng.normal(size=model.params[name].shape)

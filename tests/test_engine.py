@@ -244,6 +244,38 @@ def test_float32_feed_replays_in_float32(op):
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
+def test_float32_feed_differentiates_in_float32(op):
+    """The gradient seed takes the output's dtype, so a float32 feed
+    replays every forward and backward node in float32."""
+    rec, feed = build_single_op(op)
+    feed32 = {n: a.astype(np.float32) for n, a in feed.items()}
+    values = {}
+    grads = gradient(rec, feed32, sorted(feed32), values)
+    assert {np.asarray(v).dtype for v in values.values()} == {
+        np.dtype(np.float32)}
+    assert all(g.dtype == np.float32 for g in grads.values())
+
+
+def test_float64_gradient_keeps_python_scales_in_float64():
+    """A float64 output scaled by 1/3 has a float64 gradient seed: every
+    node is float64 and the gradient has the bits of the float64 chain
+    rule, not those of 1/3 rounded to float32."""
+    rec = Record()
+    x = rec.input("x", (3,))
+    rec.set_output(rec.affine(rec.sum_sq(x), 1.0 / 3.0))
+    feed = {"x": np.array([0.1, -2.5, 7.0])}
+    values = {}
+    got = gradient(rec, feed, ["x"], values)["x"]
+    assert {np.asarray(v).dtype for v in values.values()} == {
+        np.dtype(np.float64)}
+    # backward of affine(sum_sq(x), 1/3): (1.0 * 1/3) * x * 2
+    want = np.full(3, 1.0 / 3.0) * feed["x"] * 2.0
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    rounded = np.full(3, np.float32(1.0 / 3.0), np.float64) * feed["x"] * 2.0
+    assert got.tobytes() != rounded.tobytes()
+
+
+@pytest.mark.parametrize("op", ALL_OPS)
 def test_primitive_gradients_match_fd(op):
     rec, feed = build_single_op(op)
     names = sorted(feed)

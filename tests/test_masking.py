@@ -32,6 +32,23 @@ class TestSoftSparsity:
 
 
 class TestApplyMaskUpdate:
+    @pytest.mark.parametrize("granularity", ["element", "row-group"])
+    def test_float32_masks_stay_float32(self, granularity):
+        """A float32 mask set stays float32, and ``soft_sparsity`` at p finds
+        exactly the pruned entries, whether p is a Python float or not."""
+        rng = make_rng(3, "float32-masks")
+        masks = {"a": np.ones((4, 3), np.float32),
+                 "b": np.ones((6, 3), np.float32)}
+        scores = {n: rng.uniform(size=m.shape) for n, m in masks.items()}
+        state = apply_mask_update(masks, scores, 0.5, 0.7,
+                                  granularity=granularity)
+        assert {m.dtype for m in masks.values()} == {np.dtype(np.float32)}
+        pruned = sum(int(np.count_nonzero(m != 1.0)) for m in masks.values())
+        per_unit = 1 if granularity == "element" else 3
+        assert pruned == state.pruned_units * per_unit > 0
+        for p in (0.7, np.float64(0.7)):
+            assert soft_sparsity(masks, p) == pruned / 30
+
     def test_s_zero_keeps_everything(self):
         masks = flat_masks(3)
         scores = {"w": np.array([[3.0, 1.0, 2.0]])}

@@ -311,8 +311,10 @@ class TestDriver:
 def pruned_for_finetune(s, seed=0):
     """A hard-pruned model with random biases: per-layer row groups at
     sparsity ``s`` on every weight but the output projection, with one
-    layer-0 unit kept only by its temb.w row."""
-    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=seed)
+    layer-0 unit kept only by its temb.w row; float64, so both sides of
+    the oracle train in float64."""
+    model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
+                           seed=seed).float64()
     rng = make_rng(seed, "ft-oracle")
     for name in model.bias_names:
         model.params[name][...] = rng.normal(scale=0.5,
