@@ -39,10 +39,22 @@ value is released right after the last node in the plan that reads it, so
 large-batch replays hold a few live activations instead of all of them.
 Targets are never released; the caller's dict is never touched. A target
 set's plan and release points are computed once and cached together.
+
+Such a replay also recycles what it releases. The record keeps a free list
+of buffers per (shape, dtype); a released value goes on it when this replay
+computed it with an allocating op (matmul, add, mul, affine, sigmoid or
+silu), it is not a scalar, it owns its memory and nothing else references
+it, such as a transpose or broadcast view that is still live. An allocating
+op pops a matching buffer and writes into it: the DDIM sampler's second and
+later steps allocate no activation. Targets, inputs, consts and the values
+of a caller's dict are never recycled, and a replay with a ``values`` dict
+(training) neither takes nor gives buffers. Each op runs the same ufuncs in
+the same order either way, so a recycled replay gives the same bits.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -83,17 +95,55 @@ def _as_f64(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _exp_neg(x: np.ndarray) -> np.ndarray:
-    """exp(-x); below x = -709 (-88.7 in float32) it overflows to inf,
-    quietly, since sigmoid and SiLU turn that inf into their exact limits 0
-    and -0.0."""
+def _exp_neg(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-x), into ``out`` when given; below x = -709 (-88.7 in float32)
+    it overflows to inf, quietly, since sigmoid and SiLU turn that inf into
+    their exact limits 0 and -0.0."""
     with np.errstate(over="ignore"):
-        return np.exp(-x)
+        return np.exp(np.negative(x, out=out), out=out)
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x), computed as x / (1 + exp(-x))."""
-    return x / (1.0 + _exp_neg(x))
+def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(x), computed as x / (1 + exp(-x)); every pass writes
+    into ``out`` when it is given."""
+    return np.divide(x, np.add(1.0, _exp_neg(x, out), out=out), out=out)
+
+
+# Ops whose value is a new array, which a release-mode replay can write
+# into a recycled buffer.
+_ALLOCATING = frozenset(("matmul", "add", "mul", "affine", "sigmoid", "silu"))
+
+
+def _allocating(node: Node, vals: dict, out: np.ndarray | None) -> np.ndarray:
+    """The value of an allocating ``node``, into ``out`` when given. A
+    function of its own, so no name in the replay loop outlives the
+    arrays it reads."""
+    args = node.args
+    if node.op == "matmul":
+        return np.matmul(vals[args[0]], vals[args[1]], out=out)
+    if node.op == "add":
+        return np.add(vals[args[0]], vals[args[1]], out=out)
+    if node.op == "mul":
+        return np.multiply(vals[args[0]], vals[args[1]], out=out)
+    if node.op == "affine":
+        scale, shift = node.attrs
+        return np.add(np.multiply(vals[args[0]], scale, out=out), shift,
+                      out=out)
+    if node.op == "sigmoid":
+        return np.divide(1.0, np.add(1.0, _exp_neg(vals[args[0]], out),
+                                     out=out), out=out)
+    return silu(vals[args[0]], out)
+
+
+def _broadcast(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """Read-only view of ``x`` repeated along new leading axes, built by
+    the ndarray constructor when ``x`` is C-contiguous."""
+    if not (isinstance(x, np.ndarray) and x.flags.c_contiguous):
+        return np.broadcast_to(x, shape)
+    view = np.ndarray(shape, x.dtype, x, 0,
+                      (0,) * (len(shape) - x.ndim) + x.strides)
+    view.flags.writeable = False
+    return view
 
 
 class Record:
@@ -114,6 +164,7 @@ class Record:
         self._grad_cache: dict[tuple, dict[int, int]] = {}
         self._hvp_cache: dict[tuple, dict[str, int]] = {}
         self._schedules: dict[tuple, tuple[list[int], list[tuple]]] = {}
+        self._free: dict[tuple, list[np.ndarray]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -265,9 +316,14 @@ class Record:
     def _replay(self, targets: tuple, inputs: Mapping[str, np.ndarray],
                 vals: dict, release: bool) -> dict:
         """Evaluate the plan into ``vals``; with ``release``, delete each
-        non-target value from ``vals`` after its last use."""
+        non-target value from ``vals`` after its last use, and put it on
+        the free list when this replay made it with an allocating op and
+        holds the only reference to it. Allocating ops of a release replay
+        write into buffers from that list. Values that were in ``vals``
+        before the call are never recycled."""
         plan, releases = self._schedule(targets)
         drops = releases if release else repeat(())
+        made = set()
         for nid, drop in zip(plan, drops):
             node = self.nodes[nid]
             op = node.op
@@ -292,35 +348,41 @@ class Record:
                     )
             elif nid in vals:
                 pass
+            elif op in _ALLOCATING:
+                if release and node.shape:
+                    made.add(nid)
+                    vals[nid] = _allocating(node, vals, self._take(node, vals))
+                else:
+                    vals[nid] = _allocating(node, vals, None)
             elif op == "const":
                 vals[nid] = self.consts[nid]
-            elif op == "matmul":
-                vals[nid] = vals[node.args[0]] @ vals[node.args[1]]
             elif op == "transpose":
                 vals[nid] = vals[node.args[0]].T
             elif op == "broadcast":
-                vals[nid] = np.broadcast_to(vals[node.args[0]], node.attrs[0])
-            elif op == "add":
-                vals[nid] = vals[node.args[0]] + vals[node.args[1]]
-            elif op == "mul":
-                vals[nid] = vals[node.args[0]] * vals[node.args[1]]
-            elif op == "affine":
-                scale, shift = node.attrs
-                vals[nid] = vals[node.args[0]] * scale + shift
-            elif op == "sigmoid":
-                vals[nid] = 1.0 / (1.0 + _exp_neg(vals[node.args[0]]))
-            elif op == "silu":
-                vals[nid] = silu(vals[node.args[0]])
+                vals[nid] = _broadcast(vals[node.args[0]], node.attrs[0])
             elif op == "sum_axes":
                 vals[nid] = np.sum(vals[node.args[0]], axis=node.attrs[0])
             elif op == "sum_sq":
-                x = vals[node.args[0]]
-                vals[nid] = np.sum(x * x)
+                vals[nid] = np.sum(vals[node.args[0]] * vals[node.args[0]])
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
             for dead in drop:
-                del vals[dead]
+                value = vals.pop(dead)
+                # sole owner: ``value`` and getrefcount's own argument
+                if (dead in made and value.base is None
+                        and sys.getrefcount(value) == 2):
+                    self._free.setdefault((value.shape, value.dtype),
+                                          []).append(value)
         return vals
+
+    def _take(self, node: Node, vals: dict) -> np.ndarray:
+        """A free buffer of ``node``'s shape and result dtype, or a new
+        one."""
+        dtype = vals[node.args[0]].dtype
+        if len(node.args) == 2:
+            dtype = np.promote_types(dtype, vals[node.args[1]].dtype)
+        free = self._free.get((node.shape, dtype))
+        return free.pop() if free else np.empty(node.shape, dtype)
 
     # -- differentiation ---------------------------------------------------
 

@@ -72,16 +72,26 @@ def _ranked_keep(unit_scores: dict[str, np.ndarray],
     """Boolean keep array per parameter from one pooled ranking.
 
     The lowest floor(s_t * units) units are dropped in ascending
-    (score, name, index) order, the tie rule: pooling in name order and
-    sorting stably leaves equal scores in (name, index) order.
+    (score, name, index) order, the tie rule: pooled in name order, every
+    unit below the k-th lowest score goes, then that score's ties in index
+    order until k are gone. NaN ranks above every number, as in a sort.
+    A partition finds the k-th score in O(units).
     """
     names = sorted(unit_scores)
     if not names:
         return {}
     pooled = np.concatenate([unit_scores[n] for n in names])
-    order = np.argsort(pooled, kind="stable")
     keep = np.ones(pooled.size, dtype=bool)
-    keep[order[: int(np.floor(s_t * pooled.size))]] = False
+    k = int(np.floor(s_t * pooled.size))
+    if k:
+        kth = np.partition(pooled, k - 1)[k - 1]
+        if np.isnan(kth):
+            ties = np.isnan(pooled)
+            below = ~ties
+        else:
+            below, ties = pooled < kth, pooled == kth
+        keep[below] = False
+        keep[np.flatnonzero(ties)[: k - int(np.count_nonzero(below))]] = False
     bounds = np.cumsum([unit_scores[n].size for n in names])[:-1]
     return dict(zip(names, np.split(keep, bounds)))
 

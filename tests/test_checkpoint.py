@@ -163,7 +163,9 @@ def test_resume_bit_identical_next_loss(tmp_path):
           batch_size=16)
     save_checkpoint(tmp_path / "mid.ckpt", model_tensors(model, opt),
                     {"step": 7})
-    ref_trace = train(model, sched, data, steps=1, opt=opt, seed=3,
+    # three steps: the first loss is taken before the restored Adam state
+    # acts, the next two after it has
+    ref_trace = train(model, sched, data, steps=3, opt=opt, seed=3,
                       stage="resume", start_step=7, batch_size=16,
                       log_interval=1)
 
@@ -173,12 +175,17 @@ def test_resume_bit_identical_next_loss(tmp_path):
     restore_model(model2, tensors)
     opt2.load_state(tensors)
     assert meta["step"] == 7
-    got_trace = train(model2, sched, data, steps=1, opt=opt2, seed=3,
+    got_trace = train(model2, sched, data, steps=3, opt=opt2, seed=3,
                       stage="resume", start_step=7, batch_size=16,
                       log_interval=1)
-    assert np.float64(ref_trace[0][1]).tobytes() == np.float64(
-        got_trace[0][1]
-    ).tobytes()
+    assert len(got_trace) == 3
+    assert [np.float64(loss).tobytes() for _, loss in ref_trace] == [
+        np.float64(loss).tobytes() for _, loss in got_trace]
+    # at lr 2e-4 a restored state off by float32 rounding may leave three
+    # losses equal, so the parameters and moments must match too
+    assert [a.tobytes() for d in (model.params, opt.m, opt.v)
+            for a in d.values()] == [a.tobytes() for d in (
+                model2.params, opt2.m, opt2.v) for a in d.values()]
 
 
 def test_resume_keeps_the_training_precision(tmp_path):

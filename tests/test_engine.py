@@ -1,5 +1,6 @@
 """Engine tests: forward replay, gradients vs finite differences, HVPs."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from flowprune.engine import (
     Record,
+    Ref,
     forward,
     gradient,
     hessian_vector_product,
@@ -471,3 +473,89 @@ class TestRelease:
         assert set(kept) > set(targets)
         for nid in targets:
             assert got[nid].tobytes() == kept[nid].tobytes()
+
+
+def wide_record_and_feed(dtype, batch=512, width=64):
+    """A three-layer net whose hidden activations are [batch, width] and
+    whose output is [batch, 2]; every allocating op is on the path."""
+    rng = np.random.default_rng(11)
+    rec = Record()
+    x = rec.input("x", (batch, 4))
+    w1 = rec.input("w1", (width, 4))
+    b1 = rec.input("b1", (width,))
+    w2 = rec.input("w2", (width, width))
+    b2 = rec.input("b2", (width,))
+    w3 = rec.input("w3", (2, width))
+    h = rec.silu(rec.linear(x, w1, b1))
+    h = rec.sigmoid(rec.linear(h, w2, b2))
+    h = rec.affine(rec.mul(h, h), 2.0, -0.5)
+    rec.set_output(rec.linear(h, w3))
+    feed = {
+        "x": rng.normal(size=(batch, 4)),
+        "w1": rng.normal(size=(width, 4)),
+        "b1": rng.normal(size=(width,)) * 0.1,
+        "w2": rng.normal(size=(width, width)) * 0.2,
+        "b2": rng.normal(size=(width,)) * 0.1,
+        "w3": rng.normal(size=(2, width)) * 0.2,
+    }
+    return rec, {k: a.astype(dtype) for k, a in feed.items()}
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestFreeList:
+    """A replay that keeps nothing writes into buffers its record's earlier
+    replays released."""
+
+    def test_second_forward_allocates_no_activation(self, dtype):
+        rec, feed = wide_record_and_feed(dtype)
+        activation = 512 * 64 * np.dtype(dtype).itemsize
+        first, first_peak = traced_peak(lambda: forward(rec, feed))
+        second, second_peak = traced_peak(lambda: forward(rec, feed))
+        assert second.dtype == dtype
+        assert second.tobytes() == first.tobytes()
+        # the first replay allocates its activations, the second reuses them
+        assert first_peak >= activation
+        assert second_peak < activation
+
+    def test_hvp_leaves_the_callers_values(self, dtype):
+        rec, feed = wide_record_and_feed(dtype, batch=32, width=8)
+        rec.set_output(rec.sum_sq(Ref(rec, rec.output)))
+        wrt = ["w1", "b1", "w2", "w3"]
+        values = {}
+        forward(rec, feed, values)
+        g = gradient(rec, feed, wrt, values)
+        before = {nid: np.asarray(a).tobytes() for nid, a in values.items()}
+        runs = [hessian_vector_product(rec, feed, wrt, g, values=values)
+                for _ in range(3)]
+        forward(rec, feed)
+        assert values.keys() == before.keys()
+        for nid, arr in values.items():
+            assert np.asarray(arr).tobytes() == before[nid], nid
+        fresh = hessian_vector_product(rec, feed, wrt, gradient(rec, feed, wrt))
+        for hv in runs:
+            for k in wrt:
+                assert hv[k].tobytes() == fresh[k].tobytes()
+
+    def test_transposed_target_keeps_its_values(self, dtype):
+        rec = Record()
+        x = rec.input("x", (5, 3))
+        t = rec.transpose(rec.mul(x, x))
+        y = rec.add(x, x)  # same shape as mul's buffer, evaluated after it
+        rec.set_output(t)
+        rng = np.random.default_rng(3)
+        feeds = [rng.normal(size=(5, 3)).astype(dtype) for _ in range(4)]
+        outs = [forward(rec, {"x": f}) for f in feeds]
+        both = [rec.evaluate((t.nid, y.nid), {"x": f}) for f in feeds]
+        for f, out, vals in zip(feeds, outs, both):
+            assert out.tobytes() == (f * f).T.tobytes()
+            assert vals[t.nid].tobytes() == (f * f).T.tobytes()
+            assert vals[y.nid].tobytes() == (f + f).tobytes()
