@@ -26,7 +26,6 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError, save_checkpoint
 from .config import ConfigError, RunConfig
-from .datasets import DatasetSpec
 from .diffusion import TrainingDiverged, sample_ddim
 from .pipeline import (
     GRID,
@@ -53,19 +52,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> RunConfig:
-    """The config with ``--out`` and ``--seed`` applied; a dataset,
-    schedule, plan or model that ``DatasetSpec``, ``make_schedule``,
-    ``PrunePlan`` or ``NoisePredictor`` rejects, a negative or repeated
-    seed, a negative step count, or an evaluation size the metrics or the
-    sampler reject, fails here, before any stage runs. The plans checked
-    are the config's own and, for ``grid``, that of every ``GRID`` arm."""
+    """The config with ``--out`` and ``--seed`` applied; a dataset size
+    below 1, a schedule, plan or model that ``make_schedule``, ``PrunePlan``
+    or ``NoisePredictor`` rejects, a negative or repeated seed, a negative
+    step count, or an evaluation size the metrics or the sampler reject,
+    fails here, before any stage runs. The plans checked are the config's
+    own and, for ``grid``, that of every ``GRID`` arm."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seeds = [args.seed]
+    if cfg.dataset_size < 1:
+        raise ConfigError(f"dataset size must be at least 1, got "
+                          f"{cfg.dataset_size}")
     try:
-        DatasetSpec(cfg.dataset_kind, cfg.dataset_size, cfg.dataset_seed)
         build_schedule(cfg)
         for arm in (None, *(GRID if args.command == "grid" else ())):
             build_plan(cfg, arm)

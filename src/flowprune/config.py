@@ -110,7 +110,6 @@ def dump_kv(items: dict) -> str:
 class RunConfig:
     """Everything one experiment run needs, flat and serializable."""
 
-    dataset_kind: str = "ring-mixture"
     dataset_size: int = 8192
     dataset_seed: int = 0
     model_hidden: int = 128
@@ -191,10 +190,9 @@ class RunConfig:
         """Hash of the fields a pretrained checkpoint depends on, so prune
         arms with different plans can share one pretrain."""
         keys = [
-            "dataset_kind", "dataset_size", "dataset_seed", "model_hidden",
-            "model_depth", "model_temb_dim", "diffusion_t",
-            "diffusion_beta_start", "diffusion_beta_end", "train_lr",
-            "train_batch", "pretrain_steps",
+            "dataset_size", "dataset_seed", "model_hidden", "model_depth",
+            "model_temb_dim", "diffusion_t", "diffusion_beta_start",
+            "diffusion_beta_end", "train_lr", "train_batch", "pretrain_steps",
         ]
         items = asdict(self)
         return _digest({k: items[k] for k in keys})

@@ -50,6 +50,9 @@ later steps allocate no activation. Targets, inputs, consts and the values
 of a caller's dict are never recycled, and a replay with a ``values`` dict
 (training) neither takes nor gives buffers. Each op runs the same ufuncs in
 the same order either way, so a recycled replay gives the same bits.
+The list is a bounded cache, not a leak: a replay pops before it allocates,
+so for each (shape, dtype) the list holds at most as many buffers as one
+replay of the record releases, and it lives as long as the record.
 """
 
 from __future__ import annotations

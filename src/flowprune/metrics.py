@@ -1,11 +1,11 @@
 """Sample-quality, consistency and efficiency metrics at desk scale.
 
-Quality is a Gaussian-moment Frechet distance on raw sample coordinates (or
-flattened pixels), not on feature-network activations, so absolute values are
-only comparable within this package. Consistency is SSIM between outputs of
-two models sampled from identical noise; 2-D point sets are rasterized to
-32x32 binned kernel-density images first. Efficiency is parameter and MAC
-counting on the compacted network, the one sampling runs.
+Quality is a Gaussian-moment Frechet distance on raw sample coordinates, not
+on feature-network activations, so absolute values are only comparable within
+this package. Consistency is SSIM between outputs of two models sampled from
+identical noise, each 2-D point set rasterized to a 32x32 binned
+kernel-density image first. Efficiency is parameter and MAC counting on the
+compacted network, the one sampling runs.
 """
 
 from __future__ import annotations
@@ -90,13 +90,6 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray) -> float:
     return float(valid.mean())
 
 
-def batch_ssim(imgs_a: np.ndarray, imgs_b: np.ndarray) -> float:
-    """Mean SSIM over paired image stacks [n, h, w]."""
-    if imgs_a.shape != imgs_b.shape:
-        raise ValueError("paired stacks must share shapes")
-    return float(np.mean([ssim(x, y) for x, y in zip(imgs_a, imgs_b)]))
-
-
 def kde_raster(points: np.ndarray) -> np.ndarray:
     """Binned kernel-density image of a 2-D point set (unnormalized):
     ``KDE_BINS`` bins a side over [-KDE_EXTENT, KDE_EXTENT]^2, blurred by a
@@ -109,22 +102,17 @@ def kde_raster(points: np.ndarray) -> np.ndarray:
 
 
 def consistency_ssim(samples_ref: np.ndarray, samples_cmp: np.ndarray) -> float:
-    """SSIM between two sample sets generated from identical noise.
-
-    2-D point sets are compared through their KDE rasters (jointly scaled to
-    [0, 1]); image-valued samples are compared pairwise after clipping.
-    """
-    if samples_ref.shape[1] == 2:
-        ra = kde_raster(samples_ref)
-        rb = kde_raster(samples_cmp)
-        top = max(ra.max(), rb.max(), 1e-12)
-        return ssim(ra / top, rb / top)
-    side = int(round(np.sqrt(samples_ref.shape[1])))
-    shape = (-1, side, side)
-    return batch_ssim(
-        np.clip(samples_ref, 0.0, 1.0).reshape(shape),
-        np.clip(samples_cmp, 0.0, 1.0).reshape(shape),
-    )
+    """SSIM between two 2-D point sets generated from identical noise,
+    compared through their KDE rasters jointly scaled to [0, 1]."""
+    for pts in (samples_ref, samples_cmp):
+        shape = np.shape(pts)
+        if len(shape) != 2 or shape[1] != 2:
+            raise ValueError(f"point sets must have shape [n, 2], got "
+                             f"{list(shape)}")
+    ra = kde_raster(samples_ref)
+    rb = kde_raster(samples_cmp)
+    top = max(ra.max(), rb.max(), 1e-12)
+    return ssim(ra / top, rb / top)
 
 
 def count_macs(masks: dict[str, np.ndarray]) -> tuple[int, int]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .datasets import DatasetSpec, generate
+from .datasets import DIM, generate
 from .diffusion import (
     Adam,
     DiffusionSchedule,
@@ -50,15 +50,14 @@ TRACE_FIELDS = ["experiment", "method", "criterion", "seed", "iteration",
 
 
 def build_dataset(cfg: RunConfig) -> np.ndarray:
-    return generate(DatasetSpec(cfg.dataset_kind, cfg.dataset_size,
-                                cfg.dataset_seed))
+    return generate(cfg.dataset_size, cfg.dataset_seed)
 
 
 def eval_reference(cfg: RunConfig) -> np.ndarray:
-    """Held-out draw from the same source, for Frechet comparisons."""
-    spec = DatasetSpec(cfg.dataset_kind, max(cfg.eval_samples, 1000),
-                       cfg.dataset_seed + 1_000_003)
-    return generate(spec)
+    """Held-out draw from the same source, for Frechet comparisons: enough
+    rows for both the evaluation and the Fig 2 trace."""
+    return generate(max(cfg.eval_samples, cfg.trace_samples, 1000),
+                    cfg.dataset_seed + 1_000_003)
 
 
 def build_schedule(cfg: RunConfig) -> DiffusionSchedule:
@@ -67,8 +66,7 @@ def build_schedule(cfg: RunConfig) -> DiffusionSchedule:
 
 
 def build_model(cfg: RunConfig, seed: int) -> NoisePredictor:
-    spec = DatasetSpec(cfg.dataset_kind, 1, 0)
-    return NoisePredictor(dim=spec.dim, hidden=cfg.model_hidden,
+    return NoisePredictor(dim=DIM, hidden=cfg.model_hidden,
                           depth=cfg.model_depth, temb_dim=cfg.model_temb_dim,
                           seed=seed)
 

@@ -20,7 +20,7 @@ from flowprune.criteria import (
     gradient_flow_scores_from_record,
     score_batches,
 )
-from flowprune.datasets import DatasetSpec, generate
+from flowprune.datasets import generate
 from flowprune.diffusion import (
     Adam,
     NoisePredictor,
@@ -55,7 +55,7 @@ def tiny_trained_denoiser(seed=0, steps=300):
     """<= 20-parameter denoiser trained enough to have structure."""
     model = NoisePredictor(dim=1, hidden=3, depth=1, temb_dim=2, seed=seed)
     sched = make_schedule(20, 0.01, 0.05)
-    data = generate(DatasetSpec("ring-mixture", 512, seed=1))[:, :1]
+    data = generate(512, 1)[:, :1]
     opt = Adam(model.params, 1e-3)
     train(model, sched, data, steps=steps, opt=opt, seed=seed, stage="tiny",
           batch_size=32)
@@ -122,7 +122,7 @@ class TestAcceptance1HVPOracle:
 class TestAcceptance2GradientFlowDelta:
     def test_difference_quotient_ten_settings(self):
         sched = make_schedule(20, 0.01, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 512, seed=1))[:, :1]
+        data = generate(512, 1)[:, :1]
         worst = 0.0
         for k in range(10):
             model = NoisePredictor(dim=1, hidden=3, depth=1, temb_dim=2,
@@ -278,7 +278,7 @@ class TestAcceptance10Efficiency:
     def test_row_group_half(self):
         model = NoisePredictor(dim=2, seed=0)
         sched = make_schedule(100, 1e-3, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 2048, seed=0))
+        data = generate(2048, 0)
         plan = PrunePlan(s=0.5, total_steps=10, m_iters=0, n_iters=0,
                          interval=1, mode="one-shot", score_batch_size=64,
                          score_n_batches=1)
@@ -339,7 +339,7 @@ class TestAcceptance11Determinism:
         # checkpoint save -> load -> three more steps reproduce the loss,
         # parameter and Adam moment bits; the first loss comes before the
         # restored Adam state acts
-        data = generate(DatasetSpec("ring-mixture", 512, seed=0))
+        data = generate(512, 0)
         sched = make_schedule(50, 1e-3, 0.05)
         model = NoisePredictor(dim=2, hidden=12, depth=2, temb_dim=8, seed=0)
         opt = Adam(model.params, 2e-4)

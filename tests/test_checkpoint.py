@@ -145,7 +145,7 @@ def test_reserved_name_rejected(tmp_path):
 
 
 def test_resume_bit_identical_next_loss(tmp_path):
-    from flowprune.datasets import DatasetSpec, generate
+    from flowprune.datasets import generate
     from flowprune.diffusion import (
         Adam,
         NoisePredictor,
@@ -154,7 +154,7 @@ def test_resume_bit_identical_next_loss(tmp_path):
     )
     from flowprune.pipeline import model_tensors, restore_model
 
-    data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+    data = generate(256, 0)
     sched = make_schedule(50, 1e-3, 0.05)
 
     model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
@@ -192,11 +192,11 @@ def test_resume_keeps_the_training_precision(tmp_path):
     """Checkpoints store float64; loading casts back into the float32
     parameters, masks and Adam moments, so the steps after a resume match
     uninterrupted training bit for bit."""
-    from flowprune.datasets import DatasetSpec, generate
+    from flowprune.datasets import generate
     from flowprune.diffusion import Adam, NoisePredictor, make_schedule, train
     from flowprune.pipeline import model_tensors, restore_model
 
-    data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+    data = generate(256, 0)
     sched = make_schedule(50, 1e-3, 0.05)
     runs = []
     for resume in (False, True):

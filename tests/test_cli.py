@@ -266,7 +266,6 @@ def test_eval_sizes_at_their_limits_load(small_cfg_path, tmp_path):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("dataset_kind", "bogus", "unknown dataset kind 'bogus'"),
     ("dataset_size", 0, "dataset size must be at least 1, got 0"),
     ("diffusion_beta_end", 1.5, "beta_end < 1, got 0.001 and 1.5"),
     ("pretrain_steps", -1, "pretrain_steps must be at least 0, got -1"),
@@ -344,7 +343,8 @@ def test_experiment_arm_plans_checked_at_load(capsys, small_cfg_path,
 def test_removed_plan_key_is_unknown(capsys, small_cfg_path, tmp_path):
     for key, value in [("plan_granularity", "element"),
                        ("model_activation", "silu"), ("train_beta1", 0.9),
-                       ("train_beta2", 0.999)]:
+                       ("train_beta2", 0.999),
+                       ("dataset_kind", '"ring-mixture"')]:
         line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
         assert f"unknown config keys: ['{key}']" in line
 
@@ -554,12 +554,13 @@ def test_pretrain_reuses_only_a_checkpoint_of_the_same_config(
 
 def float64_era_pretrain_digest(cfg):
     """``pretrain_digest`` as it was while training ran in float64: the
-    fields alone, without the training precision."""
-    keys = ["dataset_kind", "dataset_size", "dataset_seed", "model_hidden",
-            "model_depth", "model_temb_dim", "diffusion_t",
-            "diffusion_beta_start", "diffusion_beta_end", "train_lr",
-            "train_batch", "pretrain_steps"]
-    items = {k: getattr(cfg, k) for k in keys}
+    fields alone, without the training precision, and the since-removed
+    ``dataset_kind`` key at its one value."""
+    keys = ["dataset_size", "dataset_seed", "model_hidden", "model_depth",
+            "model_temb_dim", "diffusion_t", "diffusion_beta_start",
+            "diffusion_beta_end", "train_lr", "train_batch", "pretrain_steps"]
+    items = {"dataset_kind": "ring-mixture",
+             **{k: getattr(cfg, k) for k in keys}}
     return hashlib.sha256(dump_kv(items).encode("utf-8")).hexdigest()[:16]
 
 
@@ -660,6 +661,27 @@ def test_prune_stages_train_on_the_configured_batch(small_cfg_path, tmp_path,
     pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
     pipeline.prune_run(cfg, 0, pre, tmp_path / "prune")
     assert by_stage == {"prune-train": {32}, "finetune": {32}}
+
+
+def test_trace_compares_against_trace_samples_reference_points(
+        small_cfg_path, tmp_path, monkeypatch):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.eval_samples, cfg.trace_samples, cfg.trace_substeps = 50, 1200, 1
+    sizes = []
+    real = pipeline.frechet_distance
+
+    def recording(a, b):
+        sizes.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(pipeline, "frechet_distance", recording)
+    pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
+    report = pipeline.prune_run(cfg, 0, pre, tmp_path / "prune",
+                                quality_trace=True)
+    # each trace point, then the evaluation
+    traced = len(report["quality_trace"])
+    assert traced > 0
+    assert sizes == [(1200, 1200)] * traced + [(50, 50)]
 
 
 @pytest.mark.parametrize("criterion, mode", [

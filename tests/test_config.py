@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +48,7 @@ def test_dump_parse_roundtrip():
 
 
 def test_runconfig_roundtrip(tmp_path):
-    cfg = RunConfig(dataset_kind="checkerboard", seeds=[7, 8],
+    cfg = RunConfig(dataset_size=4096, seeds=[7, 8],
                     plan_s=0.25, eval_samples=123)
     path = tmp_path / "run.cfg"
     cfg.save(path)
@@ -115,13 +116,13 @@ def test_digest_covers_what_a_run_computes():
     assert moved.digest() == base.digest()
     assert RunConfig(plan_s=0.25).digest() != base.digest()
     # pinned: a change here retrains every existing pretrain checkpoint
-    # (it last changed when training moved to float32)
-    assert base.pretrain_digest() == "d64e582a2d530736"
+    # (it last changed when the dataset_kind key was removed)
+    assert base.pretrain_digest() == "f39be00795612e5f"
 
 
 def test_runconfig_keys_are_the_settings_a_run_reads():
     assert [f.name for f in fields(RunConfig)] == [
-        "dataset_kind", "dataset_size", "dataset_seed",
+        "dataset_size", "dataset_seed",
         "model_hidden", "model_depth", "model_temb_dim",
         "diffusion_t", "diffusion_beta_start", "diffusion_beta_end",
         "train_lr", "train_batch", "pretrain_steps",
@@ -132,4 +133,14 @@ def test_runconfig_keys_are_the_settings_a_run_reads():
         "trace_samples", "trace_substeps",
         "seeds", "out_dir",
     ]
-    assert len(fields(RunConfig)) == 28
+    assert len(fields(RunConfig)) == 27
+
+
+def test_readme_config_example_loads():
+    # the `run.cfg` heredoc of the README's CLI section
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    opener = "cat > run.cfg <<'EOF'\n"
+    start = readme.index(opener) + len(opener)
+    text = readme[start:readme.index("\nEOF\n", start)]
+    assert RunConfig.from_text(text).seeds == [0, 1, 2, 3, 4]

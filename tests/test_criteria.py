@@ -10,7 +10,7 @@ from flowprune.criteria import (
     score_batches,
     taylor_scores_from_record,
 )
-from flowprune.datasets import DatasetSpec, generate
+from flowprune.datasets import generate
 from flowprune.diffusion import NoisePredictor, loss, make_schedule
 from flowprune.masking import apply_mask_update
 from flowprune.seeding import make_rng
@@ -73,7 +73,7 @@ class TestTaylorQuadratic:
     def test_two_batch_average(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=1)
         sched = make_schedule(20, 0.01, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 128, seed=0))
+        data = generate(128, 0)
         batches = score_batches(sched, data, seed=5, n_batches=2,
                                 batch_size=16)
         both = compute_scores("taylor", model, sched, batches)
@@ -123,7 +123,7 @@ class TestGradientFlowQuadratic:
     def test_fd_method_agrees(self):
         model = NoisePredictor(dim=2, hidden=6, depth=2, temb_dim=4, seed=2)
         sched = make_schedule(20, 0.01, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 128, seed=0))
+        data = generate(128, 0)
         batches = score_batches(sched, data, seed=6, n_batches=1,
                                 batch_size=16)
         exact = compute_scores("gradient-flow", model, sched, batches)
@@ -156,7 +156,7 @@ class TestDelta:
         for p in model.params.values():
             p[:] = rng.normal(size=p.shape) * 0.6
         sched = make_schedule(20, 0.01, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 128, seed=0))[:, :1]
+        data = generate(128, 0)[:, :1]
         batch = score_batches(sched, data, seed=7, n_batches=1,
                               batch_size=32)[0]
         from flowprune.diffusion import loss
@@ -194,7 +194,7 @@ class TestDeterminismAndMasks:
     def test_fixed_seed_identical_scores(self):
         model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
         sched = make_schedule(50, 0.001, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+        data = generate(256, 0)
         a = compute_scores("gradient-flow", model, sched,
                            score_batches(sched, data, seed=11, n_batches=2,
                                          batch_size=32))
@@ -207,7 +207,7 @@ class TestDeterminismAndMasks:
     def test_masked_out_units_score_zero(self):
         model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
         sched = make_schedule(50, 0.001, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+        data = generate(256, 0)
         mask = np.ones_like(model.params["layer1.w"])
         mask[:4] = 0.0
         model.masks["layer1.w"] = mask
@@ -225,7 +225,7 @@ class TestDeterminismAndMasks:
         model.masks["layer1.w"] = make_rng(5, "m").uniform(
             size=model.params["layer1.w"].shape)
         sched = make_schedule(50, 0.001, 0.05)
-        data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+        data = generate(256, 0)
         batches = score_batches(sched, data, seed=3, n_batches=3,
                                 batch_size=32)
         got = compute_scores("gradient-flow", model, sched, batches)

@@ -1,44 +1,28 @@
 import numpy as np
 import pytest
 
-from flowprune.datasets import DatasetSpec, checkerboard_raw, generate
+from flowprune.datasets import generate
 
 
 def test_determinism():
-    spec = DatasetSpec("ring-mixture", 500, seed=3)
-    a = generate(spec)
-    b = generate(spec)
+    a = generate(500, 3)
+    b = generate(500, 3)
     assert a.tobytes() == b.tobytes()
 
 
 def test_ring_moments():
-    x = generate(DatasetSpec("ring-mixture", 10_000, seed=0))
+    x = generate(10_000, 0)
     assert np.all(np.abs(x.mean(axis=0)) < 0.05)
     assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.1)
 
 
-def test_checkerboard_membership():
-    x = generate(DatasetSpec("checkerboard", 5_000, seed=1))
-    raw = checkerboard_raw(x)
-    s = np.floor(raw[:, 0]) + np.floor(raw[:, 1])
-    assert np.all(s % 2 == 0)
-    assert np.all((raw >= -2) & (raw <= 2))
-
-
-def test_tiny_shapes_binary():
-    x = generate(DatasetSpec("tiny-shapes", 200, seed=2))
-    assert x.shape == (200, 64)
-    assert set(np.unique(x)) <= {0.0, 1.0}
-    # every image is non-empty
-    assert np.all(x.sum(axis=1) > 0)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        generate(DatasetSpec("mnist", 10, seed=0))
+def test_size_below_one_rejected():
+    with pytest.raises(ValueError, match="dataset size must be at least 1, "
+                                         "got 0"):
+        generate(0, seed=0)
 
 
 def test_seeds_differ():
-    a = generate(DatasetSpec("ring-mixture", 100, seed=0))
-    b = generate(DatasetSpec("ring-mixture", 100, seed=1))
+    a = generate(100, 0)
+    b = generate(100, 1)
     assert not np.array_equal(a, b)

@@ -3,7 +3,7 @@ import pytest
 
 from flowprune import criteria, diffusion, engine
 from flowprune.criteria import compute_scores, gradient_flow_delta
-from flowprune.datasets import DatasetSpec, generate
+from flowprune.datasets import generate
 from flowprune.diffusion import (
     Adam,
     NoisePredictor,
@@ -165,7 +165,7 @@ class TestLoss:
 
 class TestTraining:
     def test_loss_halves_on_ring_mixture(self):
-        data = generate(DatasetSpec("ring-mixture", 4096, seed=0))
+        data = generate(4096, 0)
         model = NoisePredictor(dim=2, seed=0)
         sched = make_schedule(1000, 1e-4, 0.02)
         opt = Adam(model.params, 2e-4)
@@ -176,7 +176,7 @@ class TestTraining:
         assert last < 0.5 * first
 
     def test_seeded_determinism(self):
-        data = generate(DatasetSpec("ring-mixture", 256, seed=0))
+        data = generate(256, 0)
         sched = make_schedule(50, 1e-3, 0.1)
         outs = []
         for _ in range(2):
@@ -205,7 +205,7 @@ class TestSamplers:
         assert not np.array_equal(a, c)
 
     def test_training_improves_frechet(self):
-        data = generate(DatasetSpec("ring-mixture", 4096, seed=0))
+        data = generate(4096, 0)
         sched = make_schedule(200, 1e-4, 0.05)
         model = NoisePredictor(dim=2, hidden=32, depth=2, temb_dim=16, seed=0)
         before = sample_ddim(model, sched, 2000, 50, noise_seed=3)
@@ -385,7 +385,7 @@ def test_loss_and_grads_matches_fresh_replay_at_default_width():
     for n, m in model.masks.items():
         model.masks[n] = rng.uniform(size=m.shape)
     sched = make_schedule(1000, 1e-4, 0.02)
-    data = generate(DatasetSpec("ring-mixture", 512, seed=0))
+    data = generate(512, 0)
     batch = draw_batch(data, sched, 128, rng)
     value, grads = loss_and_grads(model, sched, batch)
 
@@ -554,3 +554,37 @@ def test_rebound_weight_is_what_predict_loss_and_compact_use():
     for name, arr in small_i.params.items():
         assert small_r.params[name].tobytes() == arr.tobytes()
     assert small_r.predict(x, t).tobytes() == small_i.predict(x, t).tobytes()
+
+
+def free_list_bytes(model):
+    """Bytes of every buffer waiting on the free lists of ``model``'s
+    records."""
+    return sum(buf.nbytes for rec in model._records.values()
+               for bufs in rec._free.values() for buf in bufs)
+
+
+class TestFreeListIsBounded:
+    """A record's free list holds what one replay released; later replays
+    reuse those buffers instead of adding to them."""
+
+    def test_gradient_flow_scoring(self):
+        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=0)
+        sched = make_schedule(50, 0.001, 0.05)
+        batches = criteria.score_batches(sched, generate(256, 0), seed=1,
+                                         n_batches=2, batch_size=32)
+        after = []
+        for _ in range(3):
+            compute_scores("gradient-flow", model, sched, batches)
+            after.append(free_list_bytes(model))
+        assert after[0] > 0
+        assert after == [after[0]] * 3
+
+    def test_ddim_sampling(self):
+        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=0)
+        sched = make_schedule(50, 0.001, 0.05)
+        after = []
+        for seed in range(3):
+            sample_ddim(model, sched, 200, 5, noise_seed=seed)
+            after.append(free_list_bytes(model))
+        assert after[0] > 0
+        assert after == [after[0]] * 3

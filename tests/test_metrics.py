@@ -3,7 +3,6 @@ import pytest
 
 from flowprune.masking import apply_mask_update
 from flowprune.metrics import (
-    batch_ssim,
     consistency_ssim,
     count_macs,
     frechet_distance,
@@ -119,12 +118,6 @@ class TestSSIM:
         with pytest.raises(ValueError):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)))
 
-    def test_batch_mean(self):
-        rng = make_rng(7, "ssim")
-        a = rng.uniform(size=(3, 8, 8))
-        vals = [ssim(x, x) for x in a]
-        assert batch_ssim(a, a.copy()) == pytest.approx(np.mean(vals))
-
     def test_range(self):
         rng = make_rng(8, "ssim")
         for _ in range(5):
@@ -145,10 +138,15 @@ class TestConsistency:
         b = rng.normal(size=(1000, 2)) * 0.2 + 1.5
         assert consistency_ssim(a, b) < consistency_ssim(a, a.copy())
 
-    def test_image_mode(self):
-        rng = make_rng(11, "cons")
-        imgs = rng.uniform(size=(4, 64))
-        assert consistency_ssim(imgs, imgs.copy()) == pytest.approx(1.0)
+    @pytest.mark.parametrize("shape", [(4, 64), (100, 3), (1000,)])
+    def test_rejects_what_is_not_a_point_set(self, shape):
+        # kde_raster reads two coordinates, so a third would drop silently
+        pts = make_rng(11, "cons").normal(size=(1000, 2))
+        other = make_rng(11, "cons", 1).normal(size=shape)
+        with pytest.raises(ValueError, match=r"shape \[n, 2\]"):
+            consistency_ssim(pts, other)
+        with pytest.raises(ValueError, match=r"shape \[n, 2\]"):
+            consistency_ssim(other, pts)
 
     def test_kde_raster_shape(self):
         pts = make_rng(12, "cons").normal(size=(500, 2))

@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from flowprune.datasets import DatasetSpec, generate
+from flowprune.datasets import generate
 from flowprune.diffusion import (
     Adam,
     NoisePredictor,
@@ -164,7 +164,7 @@ class TestEnergyFlow:
 
 @pytest.fixture(scope="module")
 def small_setup():
-    data = generate(DatasetSpec("ring-mixture", 512, seed=0))
+    data = generate(512, 0)
     sched = make_schedule(50, 1e-3, 0.05)
     return data, sched
 
