@@ -54,10 +54,10 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(args) -> RunConfig:
     """The config with ``--out`` and ``--seed`` applied; a dataset size
     below 1, a schedule, plan or model that ``make_schedule``, ``PrunePlan``
-    or ``NoisePredictor`` rejects, a negative or repeated seed, a negative
-    step count, or an evaluation size the metrics or the sampler reject,
-    fails here, before any stage runs. The plans checked are the config's
-    own and, for ``grid``, that of every ``GRID`` arm."""
+    or ``NoisePredictor`` rejects, an empty, negative or repeated seed list,
+    a negative step count, or an evaluation size the metrics or the sampler
+    reject, fails here, before any stage runs. The plans checked are the
+    config's own and, for ``grid``, that of every ``GRID`` arm."""
     cfg = RunConfig.load(args.config)
     if args.out:
         cfg.out_dir = args.out
@@ -77,6 +77,8 @@ def _load_config(args) -> RunConfig:
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be at least 0, got "
                               f"{getattr(cfg, key)}")
+    if not cfg.seeds:
+        raise ConfigError("seeds must not be empty")
     if min(cfg.seeds) < 0:
         raise ConfigError(f"seeds must be at least 0, got {cfg.seeds}")
     if len(set(cfg.seeds)) < len(cfg.seeds):  # a run per seed, in its own dir

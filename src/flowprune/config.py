@@ -1,55 +1,32 @@
-"""Flat key-value run configuration.
+"""Run configuration, read and written as TOML.
 
-Grammar (one entry per line):
-
-    # comment, blank lines ignored
-    key = value
-
-Keys match ``[A-Za-z_][A-Za-z0-9_.]*``. Values are typed by syntax: ``true``
-/ ``false`` are booleans, integer and float literals are numeric, quoted
-strings are strings, and a comma-separated sequence is a list of scalars.
-``#`` and ``,`` inside a quoted string are literal characters. Serialization
-quotes every string, so configs round-trip losslessly. ``RunConfig`` checks
-each value against the type of its field when it is loaded; an integer
-literal for a float field is stored as a float.
+A config file is a TOML document of top-level ``key = value`` lines, one
+per ``RunConfig`` field, read with the standard library's ``tomllib``.
+``RunConfig`` checks each value against the type of its field when it is
+loaded: an integer for a float field is stored as a float, a single value
+for ``seeds`` stands for a one-element list, and a table, a date or a
+nested array fails the check. Serialization writes every string as a TOML
+basic string and refuses one that would not read back, so configs
+round-trip losslessly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
+import tomllib
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .diffusion import TRAIN_DTYPE
 
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
-# the line up to its first '#' outside double quotes
-_BODY_RE = re.compile(r'(?:"[^"]*"|[^"#])*')
-# a comma followed by an even number of quotes, so outside any string
-_COMMA_RE = re.compile(r',(?=(?:[^"]*"[^"]*")*[^"]*$)')
+# what a TOML basic string cannot hold unescaped: '"', '\' and the control
+# characters other than tab
+_UNQUOTABLE = frozenset({'"', "\\", "\x7f", *map(chr, range(0x20))} - {"\t"})
 
 
 class ConfigError(ValueError):
     """Malformed config text or unknown keys."""
-
-
-def _parse_scalar(token: str):
-    token = token.strip()
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if _INT_RE.match(token):
-        return int(token)
-    if _FLOAT_RE.match(token):
-        return float(token)
-    return token
 
 
 def _matches(value, kind: type) -> bool:
@@ -62,44 +39,20 @@ def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        if '"' in value:
-            raise ConfigError(f"string {value!r} contains a double quote")
+        if _UNQUOTABLE.intersection(value):
+            raise ConfigError(f"string {value!r} contains a double quote, a "
+                              f"backslash or a control character")
         return f'"{value}"'
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def parse_kv(text: str) -> dict:
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _BODY_RE.match(raw).group()
-        if raw[len(line):].startswith('"'):
-            raise ConfigError(f"line {lineno}: unterminated string")
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not _KEY_RE.match(key):
-            raise ConfigError(f"line {lineno}: bad key {key!r}")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        tokens = _COMMA_RE.split(value)
-        if len(tokens) > 1:
-            out[key] = [_parse_scalar(tok) for tok in tokens]
-        else:
-            out[key] = _parse_scalar(value)
-    return out
-
-
 def dump_kv(items: dict) -> str:
     lines = []
-    for key in items:
-        value = items[key]
+    for key, value in items.items():
         if isinstance(value, (list, tuple)):
-            body = ", ".join(_format_scalar(v) for v in value)
+            body = "[" + ", ".join(_format_scalar(v) for v in value) + "]"
         else:
             body = _format_scalar(value)
         lines.append(f"{key} = {body}")
@@ -151,7 +104,10 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        items = parse_kv(text)
+        try:
+            items = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ConfigError(str(exc)) from exc
         declared = {f.name: f.type for f in fields(cls)}
         unknown = set(items) - set(declared)
         if unknown:

@@ -53,11 +53,12 @@ def build_dataset(cfg: RunConfig) -> np.ndarray:
     return generate(cfg.dataset_size, cfg.dataset_seed)
 
 
-def eval_reference(cfg: RunConfig) -> np.ndarray:
-    """Held-out draw from the same source, for Frechet comparisons: enough
-    rows for both the evaluation and the Fig 2 trace."""
-    return generate(max(cfg.eval_samples, cfg.trace_samples, 1000),
-                    cfg.dataset_seed + 1_000_003)
+def eval_reference(cfg: RunConfig, n: int) -> np.ndarray:
+    """The first ``n`` rows of a held-out draw for Frechet comparisons. The
+    draw has at least ``eval_samples`` rows, so the evaluation's reference
+    does not depend on the trace's ``n``: ``generate`` is not prefix-stable."""
+    return generate(max(n, cfg.eval_samples, 1000),
+                    cfg.dataset_seed + 1_000_003)[:n]
 
 
 def build_schedule(cfg: RunConfig) -> DiffusionSchedule:
@@ -223,7 +224,7 @@ def _quality(cfg: RunConfig, model: NoisePredictor, samples: np.ndarray,
              dense_samples: np.ndarray | None, seed: int) -> QualityReport:
     """QualityReport for ``model`` from its evaluation samples; without
     ``dense_samples`` the model is its own SSIM reference."""
-    ref = eval_reference(cfg)[: cfg.eval_samples]
+    ref = eval_reference(cfg, cfg.eval_samples)
     fd = frechet_distance(samples, ref)
     if dense_samples is None:
         ssim_val = 1.0
@@ -277,7 +278,7 @@ def prune_run(
 
     trace_eval = None
     if quality_trace:
-        ref = eval_reference(cfg)[: cfg.trace_samples]
+        ref = eval_reference(cfg, cfg.trace_samples)
 
         def trace_eval(m):
             got = sample_ddim(m, sched, cfg.trace_samples, cfg.trace_substeps,

@@ -199,16 +199,18 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
     assert err_lines[0].startswith("error: numeric: non-finite values")
 
 
-def prune_rejected(capsys, small_cfg_path, tmp_path, key, value) -> str:
-    """Run ``prune`` on the small config with the line ``key = value`` in
-    place of its own line for ``key``; assert it exits 2 with one
-    ``error: config:`` line before writing anything, and return that line."""
+def prune_rejected(capsys, small_cfg_path, tmp_path, key, value,
+                   text=None) -> str:
+    """Run ``prune`` on the small config with ``text`` (by default the line
+    ``key = value``) in place of its own line for ``key``; assert it exits 2
+    with one ``error: config:`` line before writing anything, and return
+    that line."""
     cfg = RunConfig.load(small_cfg_path)
     cfg.out_dir = str(tmp_path / "runs")
     path = tmp_path / "bad.cfg"
     lines = [line for line in cfg.to_text().splitlines(keepends=True)
              if not line.startswith(f"{key} = ")]
-    path.write_text("".join(lines) + f"{key} = {value}\n")
+    path.write_text("".join(lines) + (text or f"{key} = {value}\n"))
     code, out = run_cli(capsys, "prune", "--config", str(path))
     assert code == 2
     line = one_error_line(out, "error: config:")
@@ -218,7 +220,7 @@ def prune_rejected(capsys, small_cfg_path, tmp_path, key, value) -> str:
 
 @pytest.mark.parametrize("key, value", [
     ("plan_s", 0.0),
-    ("plan_mode", "bogus"),
+    ("plan_mode", '"bogus"'),
     ("plan_m_iters", -1),
     ("plan_n_iters", -1),
     ("plan_interval", 0),
@@ -229,7 +231,7 @@ def prune_rejected(capsys, small_cfg_path, tmp_path, key, value) -> str:
 def test_bad_plan_rejected_before_any_stage(capsys, small_cfg_path, tmp_path,
                                             key, value):
     line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
-    assert str(value) in line
+    assert str(value).strip('"') in line
 
 
 @pytest.mark.parametrize("key", ["model_hidden", "model_depth",
@@ -270,18 +272,50 @@ def test_eval_sizes_at_their_limits_load(small_cfg_path, tmp_path):
     ("diffusion_beta_end", 1.5, "beta_end < 1, got 0.001 and 1.5"),
     ("pretrain_steps", -1, "pretrain_steps must be at least 0, got -1"),
     ("seeds", -1, "seeds must be at least 0, got [-1]"),
-    ("seeds", "0, 1, 0", "seeds must not repeat, got [0, 1, 0]"),
+    ("seeds", "[0,1,0]", "seeds must not repeat, got [0, 1, 0]"),
     ("dataset_seed", -2, "dataset_seed must be at least 0, got -2"),
     ("eval_seed", -3, "eval_seed must be at least 0, got -3"),
     ("train_lr", -0.01, "train_lr must be finite and above 0, got -0.01"),
     ("train_lr", 0, "train_lr must be finite and above 0, got 0.0"),
     # a float literal that overflows to inf
     ("train_lr", "1e400", "train_lr must be finite and above 0, got inf"),
+    # TOML spells the non-finite floats
+    ("train_lr", "inf", "train_lr must be finite and above 0, got inf"),
+    ("plan_s", "nan", "target sparsity s must lie in (0, 1), got nan"),
+    ("diffusion_beta_start", "nan",
+     "need 0 < beta_start <= beta_end < 1, got nan and 0.05"),
 ])
 def test_value_a_stage_rejects_fails_at_load(capsys, small_cfg_path,
                                              tmp_path, key, value, message):
     line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
     assert message in line
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("model", "[model]\nhidden = 3\n", "unknown config keys: ['model']"),
+    ("plan_s", "plan_s = {value = 0.5}\n",
+     "plan_s: expected float, got {'value': 0.5}"),
+    ("seeds", "seeds = [[0, 1]]\n", "seeds: expected list[int], got [[0, 1]]"),
+    ("out_dir", "out_dir = 2026-10-19\n",
+     "out_dir: expected str, got datetime.date(2026, 10, 19)"),
+    # spellings that configs used before they were TOML
+    ("seeds", "seeds = 0, 1\n",
+     "Expected newline or end of document after a statement"),
+    ("plan_mode", "plan_mode = one-shot\n", "Invalid value"),
+])
+def test_toml_that_is_no_config_value_is_config_error(
+        capsys, small_cfg_path, tmp_path, key, text, message):
+    line = prune_rejected(capsys, small_cfg_path, tmp_path, key, None, text)
+    assert line.startswith(f"error: config: {message}")
+
+
+def test_empty_seeds_rejected_unless_seed_given(capsys, small_cfg_path,
+                                                tmp_path):
+    line = prune_rejected(capsys, small_cfg_path, tmp_path, "seeds", "[]")
+    assert line == "error: config: seeds must not be empty"
+    args = build_parser().parse_args(
+        ["prune", "--config", str(tmp_path / "bad.cfg"), "--seed", "3"])
+    assert _load_config(args).seeds == [3]
 
 
 def test_duplicate_key_is_config_error(capsys, small_cfg_path, tmp_path):
@@ -292,8 +326,8 @@ def test_duplicate_key_is_config_error(capsys, small_cfg_path, tmp_path):
     code, out = run_cli(capsys, "prune", "--config", str(path))
     assert code == 2
     line = one_error_line(out, "error: config:")
-    assert line.endswith(f"line {len(cfg.to_text().splitlines()) + 1}: "
-                         "duplicate key 'plan_s'")
+    assert line == ("error: config: Cannot overwrite a value (at line "
+                    f"{len(cfg.to_text().splitlines()) + 1}, column 14)")
     assert not (tmp_path / "runs").exists()
 
 
@@ -341,8 +375,8 @@ def test_experiment_arm_plans_checked_at_load(capsys, small_cfg_path,
 
 
 def test_removed_plan_key_is_unknown(capsys, small_cfg_path, tmp_path):
-    for key, value in [("plan_granularity", "element"),
-                       ("model_activation", "silu"), ("train_beta1", 0.9),
+    for key, value in [("plan_granularity", '"element"'),
+                       ("model_activation", '"silu"'), ("train_beta1", 0.9),
                        ("train_beta2", 0.999),
                        ("dataset_kind", '"ring-mixture"')]:
         line = prune_rejected(capsys, small_cfg_path, tmp_path, key, value)
@@ -552,6 +586,21 @@ def test_pretrain_reuses_only_a_checkpoint_of_the_same_config(
     assert meta["iteration"] == 70
 
 
+def test_pretrain_reuses_a_checkpoint_hashed_before_configs_were_toml(
+        small_cfg_path, tmp_path, monkeypatch):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    # the small config's pretrain_hash while configs had their own grammar
+    old = "29fa8a5dd9ee6a20"
+    assert cfg.pretrain_digest() == old
+    ckpt = pipeline.stage_path(cfg, "pretrain", 0)
+    ckpt.parent.mkdir(parents=True)
+    save_checkpoint(ckpt, {"layer0.w": np.zeros((12, 2))},
+                    {"pretrain_hash": old})
+    monkeypatch.setattr(pipeline, "train", None)  # a retrain would fail
+    assert pipeline.pretrain(cfg, 0) == str(ckpt)
+
+
 def float64_era_pretrain_digest(cfg):
     """``pretrain_digest`` as it was while training ran in float64: the
     fields alone, without the training precision, and the since-removed
@@ -682,6 +731,20 @@ def test_trace_compares_against_trace_samples_reference_points(
     traced = len(report["quality_trace"])
     assert traced > 0
     assert sizes == [(1200, 1200)] * traced + [(50, 50)]
+
+
+def test_evaluation_reference_does_not_depend_on_trace_samples(
+        small_cfg_path, monkeypatch):
+    cfg = RunConfig.load(small_cfg_path)
+    refs = []
+    monkeypatch.setattr(pipeline, "frechet_distance",
+                        lambda a, b: refs.append(b) or 0.0)
+    model = pipeline.build_model(cfg, 0)
+    for n in (32, 1200):
+        cfg.trace_samples = n
+        pipeline.evaluate_model(cfg, model, None, 0)
+    assert len(refs[0]) == cfg.eval_samples
+    assert np.array_equal(refs[0], refs[1])
 
 
 @pytest.mark.parametrize("criterion, mode", [

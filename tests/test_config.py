@@ -1,50 +1,56 @@
+import string
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from flowprune.config import ConfigError, RunConfig, dump_kv, parse_kv
+from flowprune.config import ConfigError, RunConfig, dump_kv
 
 
 def test_scalar_types():
-    items = parse_kv(
-        'a = 3\nb = 2.5\nc = true\nd = false\ne = "ring-mixture"\nf = bare\n'
-    )
-    assert items == {
-        "a": 3, "b": 2.5, "c": True, "d": False,
-        "e": "ring-mixture", "f": "bare",
-    }
+    cfg = RunConfig.from_text(
+        'plan_m_iters = 3\nplan_s = 0.25\nplan_mode = "one-shot"\n')
+    assert (cfg.plan_m_iters, cfg.plan_s, cfg.plan_mode) == (3, 0.25, "one-shot")
+    assert type(cfg.plan_m_iters) is int and type(cfg.plan_s) is float
+    # a string is quoted: a bare word is not a TOML value
+    with pytest.raises(ConfigError, match="Invalid value"):
+        RunConfig.from_text("plan_mode = one-shot\n")
 
 
 def test_comments_and_blanks():
-    items = parse_kv("# header\n\nx = 1  # trailing\n")
-    assert items == {"x": 1}
+    cfg = RunConfig.from_text("# header\n\nplan_m_iters = 1  # trailing\n")
+    assert cfg == RunConfig(plan_m_iters=1)
 
 
 def test_lists():
-    items = parse_kv("seeds = 0, 1, 2\nmix = 1, 2.5, \"s\"\n")
-    assert items["seeds"] == [0, 1, 2]
-    assert items["mix"] == [1, 2.5, "s"]
+    assert RunConfig.from_text("seeds = [0, 1, 2]\n").seeds == [0, 1, 2]
+    assert RunConfig.from_text("seeds = []\n").seeds == []
+    # a comma-separated list without brackets is not TOML
+    with pytest.raises(ConfigError):
+        RunConfig.from_text("seeds = 0, 1, 2\n")
 
 
 def test_bad_lines_rejected():
     with pytest.raises(ConfigError):
-        parse_kv("no equals sign here\n")
+        RunConfig.from_text("no equals sign here\n")
     with pytest.raises(ConfigError):
-        parse_kv("9bad = 1\n")
+        RunConfig.from_text("9bad = 1\n")
 
 
 def test_duplicate_key_rejected():
-    with pytest.raises(ConfigError, match="line 3: duplicate key 'plan_s'"):
-        parse_kv("plan_s = 0.25\n# again\nplan_s = 0.75\n")
+    with pytest.raises(ConfigError,
+                       match=r"^Cannot overwrite a value \(at line 3, column"):
+        RunConfig.from_text("plan_s = 0.25\n# again\nplan_s = 0.75\n")
 
 
 def test_dump_parse_roundtrip():
     items = {
         "name": "a b c", "count": 7, "rate": 0.125, "flag": True,
-        "seeds": [3, 4, 5],
+        "seeds": [3, 4, 5], "none": [],
     }
-    assert parse_kv(dump_kv(items)) == items
+    assert tomllib.loads(dump_kv(items)) == items
 
 
 def test_runconfig_roundtrip(tmp_path):
@@ -71,17 +77,35 @@ def test_single_seed_normalized():
 def test_comment_and_comma_inside_quotes_roundtrip(value):
     cfg = RunConfig(out_dir=value)
     assert RunConfig.from_text(cfg.to_text()).out_dir == value
-    assert parse_kv(f'out_dir = "{value}"  # comment, "quoted"\n') == {
-        "out_dir": value
-    }
+    text = f'out_dir = "{value}"  # comment, "quoted"\n'
+    assert RunConfig.from_text(text).out_dir == value
 
 
 def test_unterminated_string_rejected():
-    with pytest.raises(ConfigError, match="unterminated"):
-        parse_kv('out_dir = "abc\n')
+    with pytest.raises(ConfigError, match="Illegal character"):
+        RunConfig.from_text('out_dir = "abc\n')
     # a string the parser could not read back is refused when written
     with pytest.raises(ConfigError, match="double quote"):
         RunConfig(out_dir='a"b').to_text()
+
+
+@pytest.mark.parametrize("char", ['"', "\\", "\n", "\r", "\x00", "\x1f",
+                                  "\x7f"])
+def test_unquotable_string_refused_when_written(char):
+    with pytest.raises(ConfigError, match="double quote, a backslash or a "
+                                          "control character"):
+        RunConfig(out_dir=f"a{char}b").to_text()
+
+
+@given(st.text(alphabet=st.characters(exclude_categories=["Cs"]))
+       | st.text(alphabet=string.printable))
+def test_every_string_written_reads_back(value):
+    cfg = RunConfig(out_dir=value, plan_mode=value)
+    try:
+        text = cfg.to_text()
+    except ConfigError:
+        return
+    assert RunConfig.from_text(text) == cfg
 
 
 @pytest.mark.parametrize("text", [
@@ -92,6 +116,8 @@ def test_unterminated_string_rejected():
     "seeds = 1, 2.5\n",
     "seeds = false\n",
     "plan_s = 0.1, 0.2\n",
+    "seeds = [1, 2.5]\n",
+    "plan_s = [0.1, 0.2]\n",
 ])
 def test_runconfig_type_mismatch_rejected(text):
     with pytest.raises(ConfigError):
