@@ -18,8 +18,8 @@ checks the sign by removing the lowest-scored weights one at a time.
 weights; Taylor and gradient-flow average the record-level scorers over the
 batches the caller passes, which ``score_batches`` draws with timesteps
 stratified evenly over [0, T), so the batch seed fully determines the
-scores. The prune loop draws one such set per stage and scores every mask
-update of that stage on it.
+scores. ``pipeline.prune_run`` draws one such set per run, and every mask
+update and the hard prune of that run score on it.
 
 The model trains in float32, but ``compute_scores`` and
 ``gradient_flow_delta`` work on a float64 copy of it

@@ -1,13 +1,15 @@
 """The deterministic synthetic dataset, sized for desk-scale diffusion training.
 
-The generator draws from numpy's Philox bit generator (a counter-based RNG
-with a fixed, platform-independent algorithm), keyed by the dataset seed, so
+The generator draws from ``seeding.make_rng(seed, 0)``, numpy's Philox bit
+generator (counter-based, with a fixed, platform-independent algorithm), so
 the same size and seed reproduce the same tensor bit-exactly everywhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .seeding import make_rng
 
 DIM = 2
 
@@ -23,8 +25,7 @@ def generate(size: int, seed: int) -> np.ndarray:
     closed-form per-coordinate std."""
     if size < 1:
         raise ValueError(f"dataset size must be at least 1, got {size}")
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-    rng = np.random.Generator(np.random.Philox(key))
+    rng = make_rng(seed, 0)
     mode = rng.integers(0, 8, size=size)
     angles = 2.0 * np.pi * mode / 8.0
     centers = np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -23,9 +23,8 @@ unpruned model compacts to itself, so its samples do not change.
 Parameters, masks and Adam's moments are float32 (``TRAIN_DTYPE``), and
 ``loss`` casts its float64 noisy input, embedding and noise to the
 parameters' dtype, so every training step replays its record, gradient
-included, in float32. Scoring and the oracles run on ``float64()`` copies,
-and ``predict`` without a ``weights`` feed runs in float64 too. The data
-math (``noisy_sample``, the embedding table) stays float64.
+included, in float32. Scoring and the oracles run on ``float64()`` copies.
+The data math (``noisy_sample``, the embedding table) stays float64.
 
 ``sample_ddim`` runs the compacted predictor in float32. It casts the
 effective weights to float32 once per call, and ``predict`` casts each
@@ -247,21 +246,18 @@ class NoisePredictor:
         return self._records[key]
 
     def predict(self, x: np.ndarray, t,
-                weights: dict[str, np.ndarray] | None = None) -> np.ndarray:
+                weights: dict[str, np.ndarray]) -> np.ndarray:
         """eps_hat for the rows of ``x`` at timesteps ``t``: one per row, or
         a scalar every row shares, whose embedding is projected once.
 
         ``weights`` is a :meth:`param_inputs` feed, built once by a caller
         that predicts many times; ``x`` and the embedding are cast to its
-        dtype, so a float32 feed runs the forward in float32. Without it
-        the forward runs in float64 on the :meth:`float64` copy's feed."""
+        dtype, so a float32 feed runs the forward in float32."""
         temb = time_embedding(np.atleast_1d(t), self.temb_dim)
         rec = self.eps_record(x.shape[0], temb.shape[0])
-        feed = dict(self.float64().param_inputs() if weights is None
-                    else weights)
-        dtype = feed["out.w"].dtype
-        feed["x"] = np.asarray(x, dtype=dtype)
-        feed["temb"] = temb.astype(dtype, copy=False)
+        dtype = weights["out.w"].dtype
+        feed = dict(weights, x=np.asarray(x, dtype=dtype),
+                    temb=temb.astype(dtype, copy=False))
         return engine.forward(rec, feed)
 
     def compact(self) -> "NoisePredictor":

@@ -24,6 +24,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
+from .criteria import score_batches
 from .datasets import DIM, generate
 from .diffusion import (
     Adam,
@@ -246,6 +247,10 @@ def _write_csv(path, fields: list[str], rows: list[dict]) -> str:
     return str(path)
 
 
+def _score_seed(seed: int, stream: int) -> int:
+    return (int(seed) * 1_000_003 + stream) & 0x7FFFFFFF
+
+
 def prune_run(
     cfg: RunConfig,
     seed: int,
@@ -257,8 +262,11 @@ def prune_run(
 ) -> dict:
     """Full Algorithm-1 pipeline from a pretrained checkpoint.
 
-    Returns a JSON-ready report with stage checkpoints, metrics, diagnostics
-    and the per-iteration quality trace when requested.
+    Draws the run's two score inputs once, for every criterion and mode:
+    the score set (stream 0) every mask update and the hard prune rank on,
+    and the diagnostic batch (stream 1) every ``grad_flow_delta`` reads.
+    Returns a JSON-ready report with stage checkpoints, metrics,
+    diagnostics and the per-iteration quality trace when requested.
     """
     t_start = time.perf_counter()
     out_dir = Path(out_dir)
@@ -266,6 +274,11 @@ def prune_run(
     data = build_dataset(cfg)
     sched = build_schedule(cfg)
     plan = build_plan(cfg, arm)
+    batches = score_batches(sched, data, _score_seed(seed, 0),
+                            n_batches=plan.score_n_batches,
+                            batch_size=plan.score_batch_size)
+    diag_batch, = score_batches(sched, data, _score_seed(seed, 1),
+                                n_batches=1, batch_size=plan.score_batch_size)
     model = load_stage_model(cfg, seed, pretrain_path)
     report: dict = {
         "seed": seed,
@@ -288,7 +301,7 @@ def prune_run(
     t0 = time.perf_counter()
     diag_rows, trace, _ = run_progressive_soft(
         model, sched, data, plan, seed=seed, lr=cfg.train_lr,
-        quality_eval=trace_eval,
+        batches=batches, diag_batch=diag_batch, quality_eval=trace_eval,
     )
     report["stages"]["soft_prune"] = time.perf_counter() - t0
     report["checkpoints"]["soft_prune"] = save_stage(
@@ -300,7 +313,7 @@ def prune_run(
         report["quality_trace"] = trace
 
     t0 = time.perf_counter()
-    _, hard_diag = final_hard_prune(model, sched, data, plan, seed=seed)
+    _, hard_diag = final_hard_prune(model, sched, plan, batches)
     report["stages"]["hard_prune"] = time.perf_counter() - t0
     report["hard_prune"] = hard_diag
     report["checkpoints"]["hard_prune"] = save_stage(

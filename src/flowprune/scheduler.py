@@ -4,15 +4,16 @@ Mask iterations are decoupled from weight updates: between consecutive mask
 updates the model trains for ``interval`` steps with the current masks
 applied. Over ``m_iters`` mask iterations the schedule ramps sparsity s_t
 from 0 to s while the soft mask value p_t decays from 1 to 0 (mode
-``progressive-soft``); the ablation modes pin one or both of these. The loop
-returns one diagnostics row per mask update, keyed by ``DIAG_FIELDS`` (the
-``diagnostics.csv`` columns); its ``delta_e`` is the energy-flow step length,
-read from the units that update counted. After the loop a one-shot row-group
-hard prune fixes the final mask, and fine-tuning trains only the
-surviving weights for the plan's remaining steps. It trains the compacted
-network, so a row-group prune makes every finetune step cheaper;
-the units the prune removed keep their biases, and the next layer keeps its
-columns reading them, at their hard-prune values.
+``progressive-soft``); the ablation modes pin one or both of these. Every
+update ranks on the caller's score batches, and the loop returns one
+diagnostics row per update, keyed by ``DIAG_FIELDS`` (the ``diagnostics.csv``
+columns); its ``delta_e`` is the energy-flow step length, read from the units
+that update counted. A one-shot row-group hard prune on the same batches then
+fixes the final mask, and fine-tuning trains only the surviving weights for
+the plan's remaining steps. It trains the compacted network, so a row-group
+prune makes every finetune step cheaper; the units the prune removed keep
+their biases, and the next layer keeps its columns reading them, at their
+hard-prune values.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, compute_scores, gradient_flow_delta, score_batches
-from .diffusion import Adam, DiffusionSchedule, NoisePredictor, train
+from .criteria import CRITERIA, compute_scores, gradient_flow_delta
+from .diffusion import Adam, DiffusionSchedule, NoisePredictor, TrainBatch, train
 from .masking import GRANULARITIES, MaskState, apply_mask_update
 
 DIAG_FIELDS = ["iteration", "loss", "grad_flow_delta", "delta_e", "s_t", "p_t",
@@ -133,13 +134,17 @@ def run_progressive_soft(
     plan: PrunePlan,
     seed: int,
     lr: float,
+    batches: list[TrainBatch],
+    diag_batch: TrainBatch,
     quality_eval=None,
 ) -> tuple[list[dict], list[tuple[int, float]], MaskState | None]:
     """Alternate weight training and mask updates for m_iters iterations.
 
-    The weights train with Adam at learning rate ``lr``. Returns the
-    diagnostics rows (one per mask update, keyed by ``DIAG_FIELDS``), the
-    quality trace and the last mask state.
+    The weights train with Adam at learning rate ``lr``. Every mask update
+    ranks on the score set ``batches`` and every ``grad_flow_delta`` reads
+    ``diag_batch``, so churn and the delta follow the model, not resampling.
+    Returns the diagnostics rows (one per mask update, keyed by
+    ``DIAG_FIELDS``), the quality trace and the last mask state.
     ``quality_eval(model)``, when given, is called after every mask update
     and its value recorded in the quality trace as ``(t, value)``.
     """
@@ -148,11 +153,6 @@ def run_progressive_soft(
     opt = Adam(model.params, lr)
     state: MaskState | None = None
     prev_kept = None
-    # one fixed batch set per run: consecutive updates then rank with
-    # correlated estimates and mask churn reflects model drift, not
-    # resampling noise
-    batches = (_score_set(plan.criterion, sched, data, plan, seed)
-               if plan.m_iters else [])
     for t in range(1, plan.m_iters + 1):
         trace = train(
             model, sched, data, steps=plan.interval, opt=opt, seed=seed,
@@ -172,10 +172,6 @@ def run_progressive_soft(
             for n, k in state.kept.items()
         )
         prev_kept = state.kept
-        diag_batch = score_batches(
-            sched, data, _score_seed(seed, t), n_batches=1,
-            batch_size=plan.score_batch_size,
-        )[0]
         rows.append({
             "iteration": t,
             "loss": trace[-1][1],
@@ -188,21 +184,6 @@ def run_progressive_soft(
         if quality_eval is not None:
             quality_trace.append((t, float(quality_eval(model))))
     return rows, quality_trace, state
-
-
-def _score_seed(seed: int, t: int) -> int:
-    return (int(seed) * 1_000_003 + t) & 0x7FFFFFFF
-
-
-def _score_set(criterion: str, sched: DiffusionSchedule, data: np.ndarray,
-               plan: PrunePlan, seed: int) -> list:
-    """The score batches of ``seed``'s run, drawn from ``_score_seed(seed,
-    0)``; none for magnitude, which reads only the weights."""
-    if criterion == "magnitude":
-        return []
-    return score_batches(sched, data, _score_seed(seed, 0),
-                         n_batches=plan.score_n_batches,
-                         batch_size=plan.score_batch_size)
 
 
 def _update_masks(model: NoisePredictor, scores: dict[str, np.ndarray],
@@ -220,19 +201,17 @@ def _update_masks(model: NoisePredictor, scores: dict[str, np.ndarray],
 def final_hard_prune(
     model: NoisePredictor,
     sched: DiffusionSchedule,
-    data: np.ndarray,
     plan: PrunePlan,
-    seed: int,
+    batches: list[TrainBatch],
 ) -> tuple[MaskState, dict]:
     """One-shot hard prune at sparsity s; masks are {0,1} afterwards.
 
-    Uses the plan's final criterion on row groups,
-    ranked within each layer; the output projection stays dense. Returns
-    the mask state plus a diagnostic with the kept-set overlap against the
-    pre-existing mask.
+    Uses the plan's final criterion on row groups, ranked within each layer
+    on ``batches``, the score set the soft loop ranked on; the output
+    projection stays dense. Returns the mask state plus a diagnostic with
+    the kept-set overlap against the pre-existing mask.
     """
     before = {n: np.abs(m) > 0.5 for n, m in model.masks.items()}
-    batches = _score_set(plan.final_criterion, sched, data, plan, seed)
     scores = compute_scores(plan.final_criterion, model, sched, batches)
     state = _update_masks(model, scores, plan.s, 0.0, "row-group")
     after_kept = sum(

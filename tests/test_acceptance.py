@@ -238,12 +238,13 @@ class TestAcceptance5MaskAlgebra:
         x = rng.normal(size=(5, 2))
         t_arr = rng.integers(0, 40, 5)
         sched = make_schedule(40, 0.01, 0.05)
-        dense_out = model.predict(x, t_arr)
+        dense_out = model.predict(x, t_arr, model.float64().param_inputs())
         mscores = {
             n: make_rng(1, n).normal(size=m.shape) for n, m in model.masks.items()
         }
         apply_mask_update(model.masks, mscores, 0.0, 1.0)
-        identity_out = model.predict(x, t_arr)
+        identity_out = model.predict(x, t_arr,
+                                     model.float64().param_inputs())
         bit_identical = dense_out.tobytes() == identity_out.tobytes()
         report(
             "5 (mask algebra)",
@@ -282,7 +283,9 @@ class TestAcceptance10Efficiency:
         plan = PrunePlan(s=0.5, total_steps=10, m_iters=0, n_iters=0,
                          interval=1, mode="one-shot", score_batch_size=64,
                          score_n_batches=1)
-        final_hard_prune(model, sched, data, plan, seed=0)
+        final_hard_prune(model, sched, plan,
+                         score_batches(sched, data, 0, n_batches=1,
+                                       batch_size=64))
         got = efficiency(model)
         # the compact network from the kept-row sets: a layer-0 unit lives
         # if its layer0.w or its temb.w row is kept, and layer k+1 reads

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -753,29 +754,55 @@ def test_evaluation_reference_does_not_depend_on_trace_samples(
     ("magnitude", "progressive-soft"),
     ("taylor", "one-shot"),
 ])
-def test_prune_run_draws_one_score_set_per_stage(small_cfg_path, tmp_path,
-                                                 monkeypatch, criterion, mode):
-    from flowprune import criteria, scheduler
+def test_prune_run_draws_a_score_set_and_a_diagnostic_batch(
+        small_cfg_path, tmp_path, monkeypatch, criterion, mode):
+    from flowprune import criteria
 
     cfg = RunConfig.load(small_cfg_path)
     cfg.plan_criterion, cfg.plan_mode = criterion, mode
     plan = pipeline.build_plan(cfg)
     drawn = []
-    real = scheduler.score_batches
+    real = criteria.score_batches
 
-    def counting(*args, **kwargs):
-        drawn.append(args[2])  # the batch seed
-        return real(*args, **kwargs)
+    def counting(sched, data, seed, n_batches=4, batch_size=256):
+        drawn.append((seed, n_batches, batch_size))
+        return real(sched, data, seed, n_batches, batch_size)
 
-    for module in (criteria, scheduler):
-        monkeypatch.setattr(module, "score_batches", counting)
+    # every binding in the package, so a draw from any module is counted
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("flowprune")
+                and getattr(module, "score_batches", None) is real):
+            monkeypatch.setattr(module, "score_batches", counting)
+    pre = pipeline.pretrain(cfg, 3, tmp_path / "pretrain")
+    pipeline.prune_run(cfg, 3, pre, tmp_path / "prune")
+    # seed 3's streams 0 and 1: (3 * 1_000_003 + stream) & 0x7FFFFFFF
+    size = plan.score_batch_size
+    assert drawn == [(3_000_009, plan.score_n_batches, size),
+                     (3_000_010, 1, size)]
+
+
+def test_hard_prune_ranks_on_the_soft_loops_score_set(small_cfg_path,
+                                                       tmp_path, monkeypatch):
+    from flowprune import scheduler
+
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.plan_criterion = "gradient-flow"
+    plan = pipeline.build_plan(cfg)
+    seen = []
+    real = scheduler.compute_scores
+
+    def recording(criterion, model, sched, batches):
+        seen.append((criterion, batches))
+        return real(criterion, model, sched, batches)
+
+    monkeypatch.setattr(scheduler, "compute_scores", recording)
     pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
     pipeline.prune_run(cfg, 0, pre, tmp_path / "prune")
-    # one diagnostic batch per mask update, one score set for the soft loop
-    # unless it is empty or ranks magnitudes, one for the Taylor hard prune
-    soft = int(plan.m_iters > 0 and criterion != "magnitude")
-    assert len(drawn) == plan.m_iters + soft + 1
-    assert drawn.count(scheduler._score_seed(0, 0)) == soft + 1
+    assert [c for c, _ in seen] == ["gradient-flow"] * plan.m_iters + [
+        plan.final_criterion]
+    assert plan.final_criterion == "taylor"
+    assert len(seen[0][1]) == plan.score_n_batches
+    assert all(batches is seen[0][1] for _, batches in seen)
 
 
 def test_every_arm_runs_the_row_group_regime_with_its_criterion():

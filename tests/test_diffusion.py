@@ -27,6 +27,11 @@ def tiny_model(seed=0):
     return NoisePredictor(dim=1, hidden=3, depth=1, temb_dim=2, seed=seed)
 
 
+def predict64(model, x, t):
+    """``model.predict`` fed the float64 copy's effective weights."""
+    return model.predict(x, t, model.float64().param_inputs())
+
+
 class TestSchedule:
     def test_hand_product(self):
         s = make_schedule(2, 0.5, 0.5)
@@ -240,7 +245,7 @@ def one_block_ddim(model, sched, n, substeps, noise_seed):
     ts = ddim_timesteps(sched.T, substeps)[::-1]
     x = make_rng(noise_seed, "ddim-init").standard_normal((n, model.dim))
     for i, t in enumerate(ts):
-        eps_hat = model.predict(x, np.full(n, t))
+        eps_hat = predict64(model, x, np.full(n, t))
         ab = sched.alpha_bar[t]
         x0_hat = (x - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
         ab_prev = sched.alpha_bar[ts[i + 1]] if i + 1 < len(ts) else 1.0
@@ -350,8 +355,8 @@ def test_training_runs_float32_and_scoring_float64(monkeypatch):
 def test_scalar_timestep_matches_one_per_row(t):
     model = NoisePredictor(dim=2, hidden=128, depth=4, temb_dim=64, seed=1)
     x = make_rng(1, "scalar-t").standard_normal((300, 2))
-    got = model.predict(x, t)
-    want = model.predict(x, np.full(300, t))
+    got = predict64(model, x, t)
+    want = predict64(model, x, np.full(300, t))
     # rounding differs in the last bits, so an output near zero gets an
     # absolute allowance on the scale of the largest
     np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -444,10 +449,11 @@ def test_predict_peak_memory_is_a_few_activations():
     rng = make_rng(0, "peak")
     x = rng.standard_normal((512, 2))
     t = rng.integers(0, 1000, 512)
-    model.predict(x, t)  # build the record, plan and embedding rows first
+    # build the record, plan and embedding rows first
+    predict64(model, x, t)
     tracemalloc.start()
     try:
-        model.predict(x, t)
+        predict64(model, x, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -473,7 +479,7 @@ def assert_same_predictions(model, small, seed=1):
     rng = make_rng(seed, "compact-probe")
     x = rng.standard_normal((64, model.dim)) * 2.0
     t = rng.integers(0, 1000, 64)
-    np.testing.assert_allclose(small.predict(x, t), model.predict(x, t),
+    np.testing.assert_allclose(predict64(small, x, t), predict64(model, x, t),
                                rtol=0, atol=1e-10)
 
 
@@ -544,7 +550,8 @@ def test_rebound_weight_is_what_predict_loss_and_compact_use():
     rng = make_rng(2, "rebind")
     x = rng.standard_normal((8, 2))
     t = rng.integers(0, 1000, 8)
-    assert rebound.predict(x, t).tobytes() == in_place.predict(x, t).tobytes()
+    assert (predict64(rebound, x, t).tobytes()
+            == predict64(in_place, x, t).tobytes())
     sched = make_schedule(1000, 1e-4, 0.02)
     batch = TrainBatch(x0=rng.standard_normal((8, 2)), t=t,
                        eps=rng.standard_normal((8, 2)))
@@ -553,7 +560,8 @@ def test_rebound_weight_is_what_predict_loss_and_compact_use():
     assert small_i is not in_place
     for name, arr in small_i.params.items():
         assert small_r.params[name].tobytes() == arr.tobytes()
-    assert small_r.predict(x, t).tobytes() == small_i.predict(x, t).tobytes()
+    assert (predict64(small_r, x, t).tobytes()
+            == predict64(small_i, x, t).tobytes())
 
 
 def free_list_bytes(model):

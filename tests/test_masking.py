@@ -71,12 +71,12 @@ class TestApplyMaskUpdate:
             n: make_rng(1, n).normal(size=m.shape) for n, m in model.masks.items()
         }
         apply_mask_update(model.masks, scores, 0.5, 0.0)
-        masked_out = model.predict(x, t)
+        masked_out = model.predict(x, t, model.float64().param_inputs())
         # physically zero the weights instead of masking
         for n, m in model.masks.items():
             model.params[n] *= np.abs(m) > 0.5
             model.masks[n] = np.ones_like(m)
-        removed_out = model.predict(x, t)
+        removed_out = model.predict(x, t, model.float64().param_inputs())
         np.testing.assert_array_equal(masked_out, removed_out)
 
     def test_mask_closure_invariant(self):

@@ -4,6 +4,7 @@ import functools
 import numpy as np
 import pytest
 
+from flowprune.criteria import score_batches
 from flowprune.datasets import generate
 from flowprune.diffusion import (
     Adam,
@@ -173,6 +174,15 @@ def small_model(seed=0):
     return NoisePredictor(dim=2, hidden=12, depth=2, temb_dim=8, seed=seed)
 
 
+def score_inputs(sched, data, plan):
+    """The score set and the diagnostic batch ``prune_run`` draws for seed
+    0, from streams 0 and 1."""
+    batches = score_batches(sched, data, 0, plan.score_n_batches,
+                            plan.score_batch_size)
+    diag_batch, = score_batches(sched, data, 1, 1, plan.score_batch_size)
+    return {"batches": batches, "diag_batch": diag_batch}
+
+
 class TestDriver:
     def test_progressive_soft_loop(self, small_setup):
         data, sched = small_setup
@@ -180,8 +190,9 @@ class TestDriver:
         plan = PrunePlan(s=0.5, total_steps=60, m_iters=6, n_iters=4,
                          interval=5, criterion="magnitude",
                          score_batch_size=32)
-        rows, _, state = run_progressive_soft(model, sched, data, plan,
-                                              seed=0, lr=2e-4)
+        rows, _, state = run_progressive_soft(
+            model, sched, data, plan, seed=0, lr=2e-4,
+            **score_inputs(sched, data, plan))
         assert len(rows) == 6
         assert all(r["delta_e"] >= 0 for r in rows)
         s_vals = [r["s_t"] for r in rows]
@@ -201,7 +212,8 @@ class TestDriver:
                          interval=5, criterion="magnitude",
                          granularity="row-group", score_batch_size=32)
         rows, _, _ = run_progressive_soft(model, sched, data, plan, seed=0,
-                                          lr=2e-4)
+                                          lr=2e-4,
+                                          **score_inputs(sched, data, plan))
         ranked = [model.params[n].shape[0] for n in model.weight_names
                   if n not in model.output_weight_names]
         assert len(ranked) == 3
@@ -230,7 +242,8 @@ class TestDriver:
                          interval=5, criterion="magnitude",
                          score_batch_size=32)
         rows, _, _ = run_progressive_soft(small_model(), sched, data, plan,
-                                          seed=0, lr=2e-4)
+                                          seed=0, lr=2e-4,
+                                          **score_inputs(sched, data, plan))
         churn = [r["churn"] for r in rows]
         assert churn[0] == pruned[0]
         want = [len(a ^ b) for a, b in zip(kept_sets, kept_sets[1:])]
@@ -261,7 +274,8 @@ class TestDriver:
         model = small_model()
         plan = PrunePlan(s=0.5, total_steps=10, m_iters=0, n_iters=0,
                          interval=1, mode="one-shot", score_batch_size=32)
-        state, diag = final_hard_prune(model, sched, data, plan, seed=0)
+        batches = score_inputs(sched, data, plan)["batches"]
+        state, diag = final_hard_prune(model, sched, plan, batches)
         assert soft_sparsity(
             {n: m for n, m in model.masks.items()
              if n not in model.output_weight_names}, 0.0
@@ -280,7 +294,8 @@ class TestDriver:
         model = small_model()
         plan = PrunePlan(s=0.5, total_steps=30, m_iters=0, n_iters=0,
                          interval=1, mode="one-shot", score_batch_size=32)
-        final_hard_prune(model, sched, data, plan, seed=0)
+        batches = score_inputs(sched, data, plan)["batches"]
+        final_hard_prune(model, sched, plan, batches)
         pruned_before = {
             n: model.params[n][np.abs(m) < 0.5].copy()
             for n, m in model.masks.items()
@@ -297,14 +312,15 @@ class TestDriver:
         model = small_model()
         plan = PrunePlan(s=0.5, total_steps=10, m_iters=0, n_iters=0,
                          interval=1, mode="one-shot", score_batch_size=32)
-        final_hard_prune(model, sched, data, plan, seed=0)
+        batches = score_inputs(sched, data, plan)["batches"]
+        final_hard_prune(model, sched, plan, batches)
         rng = make_rng(3, "fwd")
         x = rng.normal(size=(5, 2))
         t = rng.integers(0, 50, 5)
-        out1 = model.predict(x, t)
+        out1 = model.predict(x, t, model.float64().param_inputs())
         for n, m in model.masks.items():
             model.params[n][np.abs(m) < 0.5] = 123.456
-        out2 = model.predict(x, t)
+        out2 = model.predict(x, t, model.float64().param_inputs())
         np.testing.assert_array_equal(out1, out2)
 
 
