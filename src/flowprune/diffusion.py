@@ -26,6 +26,15 @@ parameters' dtype, so every training step replays its record, gradient
 included, in float32. Scoring and the oracles run on ``float64()`` copies.
 The data math (``noisy_sample``, the embedding table) stays float64.
 
+``Adam`` keeps the training state flat. Building it concatenates the
+parameters, in dict order, into one contiguous vector and rebinds each
+``params[name]`` to its view of that vector; its moments, the gradient and
+two scratch vectors share the layout. A step copies the gradients in and
+runs whole-vector ufuncs in the per-array update's order, so it gives that
+update's bits without allocating. Write parameters in place after that: an
+entry rebound to a new array no longer trains, and ``Adam.step`` raises
+when it finds one.
+
 ``sample_ddim`` runs the compacted predictor in float32. It casts the
 effective weights to float32 once per call, and ``predict`` casts each
 block's rows and the step's embedding row to the weights' dtype, so the
@@ -380,34 +389,67 @@ def draw_batch(data: np.ndarray, sched: DiffusionSchedule, batch: int,
 
 
 class Adam:
-    """Adam over the model's parameter dict, updating arrays in place. Its
-    moments ``m`` and ``v`` take the parameters' dtype and keep it through
-    :meth:`load_state`, so a resumed step computes what an uninterrupted
-    one would."""
+    """Adam over the model's parameter dict, updating it in place.
+
+    Construction rebinds each ``params[name]`` to a view of one flat
+    parameter vector, in dict order, keeping its values; ``m``, ``v``, the
+    gradient and two scratch vectors share that layout (see the module
+    docstring). ``m`` and ``v`` are name -> view mappings. The moments take
+    the parameters' dtype and keep it through :meth:`load_state`, so a
+    resumed step computes what an uninterrupted one would."""
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
+        dtypes = {p.dtype for p in params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got "
+                             f"{sorted(map(str, dtypes))}")
         self.lr = lr
         self.step_count = 0
-        self.m = {n: np.zeros_like(p) for n, p in params.items()}
-        self.v = {n: np.zeros_like(p) for n, p in params.items()}
+        self._params = params
+        shapes = [p.shape for p in params.values()]
+        cuts = np.cumsum([p.size for p in params.values()])[:-1]
+
+        def views(flat: np.ndarray) -> dict[str, np.ndarray]:
+            return {name: part.reshape(shape) for name, shape, part in
+                    zip(params, shapes, np.split(flat, cuts))}
+
+        self._flat = np.concatenate([p.ravel() for p in params.values()])
+        self._grad, self._m, self._v, self._s1, self._s2 = (
+            np.zeros_like(self._flat) for _ in range(5))
+        self._views = views(self._flat)
+        params.update(self._views)
+        self._grads = views(self._grad)
+        self.m = views(self._m)
+        self.v = views(self._v)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """One update of ``params``, the dict this optimizer flattened, from
+        a gradient for each of its parameters."""
+        if params is not self._params or any(
+                params[n] is not view for n, view in self._views.items()):
+            raise ValueError("Adam steps only the params dict it was built "
+                             "on, with the arrays it bound there")
+        for name, g in self._grads.items():
+            np.copyto(g, grads[name])
         b1, b2 = self.BETA1, self.BETA2
         self.step_count += 1
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+        g, m, v, s1, s2 = self._grad, self._m, self._v, self._s1, self._s2
+        # m += (1 - b1) * g
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s1)
+        # v += (1 - b2) * (g * g)
+        v *= b2
+        v += np.multiply(1.0 - b2, np.multiply(g, g, out=s1), out=s1)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(self.lr, np.divide(m, bc1, out=s1), out=s1)
+        np.add(np.sqrt(np.divide(v, bc2, out=s2), out=s2), self.EPS, out=s2)
+        self._flat -= np.divide(s1, s2, out=s1)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         out = {f"adam.m.{n}": a for n, a in self.m.items()}
@@ -416,9 +458,17 @@ class Adam:
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray]):
-        for n in self.m:
-            self.m[n] = np.array(tensors[f"adam.m.{n}"], self.m[n].dtype)
-            self.v[n] = np.array(tensors[f"adam.v.{n}"], self.v[n].dtype)
+        """Write checkpoint moments into ``m`` and ``v`` in place, cast to
+        their dtype; a moment shaped unlike its parameter raises
+        ``ValueError``."""
+        for key, moments in (("adam.m", self.m), ("adam.v", self.v)):
+            for n, arr in moments.items():
+                name = f"{key}.{n}"
+                got = np.shape(tensors[name])
+                if got != arr.shape:
+                    raise ValueError(f"tensor {name!r} has shape {got}, "
+                                     f"parameter has {arr.shape}")
+                arr[...] = tensors[name]
         self.step_count = int(tensors["adam.step"])
 
 

@@ -10,6 +10,13 @@ is itself a differentiable graph and Hessian-vector products fall out of a
 second reverse pass (double backprop).
 A central-finite-difference HVP is provided as an independent cross-check.
 
+A record interns its nodes: an op other than ``input`` or ``const`` whose
+``(op, args, attrs)`` matches an existing node returns that node. The
+HVP's second reverse pass thus reuses the sigmoids, transposes and other
+nodes the first pass already built (and evaluated, when it is given that
+pass's values) instead of computing them again. A node computes the same
+bits under either id, so interning changes no value.
+
 A replay runs in the precision of its feed. An input fed as float32
 replays as float32; every other input is converted to float64, and consts
 are float64. The gradient seed is the output's own ``affine(out, 0, 1)``,
@@ -168,12 +175,21 @@ class Record:
         self._hvp_cache: dict[tuple, dict[str, int]] = {}
         self._schedules: dict[tuple, tuple[list[int], list[tuple]]] = {}
         self._free: dict[tuple, list[np.ndarray]] = {}
+        self._interned: dict[tuple, int] = {}
 
     # -- construction -----------------------------------------------------
 
     def _append(self, op: str, args: tuple, attrs: tuple, shape: tuple) -> Ref:
-        nid = len(self.nodes)
-        self.nodes.append(Node(nid, op, args, attrs, tuple(shape)))
+        """A new node, or the existing one that computes the same
+        ``(op, args, attrs)``; inputs and consts are always new."""
+        # repr tells a -0.0 attr from 0.0, which compare equal
+        key = (op, args, repr(attrs))
+        nid = self._interned.get(key)
+        if nid is None:
+            nid = len(self.nodes)
+            self.nodes.append(Node(nid, op, args, attrs, tuple(shape)))
+            if op not in ("input", "const"):
+                self._interned[key] = nid
         return Ref(self, nid)
 
     def _node(self, ref: Ref) -> Node:
@@ -503,7 +519,7 @@ class Record:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values in {what}")
     return arr
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowprune import criteria, diffusion, engine
+from flowprune import criteria, diffusion, engine, pipeline
 from flowprune.criteria import compute_scores, gradient_flow_delta
 from flowprune.datasets import generate
 from flowprune.diffusion import (
@@ -191,6 +191,146 @@ class TestTraining:
                   batch_size=16)
             outs.append(np.concatenate([p.ravel() for p in model.params.values()]))
         assert outs[0].tobytes() == outs[1].tobytes()
+
+
+class LoopAdam:
+    """Adam as a loop over the parameter arrays, each updated by its own
+    ufuncs: the bits the flat optimizer must reproduce."""
+
+    def __init__(self, params, lr):
+        self.params = {n: p.copy() for n, p in params.items()}
+        self.m = {n: np.zeros_like(p) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p) for n, p in params.items()}
+        self.lr = lr
+        self.step_count = 0
+
+    def step(self, grads):
+        b1, b2 = Adam.BETA1, Adam.BETA2
+        self.step_count += 1
+        bc1 = 1.0 - b1**self.step_count
+        bc2 = 1.0 - b2**self.step_count
+        for name, g in grads.items():
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            self.params[name] -= (self.lr * (m / bc1)
+                                  / (np.sqrt(v / bc2) + Adam.EPS))
+
+
+def soft_masked(seed=0):
+    """A float32 model whose masks hold zeros and soft values."""
+    model = NoisePredictor(dim=2, hidden=32, depth=3, temb_dim=8, seed=seed)
+    rng = make_rng(seed, "soft-masks")
+    for name, mask in model.masks.items():
+        mask[...] = rng.uniform(size=mask.shape) * (rng.uniform(
+            size=mask.shape) > 0.3)
+    return model
+
+
+def compacted(seed=0):
+    """The compacted copy of a float32 model under a row-group hard prune
+    at s = 0.5."""
+    model = NoisePredictor(dim=2, hidden=32, depth=3, temb_dim=8, seed=seed)
+    scores = {n: make_rng(seed, "rows").uniform(size=model.params[n].shape)
+              for n in model.weight_names}
+    apply_mask_update(model.masks, scores, 0.5, 0.0, granularity="row-group",
+                      exclude=model.output_weight_names)
+    small = model.compact()
+    assert small is not model
+    return small
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("make, grad_mode", [
+        (soft_masked, "masked"), (soft_masked, "dense"), (compacted, "masked")])
+    def test_matches_the_per_array_loop(self, make, grad_mode):
+        model = make()
+        sched = make_schedule(100, 1e-3, 0.05)
+        data = generate(512, 0)
+        ref = LoopAdam(model.params, 1e-2)
+        opt = Adam(model.params, 1e-2)
+        for k in range(20):
+            batch = draw_batch(data, sched, 32, make_rng(0, "flat-adam", k))
+            _, grads = loss_and_grads(model, sched, batch, grad_mode)
+            opt.step(model.params, grads)
+            ref.step(grads)
+        for mine, theirs in ((model.params, ref.params), (opt.m, ref.m),
+                             (opt.v, ref.v)):
+            assert mine.keys() == theirs.keys()
+            for name, arr in theirs.items():
+                assert mine[name].dtype == arr.dtype == np.float32
+                assert mine[name].tobytes() == arr.tobytes(), name
+
+    def test_params_become_views_of_one_vector(self):
+        model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=1)
+        before = {n: p.copy() for n, p in model.params.items()}
+        held = pipeline.model_tensors(model)
+        opt = Adam(model.params, 1e-2)
+        flat = model.params["layer0.w"].base
+        assert flat.ndim == 1 and flat.size == sum(
+            p.size for p in before.values())
+        for name, arr in model.params.items():
+            assert arr.base is flat and arr is not held[name]
+            assert arr.tobytes() == before[name].tobytes()
+        tensors = pipeline.model_tensors(model, opt)
+        sched = make_schedule(50, 1e-3, 0.05)
+        batch = draw_batch(generate(64, 0), sched, 16, make_rng(1, "views"))
+        opt.step(model.params, loss_and_grads(model, sched, batch)[1])
+        for name in model.params:
+            assert tensors[name].tobytes() != before[name].tobytes()
+            assert np.any(tensors[f"adam.m.{name}"])
+        assert tensors["adam.m.layer0.w"] is opt.m["layer0.w"]
+
+    def test_rejects_what_a_flat_step_would_get_wrong(self):
+        model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=1)
+        grads = {n: np.ones_like(p) for n, p in model.params.items()}
+        mixed = dict(model.params, **{"out.b": model.params["out.b"].astype(
+            np.float64)})
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam(mixed, 1e-2)
+        opt = Adam(model.params, 1e-2)
+        with pytest.raises(KeyError, match="out.b"):
+            opt.step(model.params, {n: g for n, g in grads.items()
+                                    if n != "out.b"})
+        with pytest.raises(ValueError):
+            opt.step(dict(model.params), grads)
+        model.params["out.b"] = model.params["out.b"].copy()
+        with pytest.raises(ValueError):
+            opt.step(model.params, grads)
+        assert opt.step_count == 0
+
+    def test_load_state_checks_shapes_and_writes_in_place(self):
+        model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=1)
+        opt = Adam(model.params, 1e-2)
+        moments = opt.m["layer1.w"]
+        state = {n: np.full(a.shape, 0.5) for n, a in opt.state_tensors().items()}
+        state["adam.step"] = np.array(3.0)
+        opt.load_state(state)
+        assert opt.m["layer1.w"] is moments and np.all(moments == 0.5)
+        assert moments.dtype == np.float32 and opt.step_count == 3
+        state["adam.v.layer1.b"] = np.array([5.0])
+        with pytest.raises(ValueError, match="adam.v.layer1.b"):
+            opt.load_state(state)
+
+    def test_step_allocates_no_temporaries_at_default_width(self):
+        import tracemalloc
+
+        model = NoisePredictor(dim=2, seed=0)
+        sched = make_schedule(1000, 1e-4, 0.02)
+        batch = draw_batch(generate(256, 0), sched, 128, make_rng(0, "alloc"))
+        _, grads = loss_and_grads(model, sched, batch)
+        opt = Adam(model.params, 2e-4)
+        opt.step(model.params, grads)
+        tracemalloc.start()
+        try:
+            opt.step(model.params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 128 x 128 float32 temporary is 64 KiB
+        assert peak < 16 * 1024
 
 
 class TestSamplers:

@@ -13,6 +13,7 @@ from flowprune.engine import (
     gradient,
     hessian_vector_product,
 )
+from flowprune.diffusion import NoisePredictor
 
 
 def fd_gradient(fn, x, step=1e-5):
@@ -388,6 +389,37 @@ class TestGraphExtension:
         hessian_vector_product(rec, feed, ["theta"], {"theta": [1.0, 2.0]})
         after = forward(rec, feed)
         assert before.tobytes() == after.tobytes()
+
+
+class TestInterning:
+    def test_same_op_on_same_args_is_one_node(self):
+        rec = Record()
+        a, b = rec.input("a", (3,)), rec.input("b", (3,))
+        assert rec.add(a, b).nid == rec.add(a, b).nid
+        assert rec.add(a, b).nid != rec.add(b, a).nid
+        assert rec.affine(a, 2.0).nid == rec.affine(a, 2.0, 0.0).nid
+        assert rec.affine(a, 0.0).nid != rec.affine(a, -0.0).nid
+
+    def test_consts_are_never_shared(self):
+        rec = Record()
+        assert rec.const(0.0).nid != rec.const(0.0).nid
+
+    def test_hvp_reuses_the_first_passes_sigmoids(self):
+        """The default loss record's HVP plan evaluates no node that the
+        gradient plan holds under another id: every SiLU derivative's
+        sigmoid comes from the first reverse pass."""
+        model = NoisePredictor(dim=2, seed=0)
+        rec = model.loss_record(256)
+        names = model.weight_names
+        wrt_ids, _ = rec._wrt_ids(names)
+        grads = rec._build_grad(rec.output, wrt_ids)
+        grad_plan = set(rec._schedule(tuple(grads[w] for w in wrt_ids))[0])
+        hv = rec._ensure_hvp(names)
+        hvp_only = [nid for nid in rec._schedule(tuple(hv[n] for n in names))[0]
+                    if nid not in grad_plan]
+        ops = [rec.nodes[nid].op for nid in hvp_only]
+        assert "sigmoid" not in ops
+        assert ops.count("matmul") == 28 and len(ops) == 178
 
 
 def mlp_record_and_feed(seed=7):
