@@ -25,7 +25,9 @@ The model trains in float32, but ``compute_scores`` and
 ``gradient_flow_delta`` work on a float64 copy of it
 (``NoisePredictor.float64``), dropped when they return: scores, the loss
 they read, its gradient and the HVP are float64, and the model's own arrays
-are left as they were.
+are left as they were. Each batch is one engine replay that frees every
+node after its last use: H g for gradient-flow, the gradient for Taylor
+and the gradient norm. No batch keeps its forward values for a later call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .diffusion import DiffusionSchedule, NoisePredictor, TrainBatch, loss
+# ``loss`` is unused here but stays bound: perfbench wraps every binding
+from .diffusion import (DiffusionSchedule, NoisePredictor, TrainBatch, loss,
+                        loss_inputs)
 from .seeding import make_rng
 
 CRITERIA = ("magnitude", "taylor", "gradient-flow")
@@ -53,42 +57,30 @@ def score_batches(sched: DiffusionSchedule, data: np.ndarray, seed: int,
     return out
 
 
-def taylor_scores_from_record(
-    record, inputs, names, values: dict | None = None
-) -> dict[str, np.ndarray]:
-    """|effective weight * dL/dw| for one loss record.
-
-    ``values`` are node values already computed for ``inputs`` (see
-    ``engine.gradient``).
-    """
-    grads = engine.gradient(record, inputs, names, values)
+def taylor_scores_from_record(record, inputs, names) -> dict[str, np.ndarray]:
+    """|effective weight * dL/dw| for one loss record."""
+    grads = engine.gradient(record, inputs, names)
     return {n: np.abs(np.asarray(inputs[n]) * grads[n]) for n in names}
 
 
 def gradient_flow_scores_from_record(record, inputs, names,
-                                     prefactor: dict | None = None,
-                                     values: dict | None = None) -> dict:
+                                     prefactor: dict | None = None) -> dict:
     """(effective weight) * (H g) for one loss record; signed.
 
     H and g are taken at the weights fed through ``inputs``; ``prefactor``
     (the effective weights) defaults to those same values. Scoring a masked
     model feeds the dense weights and passes weight*mask as the prefactor,
     so a mask of p scales a unit's score by exactly p and mask changes do
-    not feed back into the curvature measurement. ``values`` are node values
-    already computed for ``inputs``; the gradient extends them and the HVP
-    reuses the forward and gradient nodes.
+    not feed back into the curvature measurement. H g comes from one
+    replay of forward, gradient and double backward.
     """
-    values = {} if values is None else values
-    grads = engine.gradient(record, inputs, names, values)
-    hg = engine.hessian_vector_product(record, inputs, names, grads,
-                                       values=values)
+    hg = engine.hessian_vector_product(record, inputs, names)
     pre = prefactor or {n: np.asarray(inputs[n]) for n in names}
     return {n: np.asarray(pre[n]) * hg[n] for n in names}
 
 
-def gradient_flow_delta_from_record(record, inputs, names,
-                                    values: dict | None = None) -> float:
-    grads = engine.gradient(record, inputs, names, values)
+def gradient_flow_delta_from_record(record, inputs, names) -> float:
+    grads = engine.gradient(record, inputs, names)
     return float(sum(np.sum(g * g) for g in grads.values()))
 
 
@@ -96,9 +88,8 @@ def gradient_flow_delta(model: NoisePredictor, sched: DiffusionSchedule,
                         batch: TrainBatch) -> float:
     """Squared gradient norm of the loss over all trainable parameters, in
     float64."""
-    ctx = loss(model.float64(), sched, batch)
-    return gradient_flow_delta_from_record(ctx.record, ctx.inputs,
-                                           list(model.params), ctx.values)
+    rec, feed = loss_inputs(model.float64(), sched, batch)
+    return gradient_flow_delta_from_record(rec, feed, list(model.params))
 
 
 def compute_scores(criterion: str, model: NoisePredictor,
@@ -131,16 +122,12 @@ def compute_scores(criterion: str, model: NoisePredictor,
             n: model.params[n] * model.masks[n] for n in names}
         scores = {n: np.zeros_like(model.params[n]) for n in names}
         for batch in batches:
-            ctx = loss(model, sched, batch, masked=taylor)
+            rec, feed = loss_inputs(model, sched, batch, masked=taylor)
             if taylor:
-                per = taylor_scores_from_record(ctx.record, ctx.inputs, names,
-                                                values=ctx.values)
+                per = taylor_scores_from_record(rec, feed, names)
             else:
-                per = gradient_flow_scores_from_record(
-                    ctx.record, ctx.inputs, names, prefactor=prefactor,
-                    values=ctx.values)
-            # free this batch's node values before the next forward
-            del ctx
+                per = gradient_flow_scores_from_record(rec, feed, names,
+                                                       prefactor=prefactor)
             for n in names:
                 scores[n] += per[n]
         scores = {n: scores[n] / len(batches) for n in names}

@@ -21,7 +21,7 @@ trains, and ``write_back`` scatters its parameters into the full layout. An
 unpruned model compacts to itself, so its samples do not change.
 
 Parameters, masks and Adam's moments are float32 (``TRAIN_DTYPE``), and
-``loss`` casts its float64 noisy input, embedding and noise to the
+``loss_inputs`` casts its float64 noisy input, embedding and noise to the
 parameters' dtype, so every training step replays its record, gradient
 included, in float32. Scoring and the oracles run on ``float64()`` copies.
 The data math (``noisy_sample``, the embedding table) stays float64.
@@ -351,9 +351,10 @@ class LossContext:
     """A loss value plus the record, inputs and node values that produced it.
 
     ``values`` holds the forward pass's node values for ``inputs``; pass it to
-    ``engine.gradient`` / ``engine.hessian_vector_product`` on the same
-    inputs to skip replaying the forward. It keeps every intermediate alive,
-    so drop the context once its gradients are taken.
+    ``engine.gradient`` on the same inputs to skip replaying the forward, as
+    training does. It keeps every intermediate alive, so drop the context
+    once its gradients are taken. Scoring keeps no values: it replays the
+    record and feed of :func:`loss_inputs`, freeing as it goes.
     """
 
     value: float
@@ -362,12 +363,12 @@ class LossContext:
     values: dict
 
 
-def loss(model: NoisePredictor, sched: DiffusionSchedule,
-         batch: TrainBatch, masked: bool = True) -> LossContext:
-    """The loss of ``batch``, replayed in the precision of the model's
-    parameters: the float64 noisy input, embedding and noise are cast to
-    it."""
-    rec = model.loss_record(batch.x0.shape[0])
+def loss_inputs(model: NoisePredictor, sched: DiffusionSchedule,
+                batch: TrainBatch, masked: bool = True
+                ) -> tuple[Record, dict[str, np.ndarray]]:
+    """The loss record for ``batch`` and its feed, in the precision of the
+    model's parameters: the float64 noisy input, embedding and noise are
+    cast to it."""
     feed = model.param_inputs(masked=masked)
     dtype = feed["out.w"].dtype
     feed["x"] = noisy_sample(sched, batch.x0, batch.t, batch.eps).astype(
@@ -375,6 +376,14 @@ def loss(model: NoisePredictor, sched: DiffusionSchedule,
     feed["temb"] = time_embedding(batch.t, model.temb_dim).astype(
         dtype, copy=False)
     feed["eps"] = batch.eps.astype(dtype, copy=False)
+    return model.loss_record(batch.x0.shape[0]), feed
+
+
+def loss(model: NoisePredictor, sched: DiffusionSchedule,
+         batch: TrainBatch, masked: bool = True) -> LossContext:
+    """The loss of ``batch`` (see :func:`loss_inputs`), keeping its node
+    values."""
+    rec, feed = loss_inputs(model, sched, batch, masked)
     values: dict = {}
     value = float(engine.forward(rec, feed, values))
     return LossContext(value=value, record=rec, inputs=feed, values=values)

@@ -2,20 +2,19 @@
 
 A ``Record`` is an append-only list of primitive operations over named input
 tensors. The vocabulary is deliberately small: matmul, transpose, broadcast,
-add, elementwise multiply, scalar affine, sigmoid, silu, leading-axis sums
-and sum-of-squares. Shape ops act on leading axes only: ``broadcast`` adds
-leading axes and ``sum_axes`` sums them away, so each is the other's backward
-rule. Every backward rule emits nodes from the same vocabulary, so a gradient
-is itself a differentiable graph and Hessian-vector products fall out of a
-second reverse pass (double backprop).
+add, elementwise multiply, scalar affine, sigmoid, silu, leading-axis sums,
+sum-of-squares and ``stop``, the identity with no gradient. Shape ops act on
+leading axes only: ``broadcast`` adds leading axes and ``sum_axes`` sums them
+away, so each is the other's backward rule. Every backward rule emits nodes
+from the same vocabulary, so a gradient is itself a differentiable graph and
+Hessian-vector products fall out of a second reverse pass (double backprop).
 A central-finite-difference HVP is provided as an independent cross-check.
 
 A record interns its nodes: an op other than ``input`` or ``const`` whose
 ``(op, args, attrs)`` matches an existing node returns that node. The
 HVP's second reverse pass thus reuses the sigmoids, transposes and other
-nodes the first pass already built (and evaluated, when it is given that
-pass's values) instead of computing them again. A node computes the same
-bits under either id, so interning changes no value.
+nodes the first pass already built instead of computing them again. A node
+computes the same bits under either id, so interning changes no value.
 
 A replay runs in the precision of its feed. An input fed as float32
 replays as float32; every other input is converted to float64, and consts
@@ -29,34 +28,35 @@ the oracles do).
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.
 
-One replay serves a whole forward -> gradient -> HVP chain. ``forward`` and
-``gradient`` take a ``values`` dict (node id -> array) and add the nodes they
-evaluate to it; a later call on the same inputs skips every node already
-there, so the gradient evaluates only backward nodes and the exact HVP only
-double-backward nodes. Reuse gives the same bits as a fresh replay, because
+A ``forward`` or ``gradient`` call may keep its node values: given a
+``values`` dict (node id -> array), it adds the nodes it evaluates, and a
+later call on the same inputs skips those, as training's forward ->
+gradient chain does. Reuse gives the same bits as a fresh replay, because
 each node is computed by the same operation either way. The values are valid
 for exactly the feed they were computed from: an input fed a different array
 raises ``ValueError``, but a fed array changed in place is not detected, so
-drop the dict before updating parameters. It holds every intermediate of the
-chain, so keep it no longer than the chain.
+drop the dict before updating parameters, and keep it no longer than the
+chain.
 
-A replay nobody keeps frees as it goes. Without a ``values`` dict, and in
-the exact HVP (which evaluates into a copy of the caller's dict), each node
-value is released right after the last node in the plan that reads it, so
+A replay without a ``values`` dict frees as it goes: each node value is
+released right after the last node in the plan that reads it, so
 large-batch replays hold a few live activations instead of all of them.
-Targets are never released; the caller's dict is never touched. A target
-set's plan and release points are computed once and cached together.
+Targets are never released. A target set's plan and release points are
+computed once and cached together. Every HVP replays so; H g without ``v``
+reads the gradient through ``stop`` nodes, so forward, gradient and double
+backward are one plan and no caller holds the first two.
 
 Such a replay also recycles what it releases. The record keeps a free list
 of buffers per (shape, dtype); a released value goes on it when this replay
 computed it with an allocating op (matmul, add, mul, affine, sigmoid or
 silu), it is not a scalar, it owns its memory and nothing else references
-it, such as a transpose or broadcast view that is still live. An allocating
-op pops a matching buffer and writes into it: the DDIM sampler's second and
-later steps allocate no activation. Targets, inputs, consts and the values
-of a caller's dict are never recycled, and a replay with a ``values`` dict
-(training) neither takes nor gives buffers. Each op runs the same ufuncs in
-the same order either way, so a recycled replay gives the same bits.
+it, such as a transpose, broadcast or ``stop`` that is still live. An
+allocating op pops a matching buffer and writes into it: the DDIM sampler's
+second and later steps allocate no activation. Targets, inputs, consts and
+the values of a caller's dict are never recycled, and a replay with a
+``values`` dict (training) neither takes nor gives buffers. Each op runs the
+same ufuncs in the same order either way, so a recycled replay gives the
+same bits.
 The list is a bounded cache, not a leak: a replay pops before it allocates,
 so for each (shape, dtype) the list holds at most as many buffers as one
 replay of the record releases, and it lives as long as the record.
@@ -275,6 +275,10 @@ class Record:
     def sum_sq(self, a: Ref) -> Ref:
         return self._append("sum_sq", (a.nid,), (), ())
 
+    def stop(self, a: Ref) -> Ref:
+        """``a``'s value, passed on; no gradient flows back through it."""
+        return self._append("stop", (a.nid,), (), self._node(a).shape)
+
     def linear(self, x: Ref, weight: Ref, bias: Ref | None = None) -> Ref:
         """x @ weight.T (+ bias), with weight stored as [out, in]."""
         out = self.matmul(x, self.transpose(weight))
@@ -375,6 +379,8 @@ class Record:
                     vals[nid] = _allocating(node, vals, None)
             elif op == "const":
                 vals[nid] = self.consts[nid]
+            elif op == "stop":
+                vals[nid] = vals[node.args[0]]
             elif op == "transpose":
                 vals[nid] = vals[node.args[0]].T
             elif op == "broadcast":
@@ -409,7 +415,7 @@ class Record:
         """Contributions (parent id, grad ref) for one node, built from primitives."""
         out: list[tuple[int, Ref]] = []
         args = node.args
-        if node.op in ("input", "const"):
+        if node.op in ("input", "const", "stop"):
             return out
         refs = [Ref(self, a) for a in args]
         if node.op == "matmul":
@@ -499,17 +505,23 @@ class Record:
             raise KeyError(f"unknown parameter name(s): {missing}")
         return tuple(self.inputs[n] for n in names), names
 
-    def _ensure_hvp(self, wrt: Iterable[str]) -> dict[str, int]:
+    def _ensure_hvp(self, wrt: Iterable[str],
+                    of_gradient: bool = False) -> dict[str, int]:
+        """Name -> node id of H v, with v fed as ``__hvp_v:<name>`` inputs
+        or, ``of_gradient``, read from the gradient through ``stop``."""
         wrt_ids, names = self._wrt_ids(wrt)
         if not names:
             raise ValueError("HVP needs at least one parameter name")
-        key = (self.output, wrt_ids)
+        key = (self.output, wrt_ids, of_gradient)
         if key in self._hvp_cache:
             return self._hvp_cache[key]
         grads = self._build_grad(self.output, wrt_ids)
         phi = None
         for name, wid in zip(names, wrt_ids):
-            v = self.input(f"__hvp_v:{name}", self.nodes[wid].shape)
+            if of_gradient:
+                v = self.stop(Ref(self, grads[wid]))
+            else:
+                v = self.input(f"__hvp_v:{name}", self.nodes[wid].shape)
             term = self.sum_axes(self.mul(Ref(self, grads[wid]), v))
             phi = term if phi is None else self.add(phi, term)
         hv = self._build_grad(phi.nid, wrt_ids)
@@ -536,7 +548,7 @@ def forward(
     """Replay the record on ``inputs`` and return its output tensor.
 
     Pass an empty dict as ``values`` to keep the node values for a later
-    :func:`gradient` or :func:`hessian_vector_product` on the same inputs.
+    :func:`gradient` on the same inputs.
     """
     out = _require_output(record)
     vals = record.evaluate((out,), inputs, values)
@@ -569,60 +581,50 @@ def hessian_vector_product(
     record: Record,
     inputs: Mapping[str, np.ndarray],
     wrt: Iterable[str],
-    v: Mapping[str, np.ndarray],
+    v: Mapping[str, np.ndarray] | None = None,
     method: str = "exact",
-    values: dict | None = None,
 ) -> dict[str, np.ndarray]:
-    """H @ v for the Hessian of the scalar output w.r.t. the named inputs.
+    """H @ v for the Hessian of the scalar output w.r.t. the named inputs;
+    without ``v``, H @ g for the gradient g at ``inputs``.
 
-    ``method="exact"`` differentiates the gradient graph (double backprop);
-    ``method="fd"`` uses central differences of the gradient along ``v`` with
-    step ``1e-4 * (1 + max|theta|)``.
-
-    The exact method reuses ``values`` from an earlier call on the same
-    inputs but evaluates into a copy, releasing each double-backward node
-    after its last use; the caller's dict is left as it was. The fd method
-    feeds perturbed inputs and ignores ``values``.
+    ``method="exact"`` differentiates the gradient graph (double backprop)
+    in one replay that releases each node after its last use. H @ g reads g
+    through ``stop`` nodes in that same replay, so it has the bits of H @ v
+    with v the separately computed gradient. ``method="fd"`` uses central
+    differences of the gradient along ``v`` with step
+    ``1e-4 * (1 + max|theta|)``.
     """
     _require_output(record)
-    wrt_ids, names = record._wrt_ids(wrt)
-    for name in names:
+    _, names = record._wrt_ids(wrt)
+    if v is None and method == "fd":
+        v = gradient(record, inputs, names)
+    feed = dict(inputs)
+    for name in names if v is not None else ():
         if name not in v:
             raise KeyError(f"v missing entry for {name!r}")
         vs = np.shape(v[name])
         ps = record.nodes[record.inputs[name]].shape
         if vs != ps:
             raise ValueError(f"v[{name!r}] has shape {vs}, parameter has {ps}")
+        feed[f"__hvp_v:{name}"] = v[name]
 
     if method == "exact":
-        hv = record._ensure_hvp(names)
-        feed = dict(inputs)
-        for name in names:
-            feed[f"__hvp_v:{name}"] = v[name]
-        targets = tuple(hv[name] for name in names)
-        vals = record._replay(targets, feed, dict(values or {}), release=True)
-        return {
-            name: _check_finite(vals[hv[name]], f"hvp[{name}]") for name in names
-        }
+        hv = record._ensure_hvp(names, of_gradient=v is None)
+        vals = record.evaluate(tuple(hv[name] for name in names), feed)
+        return {name: _check_finite(vals[hv[name]], f"hvp[{name}]")
+                for name in names}
     if method == "fd":
-        theta_inf = max(
-            (float(np.max(np.abs(_as_f64(inputs[n])))) for n in names),
-            default=0.0,
-        )
+        theta_inf = max((float(np.max(np.abs(_as_f64(inputs[n]))))
+                         for n in names), default=0.0)
         fd_step = 1e-4 * (1.0 + theta_inf)
-        plus = dict(inputs)
-        minus = dict(inputs)
+        plus, minus = dict(inputs), dict(inputs)
         for name in names:
-            base = _as_f64(inputs[name])
-            vv = _as_f64(v[name])
+            base, vv = _as_f64(inputs[name]), _as_f64(v[name])
             plus[name] = base + fd_step * vv
             minus[name] = base - fd_step * vv
         g_plus = gradient(record, plus, names)
         g_minus = gradient(record, minus, names)
-        return {
-            name: _check_finite(
-                (g_plus[name] - g_minus[name]) / (2.0 * fd_step), f"hvp[{name}]"
-            )
-            for name in names
-        }
+        return {name: _check_finite((g_plus[name] - g_minus[name])
+                                    / (2.0 * fd_step), f"hvp[{name}]")
+                for name in names}
     raise ValueError(f"unknown HVP method {method!r}")

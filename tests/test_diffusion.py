@@ -443,9 +443,9 @@ def test_sampler_builds_its_weight_feed_once(monkeypatch):
 def test_training_runs_float32_and_scoring_float64(monkeypatch):
     """A default-width training step replays only float32 node values and
     keeps Adam's moments float32. Scoring, the gradient norm and the
-    sampler read float64 copies: the loss they replay is float64, and the
-    model keeps the same float32 parameter and mask arrays with the same
-    bits."""
+    sampler read float64 copies: the loss feeds scoring builds are float64,
+    so are the values its replays compute, and the model keeps the same
+    float32 parameter and mask arrays with the same bits."""
     model = NoisePredictor(dim=2, seed=1)
     sched = make_schedule(1000, 1e-4, 0.02)
     data = make_rng(1, "guard").standard_normal((256, 2))
@@ -469,16 +469,30 @@ def test_training_runs_float32_and_scoring_float64(monkeypatch):
 
     held = [(state, dict(state), {n: a.copy() for n, a in state.items()})
             for state in (model.params, model.masks)]
-    contexts.clear()
-    monkeypatch.setattr(criteria, "loss", keeping)
+    feeds, computed = [], []
+    real_inputs, real_allocating = criteria.loss_inputs, engine._allocating
+
+    def feeding(*args, **kwargs):
+        rec, feed = real_inputs(*args, **kwargs)
+        feeds.append(feed)
+        return rec, feed
+
+    def allocating(*args):
+        value = real_allocating(*args)
+        computed.append(value.dtype)
+        return value
+
+    monkeypatch.setattr(criteria, "loss_inputs", feeding)
+    monkeypatch.setattr(engine, "_allocating", allocating)
     batch = draw_batch(data, sched, 32, make_rng(1, "guard-batch"))
     scores = compute_scores("gradient-flow", model, sched, [batch])
     delta = gradient_flow_delta(model, sched, batch)
+    # one H g replay and one gradient replay, each forward and backward
+    assert len(feeds) == 2 and len(computed) > 100
+    for feed in feeds:
+        assert {a.dtype for a in feed.values()} == {np.dtype(np.float64)}
+    assert set(computed) == {np.dtype(np.float64)}
     assert sample_ddim(model, sched, 64, 10, noise_seed=2).dtype == np.float64
-    assert len(contexts) == 2
-    for ctx in contexts:
-        assert {np.asarray(v).dtype for v in ctx.values.values()} == {
-            np.dtype(np.float64)}
     assert {a.dtype for a in scores.values()} == {np.dtype(np.float64)}
     wide = model.float64()
     want = compute_scores("gradient-flow", wide, sched, [batch])
