@@ -14,6 +14,8 @@ Layout, format version 2 (all integers little-endian):
         payload   little-endian values, row-major
     u64       CRC-32 (zlib) of all preceding bytes, zero-extended
 
+Each name appears once; a file that repeats one is malformed.
+
 Metadata (stage name, iteration, config hash, ...) rides along as one
 reserved uint8 tensor named ``__meta__json`` holding the UTF-8 bytes of a
 JSON object. Other tensors are stored as float64, so a float32 tensor
@@ -99,6 +101,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", data, off)
             name = data[off + 2 : off + 2 + nlen].decode("utf-8")
+            if name in tensors:
+                raise ValueError(f"tensor {name!r} appears twice")
             off += 2 + nlen
             code, rank = struct.unpack_from("<BB", data, off)
             if code not in _DTYPES:

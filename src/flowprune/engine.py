@@ -28,45 +28,36 @@ the oracles do).
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.
 
-A ``forward`` or ``gradient`` call may keep its node values: given a
-``values`` dict (node id -> array), it adds the nodes it evaluates, and a
-later call on the same inputs skips those, as training's forward ->
-gradient chain does. Reuse gives the same bits as a fresh replay, because
-each node is computed by the same operation either way. The values are valid
-for exactly the feed they were computed from: an input fed a different array
-raises ``ValueError``, but a fed array changed in place is not detected, so
-drop the dict before updating parameters, and keep it no longer than the
-chain.
+Every replay follows one rule. It drops each non-target value right after
+its last reader in the plan, a view (``transpose``, ``broadcast``, ``stop``)
+counting as a reader of the array it views and dropping first, so a
+large-batch replay holds a few live activations instead of all of them. A
+dropped, non-scalar value of an allocating op (matmul, add, mul, affine,
+sigmoid or silu) goes on the record's free list for its (shape, dtype) when
+it owns its memory and the replay holds the only reference; every such op
+pops a matching buffer and writes into it, so the second and later DDIM or
+training steps allocate no activation. Each op runs the same ufuncs either
+way, so a recycled replay gives the same bits. A replay pops before it
+allocates, so the list holds at most as many buffers per (shape, dtype) as
+one replay, or one forward -> gradient chain, takes. A target set's plan and
+drop points are computed once and cached together.
 
-A replay without a ``values`` dict frees as it goes: each node value is
-released right after the last node in the plan that reads it, so
-large-batch replays hold a few live activations instead of all of them.
-Targets are never released. A target set's plan and release points are
-computed once and cached together. Every HVP replays so; H g without ``v``
-reads the gradient through ``stop`` nodes, so forward, gradient and double
+A replay may start from a ``values`` dict (node id -> array) that an
+earlier replay on the same inputs filled: it skips the nodes in it and
+drops and recycles them like its own. ``forward`` keeps its whole plan in
+such a dict by making every node a target, and ``gradient`` consumes it, as
+training's forward -> gradient chain does. Reuse gives the same bits as a
+fresh replay. The values hold for exactly the feed they came from: an input
+fed a different array raises ``ValueError``, but an array changed in place
+is not detected. Every HVP replays without a dict; H g without ``v`` reads
+the gradient through ``stop`` nodes, so forward, gradient and double
 backward are one plan and no caller holds the first two.
-
-Such a replay also recycles what it releases. The record keeps a free list
-of buffers per (shape, dtype); a released value goes on it when this replay
-computed it with an allocating op (matmul, add, mul, affine, sigmoid or
-silu), it is not a scalar, it owns its memory and nothing else references
-it, such as a transpose, broadcast or ``stop`` that is still live. An
-allocating op pops a matching buffer and writes into it: the DDIM sampler's
-second and later steps allocate no activation. Targets, inputs, consts and
-the values of a caller's dict are never recycled, and a replay with a
-``values`` dict (training) neither takes nor gives buffers. Each op runs the
-same ufuncs in the same order either way, so a recycled replay gives the
-same bits.
-The list is a bounded cache, not a leak: a replay pops before it allocates,
-so for each (shape, dtype) the list holds at most as many buffers as one
-replay of the record releases, and it lives as long as the record.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -119,9 +110,11 @@ def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(x, np.add(1.0, _exp_neg(x, out), out=out), out=out)
 
 
-# Ops whose value is a new array, which a release-mode replay can write
-# into a recycled buffer.
+# Ops whose value is a new array: written into a free-list buffer, and put
+# back on the list when a replay drops it as its sole owner.
 _ALLOCATING = frozenset(("matmul", "add", "mul", "affine", "sigmoid", "silu"))
+# Ops whose value shares its argument's memory.
+_VIEWS = frozenset(("transpose", "broadcast", "stop"))
 
 
 def _allocating(node: Node, vals: dict, out: np.ndarray | None) -> np.ndarray:
@@ -295,7 +288,8 @@ class Record:
     def _schedule(self, targets: tuple) -> tuple[list[int], list[tuple]]:
         """The plan for ``targets``, the ids of every node they need in
         ascending (topological) order, and per plan position the non-target
-        ids it reads for the last time."""
+        ids it reads for the last time, directly or through a view, in
+        descending order."""
         if targets in self._schedules:
             return self._schedules[targets]
         needed = set()
@@ -311,11 +305,18 @@ class Record:
         for pos, nid in enumerate(plan):
             for arg in self.nodes[nid].args:
                 last[arg] = pos
+        # a view is read where its readers are; its id exceeds its array's,
+        # so descending order drops it first
+        for nid in reversed(plan):
+            if self.nodes[nid].op in _VIEWS and nid in last:
+                arg = self.nodes[nid].args[0]
+                last[arg] = max(last[arg], last[nid])
         dead: list[list[int]] = [[] for _ in plan]
         for nid, pos in last.items():
             if nid not in targets:
                 dead[pos].append(nid)
-        self._schedules[targets] = plan, [tuple(ids) for ids in dead]
+        self._schedules[targets] = plan, [tuple(sorted(ids, reverse=True))
+                                          for ids in dead]
         return self._schedules[targets]
 
     def evaluate(
@@ -324,29 +325,14 @@ class Record:
         inputs: Mapping[str, np.ndarray],
         values: dict | None = None,
     ) -> dict:
-        """Node id -> value for every node ``targets`` need.
-
-        ``values`` is a dict returned by an earlier call on this record with
-        the same ``inputs``. Nodes already in it are reused, not evaluated
-        again; the newly evaluated nodes are added to it in place. An input
-        fed a different array than the one in ``values`` raises
-        ``ValueError``. Without ``values`` the intermediates are released
-        after their last use, and the returned dict holds the targets.
-        """
-        release = values is None
-        return self._replay(targets, inputs, {} if release else values, release)
-
-    def _replay(self, targets: tuple, inputs: Mapping[str, np.ndarray],
-                vals: dict, release: bool) -> dict:
-        """Evaluate the plan into ``vals``; with ``release``, delete each
-        non-target value from ``vals`` after its last use, and put it on
-        the free list when this replay made it with an allocating op and
-        holds the only reference to it. Allocating ops of a release replay
-        write into buffers from that list. Values that were in ``vals``
-        before the call are never recycled."""
-        plan, releases = self._schedule(targets)
-        drops = releases if release else repeat(())
-        made = set()
+        """Node id -> value for ``targets``, replayed by the module's one
+        rule: each non-target value is dropped after its last reader and,
+        when the replay solely owns it, recycled. ``values``, a dict an
+        earlier call on ``inputs`` filled, is reused and consumed in place
+        the same way; an input fed a different array than the one in it
+        raises ``ValueError``."""
+        vals = {} if values is None else values
+        plan, drops = self._schedule(targets)
         for nid, drop in zip(plan, drops):
             node = self.nodes[nid]
             op = node.op
@@ -372,11 +358,8 @@ class Record:
             elif nid in vals:
                 pass
             elif op in _ALLOCATING:
-                if release and node.shape:
-                    made.add(nid)
-                    vals[nid] = _allocating(node, vals, self._take(node, vals))
-                else:
-                    vals[nid] = _allocating(node, vals, None)
+                vals[nid] = _allocating(
+                    node, vals, self._take(node, vals) if node.shape else None)
             elif op == "const":
                 vals[nid] = self.consts[nid]
             elif op == "stop":
@@ -393,8 +376,10 @@ class Record:
                 raise ValueError(f"unknown op {op!r}")
             for dead in drop:
                 value = vals.pop(dead)
+                dropped = self.nodes[dead]
                 # sole owner: ``value`` and getrefcount's own argument
-                if (dead in made and value.base is None
+                if (dropped.op in _ALLOCATING and dropped.shape
+                        and value.base is None
                         and sys.getrefcount(value) == 2):
                     self._free.setdefault((value.shape, value.dtype),
                                           []).append(value)
@@ -548,10 +533,12 @@ def forward(
     """Replay the record on ``inputs`` and return its output tensor.
 
     Pass an empty dict as ``values`` to keep the node values for a later
-    :func:`gradient` on the same inputs.
+    :func:`gradient` on the same inputs: every node of the output's plan is
+    then a target, so the replay drops none of them.
     """
     out = _require_output(record)
-    vals = record.evaluate((out,), inputs, values)
+    targets = (out,) if values is None else tuple(record._schedule((out,))[0])
+    vals = record.evaluate(targets, inputs, values)
     return _check_finite(vals[out], "forward output")
 
 
@@ -563,8 +550,9 @@ def gradient(
 ) -> dict[str, np.ndarray]:
     """Gradients of the scalar output w.r.t. the named inputs.
 
-    ``values`` from an earlier call on the same inputs is reused and extended
-    with the backward nodes.
+    ``values`` from an earlier :func:`forward` on the same inputs is
+    consumed: its nodes are not evaluated again, and each is dropped and
+    recycled after its last reader in the gradient's plan.
     """
     out = _require_output(record)
     wrt_ids, names = record._wrt_ids(wrt)

@@ -3,7 +3,9 @@
 ``perfbench/`` names package modules, functions and the bindings other
 modules import, and its projection walks the experiment arms through
 ``build_plan``; a change in ``src/`` that breaks one of them fails here in
-about a second rather than in a benchmark run. ``perfbench/`` is put on
+about a second rather than in a benchmark run. Each workload also runs once,
+traced, at tiny size, so a change to the calls its traced layers require
+fails here too (about 3 s in all). ``perfbench/`` is put on
 ``sys.path`` for the test only, and its modules are unloaded afterwards.
 """
 
@@ -52,3 +54,16 @@ def test_projection_walks_the_experiment_grid(bench):
     got = bench["projection"].project(traced)
     assert got["arm_runs"] == 45
     assert math.isfinite(got["total_s"]) and got["total_s"] > 0
+
+
+@pytest.mark.parametrize("workload", ["train-dense", "prune-gradflow",
+                                      "sample-eval"])
+def test_traced_workload_passes_its_checks(bench, workload, tmp_path,
+                                           monkeypatch):
+    """One traced run at tiny size, whose layer check requires the calls
+    each workload's traced layers name (train-dense: ``diffusion.loss``,
+    then ``engine.forward`` and ``engine.gradient``)."""
+    monkeypatch.setattr(bench["run"], "OUT_DIR", tmp_path)
+    report = bench["run"].run(workload, 0, 0, True, size="tiny")
+    line = bench["run"].result_line(report)
+    assert line["correct"] and line["failed"] == 0, report["failures"]

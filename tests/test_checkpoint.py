@@ -34,6 +34,18 @@ def v1_container(tensors: dict) -> bytes:
     return body + struct.pack("<Q", fnv1a(body))
 
 
+def twice_named_container() -> bytes:
+    """A CRC-valid version-2 file that names ``w`` twice: zeros(2), then
+    ones(3)."""
+    items = [("w", np.zeros(2)), ("w", np.ones(3))]
+    body = MAGIC + struct.pack("<II", 2, len(items))
+    for name, arr in items:
+        raw = name.encode("utf-8")
+        body += struct.pack(f"<H{len(raw)}sBB{arr.ndim}Q", len(raw), raw, 0,
+                            arr.ndim, *arr.shape) + arr.astype("<f8").tobytes()
+    return body + struct.pack("<Q", zlib.crc32(body))
+
+
 def test_empty_roundtrip(tmp_path):
     path = tmp_path / "empty.ckpt"
     save_checkpoint(path, {})
@@ -129,6 +141,14 @@ def test_tensor_count_mismatch_with_valid_checksum_rejected(tmp_path, count):
     body[12:16] = struct.pack("<I", count)  # the file holds one tensor
     path.write_bytes(bytes(body) + struct.pack("<Q", zlib.crc32(body)))
     with pytest.raises(CheckpointError, match="malformed container"):
+        load_checkpoint(path)
+
+
+def test_tensor_named_twice_rejected(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(twice_named_container())
+    with pytest.raises(CheckpointError,
+                       match="malformed container: tensor 'w' appears twice"):
         load_checkpoint(path)
 
 

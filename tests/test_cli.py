@@ -11,7 +11,7 @@ from flowprune import pipeline
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
 from flowprune.cli import _load_config, build_parser, main
 from flowprune.config import RunConfig, dump_kv
-from test_checkpoint import v1_container
+from test_checkpoint import twice_named_container, v1_container
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,17 @@ def test_version_1_checkpoint_is_checkpoint_error(capsys, small_cfg_path,
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: checkpoint:")
     assert "unsupported version 1" in err_lines[0]
+
+
+def test_tensor_named_twice_is_checkpoint_error(capsys, small_cfg_path,
+                                                tmp_path):
+    twice = tmp_path / "twice.ckpt"
+    twice.write_bytes(twice_named_container())
+    code, out = run_cli(capsys, "evaluate", "--config", str(small_cfg_path),
+                        "--checkpoint", str(twice))
+    assert code == 3
+    line = one_error_line(out, "error: checkpoint:")
+    assert "tensor 'w' appears twice" in line
 
 
 def one_error_line(out, prefix):

@@ -449,41 +449,42 @@ def test_training_runs_float32_and_scoring_float64(monkeypatch):
     model = NoisePredictor(dim=2, seed=1)
     sched = make_schedule(1000, 1e-4, 0.02)
     data = make_rng(1, "guard").standard_normal((256, 2))
-    contexts = []
-    real_loss = diffusion.loss
+    contexts, computed = [], []
+    real_loss, real_allocating = diffusion.loss, engine._allocating
 
     def keeping(*args, **kwargs):
         contexts.append(real_loss(*args, **kwargs))
         return contexts[-1]
-
-    monkeypatch.setattr(diffusion, "loss", keeping)
-    opt = Adam(model.params, 1e-3)
-    train(model, sched, data, steps=1, opt=opt, seed=1, stage="guard")
-    (ctx,) = contexts
-    # the step's forward and backward nodes
-    assert len(ctx.values) > 100
-    assert {np.asarray(v).dtype for v in ctx.values.values()} == {
-        np.dtype(np.float32)}
-    for state in (model.params, model.masks, opt.m, opt.v):
-        assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
-
-    held = [(state, dict(state), {n: a.copy() for n, a in state.items()})
-            for state in (model.params, model.masks)]
-    feeds, computed = [], []
-    real_inputs, real_allocating = criteria.loss_inputs, engine._allocating
-
-    def feeding(*args, **kwargs):
-        rec, feed = real_inputs(*args, **kwargs)
-        feeds.append(feed)
-        return rec, feed
 
     def allocating(*args):
         value = real_allocating(*args)
         computed.append(value.dtype)
         return value
 
-    monkeypatch.setattr(criteria, "loss_inputs", feeding)
+    monkeypatch.setattr(diffusion, "loss", keeping)
     monkeypatch.setattr(engine, "_allocating", allocating)
+    opt = Adam(model.params, 1e-3)
+    train(model, sched, data, steps=1, opt=opt, seed=1, stage="guard")
+    (ctx,) = contexts
+    assert {a.dtype for a in ctx.inputs.values()} == {np.dtype(np.float32)}
+    # the step's allocating forward and backward nodes
+    assert len(computed) > 50
+    assert set(computed) == {np.dtype(np.float32)}
+    for state in (model.params, model.masks, opt.m, opt.v):
+        assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
+
+    held = [(state, dict(state), {n: a.copy() for n, a in state.items()})
+            for state in (model.params, model.masks)]
+    feeds = []
+    computed.clear()
+    real_inputs = criteria.loss_inputs
+
+    def feeding(*args, **kwargs):
+        rec, feed = real_inputs(*args, **kwargs)
+        feeds.append(feed)
+        return rec, feed
+
+    monkeypatch.setattr(criteria, "loss_inputs", feeding)
     batch = draw_batch(data, sched, 32, make_rng(1, "guard-batch"))
     scores = compute_scores("gradient-flow", model, sched, [batch])
     delta = gradient_flow_delta(model, sched, batch)
@@ -750,3 +751,92 @@ class TestFreeListIsBounded:
             after.append(free_list_bytes(model))
         assert after[0] > 0
         assert after == [after[0]] * 3
+
+    def test_training(self):
+        model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8, seed=0)
+        sched = make_schedule(50, 0.001, 0.05)
+        data = generate(256, 0)
+        opt = Adam(model.params, 1e-3)
+        after = []
+        for step in range(3):
+            train(model, sched, data, steps=1, opt=opt, seed=0,
+                  batch_size=32, start_step=step)
+            after.append(free_list_bytes(model))
+        assert after[0] > 0
+        assert after == [after[0]] * 3
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The shape and dtype of each buffer a replay takes fresh rather than
+    from a free list, and the arrays that ``engine.gradient`` and
+    ``engine.hessian_vector_product`` return, each appended call by call.
+    Holding the fresh buffers would keep them off the free list."""
+    fresh, returned = [], []
+    real_take = engine.Record._take
+
+    def take(self, node, vals):
+        waiting = sum(map(len, self._free.values()))
+        buf = real_take(self, node, vals)
+        if sum(map(len, self._free.values())) == waiting:
+            fresh.append((buf.shape, buf.dtype.str))
+        return buf
+
+    def returning(real):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            returned.append(dict(out))  # a caller may rebind its entries
+            return out
+        return call
+
+    monkeypatch.setattr(engine.Record, "_take", take)
+    for name in ("gradient", "hessian_vector_product"):
+        monkeypatch.setattr(engine, name, returning(getattr(engine, name)))
+    return fresh, returned
+
+
+def owners(arrays):
+    """Shape and dtype of the array that owns each of ``arrays``' memory,
+    sorted: a weight gradient is the transpose of a matmul's output."""
+    return sorted(((a if a.base is None else a.base).shape, a.dtype.str)
+                  for a in arrays)
+
+
+def test_training_takes_fresh_buffers_only_for_weight_gradients(
+        engine_calls):
+    """From the second step on, a default-width training step writes every
+    activation into a recycled buffer: it takes as many fresh ones, of the
+    same shapes, as the weight gradients it returns."""
+    fresh, returned = engine_calls
+    model = NoisePredictor(dim=2, seed=0)
+    sched = make_schedule(1000, 1e-4, 0.02)
+    data = generate(512, 0)
+    opt = Adam(model.params, 1e-3)
+    train(model, sched, data, steps=1, opt=opt, seed=0)
+    for step in range(1, 4):
+        fresh.clear()
+        returned.clear()
+        train(model, sched, data, steps=1, opt=opt, seed=0, start_step=step)
+        (grads,) = returned
+        # temb.w included; a bias gradient is a sum, not a taken buffer
+        weights = [g for n, g in grads.items() if n not in model.bias_names]
+        assert sorted(fresh) == owners(weights)
+
+
+@pytest.mark.parametrize("criterion", ["gradient-flow", "taylor"])
+def test_repeated_scoring_takes_fresh_buffers_only_for_what_it_returns(
+        engine_calls, criterion):
+    """A repeated ``compute_scores`` recycles every value its replays drop,
+    the activations that weight-gradient transposes view included."""
+    fresh, returned = engine_calls
+    model = NoisePredictor(dim=2, seed=0)
+    sched = make_schedule(1000, 1e-4, 0.02)
+    batches = criteria.score_batches(sched, generate(512, 0), seed=1,
+                                     n_batches=2, batch_size=64)
+    compute_scores(criterion, model, sched, batches)
+    fresh.clear()
+    returned.clear()
+    compute_scores(criterion, model, sched, batches)
+    assert len(returned) == len(batches)
+    assert sorted(fresh) == owners(
+        [arr for per in returned for arr in per.values()])

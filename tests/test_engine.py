@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from flowprune import engine
 from flowprune.engine import (
     Record,
     Ref,
@@ -470,15 +471,27 @@ def mlp_record_and_feed(seed=7):
 class TestValueReuse:
     WRT = ["w1", "b1", "w2"]
 
-    def test_gradient_evaluates_no_forward_node_again(self):
+    def test_gradient_evaluates_no_forward_node_again(self, monkeypatch):
         rec, feed = mlp_record_and_feed()
         values = {}
         out = forward(rec, feed, values)
-        fwd = dict(values)
+        # the forward keeps every node of its plan
+        fwd = set(rec._schedule((rec.output,))[0])
+        assert set(values) == fwd
+        computed = []
+        real_allocating = engine._allocating
+
+        def allocating(node, vals, out):
+            computed.append(node.nid)
+            return real_allocating(node, vals, out)
+
+        monkeypatch.setattr(engine, "_allocating", allocating)
         grads = gradient(rec, feed, self.WRT, values)
-        # every forward value is the very array the forward pass produced
-        assert all(values[nid] is arr for nid, arr in fwd.items())
-        assert set(values) > set(fwd)
+        monkeypatch.undo()
+        # the gradient computes only backward nodes and consumes the
+        # forward's values
+        assert computed and not fwd & set(computed)
+        assert not fwd & set(values)
         fresh = gradient(rec, feed, self.WRT)
         for k in self.WRT:
             assert grads[k].tobytes() == fresh[k].tobytes()
@@ -512,8 +525,10 @@ class TestRelease:
         targets = (pre, out, rec.inputs["b1"])
         got = rec.evaluate(targets, feed)
         assert set(got) == set(targets)
-        kept = rec.evaluate(targets, feed, {})
-        assert set(kept) > set(targets)
+        # a caller's dict follows the same rule: it ends with the targets
+        values = {}
+        kept = rec.evaluate(targets, feed, values)
+        assert kept is values and set(kept) == set(targets)
         for nid in targets:
             assert got[nid].tobytes() == kept[nid].tobytes()
 
