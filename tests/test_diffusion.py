@@ -449,8 +449,9 @@ def test_training_runs_float32_and_scoring_float64(monkeypatch):
     model = NoisePredictor(dim=2, seed=1)
     sched = make_schedule(1000, 1e-4, 0.02)
     data = make_rng(1, "guard").standard_normal((256, 2))
-    contexts, computed = [], []
+    contexts, computed, grads = [], [], []
     real_loss, real_allocating = diffusion.loss, engine._allocating
+    real_gradient = engine.gradient
 
     def keeping(*args, **kwargs):
         contexts.append(real_loss(*args, **kwargs))
@@ -461,15 +462,26 @@ def test_training_runs_float32_and_scoring_float64(monkeypatch):
         computed.append(value.dtype)
         return value
 
+    def differentiating(*args, **kwargs):
+        grads.append(dict(real_gradient(*args, **kwargs)))
+        return grads[-1]
+
     monkeypatch.setattr(diffusion, "loss", keeping)
     monkeypatch.setattr(engine, "_allocating", allocating)
+    monkeypatch.setattr(engine, "gradient", differentiating)
     opt = Adam(model.params, 1e-3)
     train(model, sched, data, steps=1, opt=opt, seed=1, stage="guard")
+    monkeypatch.setattr(engine, "gradient", real_gradient)
     (ctx,) = contexts
     assert {a.dtype for a in ctx.inputs.values()} == {np.dtype(np.float32)}
     # the step's allocating forward and backward nodes
     assert len(computed) > 50
     assert set(computed) == {np.dtype(np.float32)}
+    # every parameter's gradient, biases' sum_axes outputs included: Adam's
+    # copy into its float32 vector would hide a float64 one
+    (step_grads,) = grads
+    assert step_grads.keys() == model.params.keys()
+    assert {g.dtype for g in step_grads.values()} == {np.dtype(np.float32)}
     for state in (model.params, model.masks, opt.m, opt.v):
         assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
 

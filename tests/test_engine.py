@@ -263,17 +263,31 @@ def test_float32_feed_replays_in_float32(op):
     np.testing.assert_allclose(got, want, rtol=FLOAT32_RTOL)
 
 
+def gradient_plan_values(rec, feed, wrt):
+    """Every node value of ``gradient(rec, feed, wrt)``'s plan, from the
+    same replay with each node a target, so none is dropped; and the
+    gradient's node id per name."""
+    wrt_ids, names = rec._wrt_ids(wrt)
+    grads = rec._build_grad(rec.output, wrt_ids)
+    plan = rec._schedule(tuple(grads[w] for w in wrt_ids))[0]
+    values = rec.evaluate(tuple(plan), feed)
+    assert set(values) == set(plan)
+    return values, {name: grads[w] for name, w in zip(names, wrt_ids)}
+
+
 @pytest.mark.parametrize("op", ALL_OPS)
 def test_float32_feed_differentiates_in_float32(op):
     """The gradient seed takes the output's dtype, so a float32 feed
     replays every forward and backward node in float32."""
     rec, feed = build_single_op(op)
     feed32 = {n: a.astype(np.float32) for n, a in feed.items()}
-    values = {}
-    grads = gradient(rec, feed32, sorted(feed32), values)
+    values, grad_ids = gradient_plan_values(rec, feed32, sorted(feed32))
     assert {np.asarray(v).dtype for v in values.values()} == {
         np.dtype(np.float32)}
-    assert all(g.dtype == np.float32 for g in grads.values())
+    grads = gradient(rec, feed32, sorted(feed32))
+    for name, g in grads.items():
+        assert g.dtype == np.float32
+        assert g.tobytes() == values[grad_ids[name]].tobytes()
 
 
 def test_float64_gradient_keeps_python_scales_in_float64():
@@ -284,10 +298,11 @@ def test_float64_gradient_keeps_python_scales_in_float64():
     x = rec.input("x", (3,))
     rec.set_output(rec.affine(rec.sum_sq(x), 1.0 / 3.0))
     feed = {"x": np.array([0.1, -2.5, 7.0])}
-    values = {}
-    got = gradient(rec, feed, ["x"], values)["x"]
+    values, grad_ids = gradient_plan_values(rec, feed, ["x"])
     assert {np.asarray(v).dtype for v in values.values()} == {
         np.dtype(np.float64)}
+    got = gradient(rec, feed, ["x"])["x"]
+    assert got.tobytes() == values[grad_ids["x"]].tobytes()
     # backward of affine(sum_sq(x), 1/3): (1.0 * 1/3) * x * 2
     want = np.full(3, 1.0 / 3.0) * feed["x"] * 2.0
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
