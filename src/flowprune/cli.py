@@ -207,6 +207,7 @@ _ERRORS = [
     ((ValueError, KeyError), "invalid", 5),
     (FloatingPointError, "numeric", 6),
     (OSError, "io", 7),
+    (MemoryError, "memory", 8),
 ]
 
 

@@ -6,6 +6,12 @@ this package. Consistency is SSIM between outputs of two models sampled from
 identical noise, each 2-D point set rasterized to a 32x32 binned
 kernel-density image first. Efficiency is parameter and MAC counting on the
 compacted network, the one sampling runs.
+
+SSIM's window mean and the rasters' Gaussian blur are numpy ports of
+``scipy.ndimage.uniform_filter`` and ``gaussian_filter`` in their default
+reflect mode, the blur truncated at 4 sigma. Each repeats scipy's C loop
+operation for operation, so both are bit-identical to scipy's, and the
+package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.ndimage
 
 from .masking import MASK_ATOL
 
@@ -28,6 +33,71 @@ _SSIM_C2 = 0.03**2
 KDE_BINS = 32
 KDE_EXTENT = 3.0
 KDE_BLUR = 1.0
+# scipy's _gaussian_kernel1d for sigma KDE_BLUR, truncated at 4 sigma
+_BLUR_RADIUS = int(4.0 * KDE_BLUR + 0.5)
+_BLUR_WEIGHTS = np.exp(-0.5 / (KDE_BLUR * KDE_BLUR)
+                       * np.arange(-_BLUR_RADIUS, _BLUR_RADIUS + 1) ** 2)
+_BLUR_WEIGHTS /= _BLUR_WEIGHTS.sum()
+
+
+def _separable(x: np.ndarray, radius: int, filter_lines) -> np.ndarray:
+    """``filter_lines`` run along axis -2 and then axis -1, the order in
+    which scipy.ndimage filters an image's axes.
+
+    ``filter_lines(padded, n)`` gets the lines with the filtered axis first,
+    each padded at both ends by ``radius < n`` mirrored values, edge value
+    included (scipy's "reflect" mode, numpy's "symmetric"), and returns the
+    ``n`` filtered values of each line.
+    """
+    for axis in (-2, -1):
+        y = np.moveaxis(x, axis, 0)
+        padded = np.concatenate([y[radius - 1::-1], y, y[:-radius - 1:-1]])
+        x = np.moveaxis(filter_lines(padded, len(y)), 0, axis)
+    # C order, as scipy returns it: a sum over the result then adds in
+    # scipy's order
+    return np.ascontiguousarray(x)
+
+
+def _window_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the ``SSIM_WINDOW``-square window of each pixel of the last
+    two axes, as ``scipy.ndimage.uniform_filter`` gives it per image.
+
+    Along each axis, as scipy's ``NI_UniformFilter1D``: the first window is
+    summed in order from 0.0, each later one adds the entering value less
+    the leaving one to the running sum (``np.cumsum`` adds in order too),
+    and every output is that sum divided by the window size.
+    """
+    size = SSIM_WINDOW
+
+    def filter_lines(padded, n):
+        run = np.empty((n,) + padded.shape[1:])
+        run[0] = 0.0
+        for j in range(size):
+            run[0] += padded[j]
+        np.subtract(padded[size:], padded[:n - 1], out=run[1:])
+        return np.cumsum(run, axis=0, out=run) / size
+
+    return _separable(x, size // 2, filter_lines)
+
+
+def _blur(x: np.ndarray) -> np.ndarray:
+    """Gaussian blur of ``KDE_BLUR`` pixels over the last two axes, as
+    ``scipy.ndimage.gaussian_filter`` gives it per image.
+
+    Along each axis, as the symmetric branch of scipy's ``NI_Correlate1D``:
+    the centre times its weight, then each mirrored pair's sum times the
+    pair's weight is added, outermost pair first.
+    """
+    r, w = _BLUR_RADIUS, _BLUR_WEIGHTS
+
+    def filter_lines(padded, n):
+        out = padded[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            pair = padded[r - j:r - j + n] + padded[r + j:r + j + n]
+            out += pair * w[r - j]
+        return out
+
+    return _separable(x, r, filter_lines)
 
 
 @dataclass
@@ -75,13 +145,11 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray) -> float:
     if min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"images must be at least {SSIM_WINDOW} pixels per side")
 
-    def win_mean(x):
-        return scipy.ndimage.uniform_filter(x, size=SSIM_WINDOW)
-
-    mu_a, mu_b = win_mean(a), win_mean(b)
-    var_a = win_mean(a * a) - mu_a * mu_a
-    var_b = win_mean(b * b) - mu_b * mu_b
-    cov = win_mean(a * b) - mu_a * mu_b
+    mu_a, mu_b, mean_aa, mean_bb, mean_ab = _window_mean(
+        np.stack([a, b, a * a, b * b, a * b]))
+    var_a = mean_aa - mu_a * mu_a
+    var_b = mean_bb - mu_b * mu_b
+    cov = mean_ab - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     smap = num / den
@@ -90,15 +158,21 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray) -> float:
     return float(valid.mean())
 
 
-def kde_raster(points: np.ndarray) -> np.ndarray:
-    """Binned kernel-density image of a 2-D point set (unnormalized):
-    ``KDE_BINS`` bins a side over [-KDE_EXTENT, KDE_EXTENT]^2, blurred by a
-    Gaussian of ``KDE_BLUR`` bins."""
+def _histogram(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     extent = [-KDE_EXTENT, KDE_EXTENT]
     hist, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=KDE_BINS,
                                 range=[extent, extent])
-    return scipy.ndimage.gaussian_filter(hist, sigma=KDE_BLUR)
+    return hist
+
+
+def kde_raster(points: np.ndarray) -> np.ndarray:
+    """Binned kernel-density image of a 2-D point set (unnormalized):
+    ``KDE_BINS`` bins a side over [-KDE_EXTENT, KDE_EXTENT]^2, blurred by a
+    Gaussian of ``KDE_BLUR`` bins truncated at 4 sigma. The blur is a numpy
+    port of ``scipy.ndimage.gaussian_filter`` in reflect mode, bit-identical
+    to it."""
+    return _blur(_histogram(points))
 
 
 def consistency_ssim(samples_ref: np.ndarray, samples_cmp: np.ndarray) -> float:
@@ -109,8 +183,8 @@ def consistency_ssim(samples_ref: np.ndarray, samples_cmp: np.ndarray) -> float:
         if len(shape) != 2 or shape[1] != 2:
             raise ValueError(f"point sets must have shape [n, 2], got "
                              f"{list(shape)}")
-    ra = kde_raster(samples_ref)
-    rb = kde_raster(samples_cmp)
+    ra, rb = _blur(np.stack([_histogram(samples_ref),
+                             _histogram(samples_cmp)]))
     top = max(ra.max(), rb.max(), 1e-12)
     return ssim(ra / top, rb / top)
 

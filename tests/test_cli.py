@@ -191,6 +191,30 @@ def test_os_errors_are_io_errors(capsys, small_cfg_path, tmp_path):
     one_error_line(out, "error: io:")
 
 
+# 2^54 rows: their int64 or [n, 2] float64 array takes 2^57 or 2^58 bytes,
+# beyond any x86-64 address space, so numpy fails at once and touches no
+# memory under any overcommit setting
+UNALLOCATABLE_ROWS = 2**54
+
+
+def test_allocation_beyond_memory_is_memory_error(capsys, small_cfg_path,
+                                                 tmp_path):
+    code, out = run_cli(capsys, "pretrain", "--config", str(small_cfg_path))
+    assert code == 0
+    code, out = run_cli(capsys, "sample", "--config", str(small_cfg_path),
+                        "--stage", "pretrain", "--n", str(UNALLOCATABLE_ROWS))
+    assert code == 8
+    assert "Unable to allocate" in one_error_line(out, "error: memory:")
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.dataset_size = UNALLOCATABLE_ROWS
+    cfg.out_dir = str(tmp_path / "huge")
+    path = tmp_path / "huge.cfg"
+    cfg.save(path)
+    code, out = run_cli(capsys, "pretrain", "--config", str(path))
+    assert code == 8
+    assert "Unable to allocate" in one_error_line(out, "error: memory:")
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
     cfg = RunConfig.load(small_cfg_path)

@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.ndimage
 
+from flowprune import metrics
 from flowprune.masking import apply_mask_update
 from flowprune.metrics import (
     consistency_ssim,
@@ -153,6 +161,117 @@ class TestConsistency:
         r = kde_raster(pts)
         assert r.shape == (32, 32)
         assert np.all(r >= 0)
+
+
+def scipy_ssim(a, b):
+    """``ssim`` as written on scipy.ndimage's window mean."""
+    def win_mean(x):
+        return scipy.ndimage.uniform_filter(x, size=7)
+
+    mu_a, mu_b = win_mean(a), win_mean(b)
+    var_a = win_mean(a * a) - mu_a * mu_a
+    var_b = win_mean(b * b) - mu_b * mu_b
+    cov = win_mean(a * b) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + 0.01**2) * (2.0 * cov + 0.03**2)
+    den = (mu_a * mu_a + mu_b * mu_b + 0.01**2) * (var_a + var_b + 0.03**2)
+    return float((num / den)[3:a.shape[0] - 3, 3:a.shape[1] - 3].mean())
+
+
+def scipy_kde_raster(points):
+    hist, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=32,
+                                range=[[-3.0, 3.0], [-3.0, 3.0]])
+    return scipy.ndimage.gaussian_filter(hist, sigma=1.0)
+
+
+def scipy_consistency_ssim(ref, cmp):
+    ra, rb = scipy_kde_raster(ref), scipy_kde_raster(cmp)
+    top = max(ra.max(), rb.max(), 1e-12)
+    return scipy_ssim(ra / top, rb / top)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def point_set(rng, n):
+    """Points of a random spread and centre; the wider ones fall outside
+    the raster's +-3 square too."""
+    return rng.normal(size=(n, 2)) * rng.uniform(0.2, 4.0) + rng.uniform(-2, 2)
+
+
+# consistency_ssim of test_frozen_consistency_value's point sets, as the
+# scipy.ndimage 1.17.1 filters gave it before the numpy ports replaced them
+FROZEN_CONSISTENCY = "0x1.cb02b0c707d1dp-1"
+
+
+class TestScipyOracle:
+    """The numpy filters give scipy.ndimage's bits, for the images SSIM and
+    the rasters ever see and beyond."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 40), (32, 32), (50, 33)])
+    def test_filters_match_per_image_and_stacked(self, shape, scale):
+        rng = make_rng(20, "oracle", shape[0] * 100 + shape[1])
+        images = rng.normal(size=(6, *shape)) * scale  # negative values too
+        means = metrics._window_mean(images)
+        blurred = metrics._blur(images)
+        for i, img in enumerate(images):
+            want_mean = scipy.ndimage.uniform_filter(img, size=7)
+            want_blur = scipy.ndimage.gaussian_filter(img, sigma=1.0)
+            assert same_bits(metrics._window_mean(img), want_mean)
+            assert same_bits(means[i], want_mean)
+            assert same_bits(metrics._blur(img), want_blur)
+            assert same_bits(blurred[i], want_blur)
+
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 40), (32, 32), (50, 33)])
+    def test_ssim_matches(self, shape):
+        rng = make_rng(21, "oracle", shape[0] * 100 + shape[1])
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.normal(size=shape) * scale
+            b = a + rng.normal(size=shape) * scale * 0.5
+            assert ssim(a, b).hex() == scipy_ssim(a, b).hex()
+            u, v = rng.uniform(size=shape), rng.uniform(size=shape)
+            assert ssim(u, v).hex() == scipy_ssim(u, v).hex()
+
+    def test_rasters_and_consistency_match(self):
+        rng = make_rng(22, "oracle")
+        for _ in range(40):
+            ref = point_set(rng, int(rng.integers(3, 2000)))
+            cmp = ref + rng.normal(size=ref.shape) * rng.uniform(0.01, 1.0)
+            assert same_bits(kde_raster(ref), scipy_kde_raster(ref))
+            assert (consistency_ssim(ref, cmp).hex()
+                    == scipy_consistency_ssim(ref, cmp).hex())
+
+    def test_frozen_consistency_value(self):
+        # the package's own number, so that no later scipy, whose filters
+        # the oracle above follows, can move it unseen
+        rng = make_rng(23, "oracle")
+        ref = rng.normal(size=(1000, 2))
+        cmp = ref * 0.9 + rng.normal(size=ref.shape) * 0.2
+        assert consistency_ssim(ref, cmp).hex() == FROZEN_CONSISTENCY
+
+
+def test_package_runs_without_scipy():
+    """A fresh interpreter that imports the command line and computes an
+    SSIM has loaded no scipy module."""
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import flowprune.cli\n"
+        "from flowprune.metrics import consistency_ssim\n"
+        "pts = np.random.default_rng(0).normal(size=(500, 2))\n"
+        "consistency_ssim(pts, pts * 0.5)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    # conftest pins the BLAS threads in os.environ, so the child inherits it
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
 
 
 class TestMacs:
