@@ -21,13 +21,18 @@ stratified evenly over [0, T), so the batch seed fully determines the
 scores. ``pipeline.prune_run`` draws one such set per run, and every mask
 update and the hard prune of that run score on it.
 
-The model trains in float32, but ``compute_scores`` and
-``gradient_flow_delta`` work on a float64 copy of it
-(``NoisePredictor.float64``), dropped when they return: scores, the loss
-they read, its gradient and the HVP are float64, and the model's own arrays
-are left as they were. Each batch is one engine replay that frees every
-node after its last use: H g for gradient-flow, the gradient for Taylor
-and the gradient norm. No batch keeps its forward values for a later call.
+``compute_scores`` replays in the precision of the model it is given: a
+trained model is float32, so Taylor's gradient and gradient-flow's H g are
+float32, and a ``float64()`` copy, as the oracles build, replays in float64.
+The ranking arithmetic is float64 either way. The effective weights
+weight * mask are formed in float64, exact for float32 operands; each
+batch's product with g or H g is formed in float64 and added into float64
+scores, so magnitude scores do not depend on the model's precision.
+``gradient_flow_delta``, a diagnostic rather than a ranking, works on a
+float64 copy. Neither leaves the model's own arrays changed. Each batch is
+one engine replay that frees every node after its last use: H g for
+gradient-flow, the gradient for Taylor and the gradient norm. No batch
+keeps its forward values for a later call.
 """
 
 from __future__ import annotations
@@ -57,10 +62,17 @@ def score_batches(sched: DiffusionSchedule, data: np.ndarray, seed: int,
     return out
 
 
-def taylor_scores_from_record(record, inputs, names) -> dict[str, np.ndarray]:
-    """|effective weight * dL/dw| for one loss record."""
+def taylor_scores_from_record(record, inputs, names,
+                              prefactor: dict | None = None
+                              ) -> dict[str, np.ndarray]:
+    """|effective weight * dL/dw| for one loss record.
+
+    ``prefactor`` (the effective weights) defaults to the weights fed
+    through ``inputs``.
+    """
     grads = engine.gradient(record, inputs, names)
-    return {n: np.abs(np.asarray(inputs[n]) * grads[n]) for n in names}
+    pre = prefactor or inputs
+    return {n: np.abs(np.asarray(pre[n]) * grads[n]) for n in names}
 
 
 def gradient_flow_scores_from_record(record, inputs, names,
@@ -75,7 +87,7 @@ def gradient_flow_scores_from_record(record, inputs, names,
     replay of forward, gradient and double backward.
     """
     hg = engine.hessian_vector_product(record, inputs, names)
-    pre = prefactor or {n: np.asarray(inputs[n]) for n in names}
+    pre = prefactor or inputs
     return {n: np.asarray(pre[n]) * hg[n] for n in names}
 
 
@@ -97,40 +109,35 @@ def compute_scores(criterion: str, model: NoisePredictor,
                    ) -> dict[str, np.ndarray]:
     """Per-weight scores of one criterion, the pruning driver's entry point.
 
-    Scores are float64, computed on a float64 copy of ``model``.
-    Magnitude is |effective weight|. Taylor and gradient-flow average their
-    record scorers over ``batches``: Taylor on the masked loss,
-    gradient-flow on the dense loss with the effective weights as
-    prefactor, so H g is measured at the stored weights and the mask enters
-    only through the prefactor.
+    Scores are float64. Magnitude is |effective weight|. Taylor and
+    gradient-flow average their record scorers over ``batches``, replayed
+    in the precision of ``model``'s parameters: Taylor on the masked loss,
+    gradient-flow on the dense loss, so H g is measured at the stored
+    weights and the mask enters only through the prefactor. Both take the
+    float64 effective weights as prefactor and accumulate in float64.
 
     Raises ``ValueError`` for an unknown criterion, for Taylor or
     gradient-flow without batches, and when every score is zero, since no
     ranking can then be read from them; ``FloatingPointError`` for a
     non-finite score.
     """
-    model = model.float64()
+    prefactor = {n: np.multiply(model.params[n], m, dtype=np.float64)
+                 for n, m in model.masks.items()}
     if criterion == "magnitude":
-        scores = {n: np.abs(model.params[n] * m)
-                  for n, m in model.masks.items()}
+        scores = {n: np.abs(pre) for n, pre in prefactor.items()}
     elif criterion in CRITERIA:
         if not batches:
             raise ValueError("need at least one batch")
-        names = model.weight_names
         taylor = criterion == "taylor"
-        prefactor = None if taylor else {
-            n: model.params[n] * model.masks[n] for n in names}
-        scores = {n: np.zeros_like(model.params[n]) for n in names}
+        scorer = (taylor_scores_from_record if taylor
+                  else gradient_flow_scores_from_record)
+        scores = {n: np.zeros_like(pre) for n, pre in prefactor.items()}
         for batch in batches:
             rec, feed = loss_inputs(model, sched, batch, masked=taylor)
-            if taylor:
-                per = taylor_scores_from_record(rec, feed, names)
-            else:
-                per = gradient_flow_scores_from_record(rec, feed, names,
-                                                       prefactor=prefactor)
-            for n in names:
+            per = scorer(rec, feed, list(scores), prefactor=prefactor)
+            for n in scores:
                 scores[n] += per[n]
-        scores = {n: scores[n] / len(batches) for n in names}
+        scores = {n: s / len(batches) for n, s in scores.items()}
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
     for name, arr in scores.items():

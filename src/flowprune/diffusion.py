@@ -23,7 +23,9 @@ unpruned model compacts to itself, so its samples do not change.
 Parameters, masks and Adam's moments are float32 (``TRAIN_DTYPE``), and
 ``loss_inputs`` casts its float64 noisy input, embedding and noise to the
 parameters' dtype, so every training step replays its record, gradient
-included, in float32. Scoring and the oracles run on ``float64()`` copies.
+included, in float32. Taylor and gradient-flow scores replay in float32
+too, and form their float64 scores from float64 effective weights; the
+gradient-norm diagnostic and the oracles run on ``float64()`` copies.
 The data math (``noisy_sample``, the embedding table) stays float64.
 
 ``Adam`` keeps the training state flat. Building it concatenates the
@@ -198,8 +200,8 @@ class NoisePredictor:
         return sum(self.params[n].size for n in self.bias_names)
 
     def float64(self) -> "NoisePredictor":
-        """A copy with float64 parameters and masks, for scoring and the
-        oracles. It shares this predictor's records, which replay in the
+        """A copy with float64 parameters and masks, for the gradient-norm
+        diagnostic and the oracles. It shares this predictor's records, which replay in the
         precision of their feed."""
         wide = copy.copy(self)
         wide.params = {n: a.astype(np.float64) for n, a in self.params.items()}

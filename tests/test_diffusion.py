@@ -440,12 +440,15 @@ def test_sampler_builds_its_weight_feed_once(monkeypatch):
     assert len(calls) == 1 and calls[0].params["layer1.w"].shape[0] < 16
 
 
-def test_training_runs_float32_and_scoring_float64(monkeypatch):
+def test_scores_replay_in_the_model_dtype_and_the_gradient_norm_float64(
+        monkeypatch):
     """A default-width training step replays only float32 node values and
-    keeps Adam's moments float32. Scoring, the gradient norm and the
-    sampler read float64 copies: the loss feeds scoring builds are float64,
-    so are the values its replays compute, and the model keeps the same
-    float32 parameter and mask arrays with the same bits."""
+    keeps Adam's moments float32. Taylor and gradient-flow scores replay in
+    the dtype of the model they are given, float32 for a trained model and
+    float64 for its ``float64()`` copy, and return float64 scores. The
+    gradient norm reads a float64 copy: its feed and computed values are
+    float64. The model keeps the same float32 parameter and mask arrays
+    with the same bits."""
     model = NoisePredictor(dim=2, seed=1)
     sched = make_schedule(1000, 1e-4, 0.02)
     data = make_rng(1, "guard").standard_normal((256, 2))
@@ -488,7 +491,6 @@ def test_training_runs_float32_and_scoring_float64(monkeypatch):
     held = [(state, dict(state), {n: a.copy() for n, a in state.items()})
             for state in (model.params, model.masks)]
     feeds = []
-    computed.clear()
     real_inputs = criteria.loss_inputs
 
     def feeding(*args, **kwargs):
@@ -496,21 +498,34 @@ def test_training_runs_float32_and_scoring_float64(monkeypatch):
         feeds.append(feed)
         return rec, feed
 
+    def replayed(call):
+        """``call()`` and the dtypes of its one replay's feed and of the
+        values that replay computes."""
+        feeds.clear()
+        computed.clear()
+        out = call()
+        (feed,) = feeds
+        assert len(computed) > 50  # forward and backward
+        return out, {a.dtype for a in feed.values()}, set(computed)
+
     monkeypatch.setattr(criteria, "loss_inputs", feeding)
     batch = draw_batch(data, sched, 32, make_rng(1, "guard-batch"))
-    scores = compute_scores("gradient-flow", model, sched, [batch])
-    delta = gradient_flow_delta(model, sched, batch)
-    # one H g replay and one gradient replay, each forward and backward
-    assert len(feeds) == 2 and len(computed) > 100
-    for feed in feeds:
-        assert {a.dtype for a in feed.values()} == {np.dtype(np.float64)}
-    assert set(computed) == {np.dtype(np.float64)}
-    assert sample_ddim(model, sched, 64, 10, noise_seed=2).dtype == np.float64
-    assert {a.dtype for a in scores.values()} == {np.dtype(np.float64)}
+    f32, f64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
     wide = model.float64()
-    want = compute_scores("gradient-flow", wide, sched, [batch])
-    assert all(scores[n].tobytes() == a.tobytes() for n, a in want.items())
+    for criterion in ("gradient-flow", "taylor"):
+        scores, fed, nodes = replayed(
+            lambda: compute_scores(criterion, model, sched, [batch]))
+        assert fed == nodes == f32
+        assert {a.dtype for a in scores.values()} == f64
+        scores, fed, nodes = replayed(
+            lambda: compute_scores(criterion, wide, sched, [batch]))
+        assert fed == nodes == f64
+        assert {a.dtype for a in scores.values()} == f64
+    delta, fed, nodes = replayed(
+        lambda: gradient_flow_delta(model, sched, batch))
+    assert fed == nodes == f64
     assert delta == gradient_flow_delta(wide, sched, batch)
+    assert sample_ddim(model, sched, 64, 10, noise_seed=2).dtype == np.float64
     for state, arrays, bits in held:
         assert state.keys() == arrays.keys()
         for name, arr in arrays.items():
