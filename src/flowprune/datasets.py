@@ -13,21 +13,27 @@ from .seeding import make_rng
 
 DIM = 2
 
-# Theoretical per-coordinate std for standardization; the mixture is
-# mean-zero by symmetry.
-_RING_SIGMA = 0.05
-_RING_STD = np.sqrt(0.5 + _RING_SIGMA**2)
+# The ring mixture: RING_MODES isotropic Gaussians of std RING_SIGMA centred
+# on the unit circle, divided by RING_STD, the theoretical per-coordinate std
+# (the mixture is mean-zero by symmetry).
+RING_MODES = 8
+RING_SIGMA = 0.05
+RING_STD = np.sqrt(0.5 + RING_SIGMA**2)
+
+
+def ring_centers(mode: np.ndarray) -> np.ndarray:
+    """Unit-circle centres of the modes numbered ``mode``, shape
+    [len(mode), DIM], before standardization."""
+    angles = 2.0 * np.pi * mode / RING_MODES
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def generate(size: int, seed: int) -> np.ndarray:
-    """Ring-mixture samples, shape [size, DIM], float64: 8 isotropic
-    Gaussians (sigma 0.05) centred on the unit circle, standardized with the
-    closed-form per-coordinate std."""
+    """Ring-mixture samples, shape [size, DIM], float64: ``RING_MODES``
+    Gaussians drawn with equal weight, standardized by ``RING_STD``."""
     if size < 1:
         raise ValueError(f"dataset size must be at least 1, got {size}")
     rng = make_rng(seed, 0)
-    mode = rng.integers(0, 8, size=size)
-    angles = 2.0 * np.pi * mode / 8.0
-    centers = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    x = centers + _RING_SIGMA * rng.standard_normal((size, DIM))
-    return x / _RING_STD
+    mode = rng.integers(0, RING_MODES, size=size)
+    x = ring_centers(mode) + RING_SIGMA * rng.standard_normal((size, DIM))
+    return x / RING_STD

@@ -34,7 +34,13 @@ from .diffusion import (
     sample_ddim,
     train,
 )
-from .metrics import QualityReport, consistency_ssim, efficiency, frechet_distance
+from .metrics import (
+    QualityReport,
+    consistency_ssim,
+    efficiency,
+    frechet_distance,
+    mode_quality,
+)
 from .scheduler import (
     DIAG_FIELDS,
     PrunePlan,
@@ -44,10 +50,10 @@ from .scheduler import (
 )
 
 RESULT_FIELDS = ["experiment", "method", "criterion", "mode", "seed", "frechet",
-                 "ssim", "nonzero_params", "dense_params", "macs_dense",
-                 "macs_sparse", "wall_clock_s"]
+                 "ssim", "mode_precision", "modes", "nonzero_params",
+                 "dense_params", "macs_dense", "macs_sparse", "wall_clock_s"]
 TRACE_FIELDS = ["experiment", "method", "criterion", "seed", "iteration",
-                "frechet"]
+                "frechet", "mode_precision"]
 
 
 def build_dataset(cfg: RunConfig) -> np.ndarray:
@@ -231,9 +237,12 @@ def _quality(cfg: RunConfig, model: NoisePredictor, samples: np.ndarray,
         ssim_val = 1.0
     else:
         ssim_val = consistency_ssim(dense_samples, samples)
+    mode_precision, modes = mode_quality(samples)
     return QualityReport(
         frechet=fd,
         ssim=ssim_val,
+        mode_precision=mode_precision,
+        modes=modes,
         **efficiency(model),
         seeds=(seed, cfg.eval_seed),
     )
@@ -296,7 +305,8 @@ def prune_run(
         def trace_eval(m):
             got = sample_ddim(m, sched, cfg.trace_samples, cfg.trace_substeps,
                               noise_seed=cfg.eval_seed + 1)
-            return frechet_distance(got, ref)
+            return {"frechet": frechet_distance(got, ref),
+                    "mode_precision": mode_quality(got)[0]}
 
     t0 = time.perf_counter()
     diag_rows, trace, _ = run_progressive_soft(
@@ -405,7 +415,7 @@ def run_grid(cfg: RunConfig, arms: list[Arm], out_root) -> dict:
             if arm.experiment == "fig2":
                 trace_rows += [{"experiment": "fig2", "method": arm.method,
                                 "criterion": arm.criterion, "seed": seed,
-                                "iteration": t, "frechet": q}
+                                "iteration": t, **q}
                                for t, q in report["quality_trace"]]
     return {"rows": rows,
             "results_csv": _write_csv(out_root / "results.csv", RESULT_FIELDS,
@@ -424,14 +434,16 @@ def medians(rows: list[dict], field: str) -> dict:
             for e, by_method in values.items()}
 
 
-# how one seed's value beats another's: lower Frechet, higher SSIM
-_BEATS = {"frechet": operator.lt, "ssim": operator.gt}
+# how one seed's value beats another's: lower Frechet; higher SSIM, mode
+# precision and modes
+_BEATS = {"frechet": operator.lt, "ssim": operator.gt,
+          "mode_precision": operator.gt, "modes": operator.gt}
 
 
 def paired_counts(rows: list[dict]) -> list[str]:
     """Table 1's and Table 2's rows against their table's
-    gradient-flow/progressive-soft row, seed by seed: for Frechet and SSIM
-    and each other row, "<experiment> <metric>: A beats B on k of n
+    gradient-flow/progressive-soft row, seed by seed: for each measure of
+    ``_BEATS`` and each other row, "<experiment> <metric>: A beats B on k of n
     seeds". A tie beats neither."""
     lines = []
     for experiment in ("table1", "table2"):

@@ -137,7 +137,7 @@ def run_progressive_soft(
     batches: list[TrainBatch],
     diag_batch: TrainBatch,
     quality_eval=None,
-) -> tuple[list[dict], list[tuple[int, float]], MaskState | None]:
+) -> tuple[list[dict], list[tuple[int, object]], MaskState | None]:
     """Alternate weight training and mask updates for m_iters iterations.
 
     The weights train with Adam at learning rate ``lr``. Every mask update
@@ -149,7 +149,7 @@ def run_progressive_soft(
     and its value recorded in the quality trace as ``(t, value)``.
     """
     rows: list[dict] = []
-    quality_trace: list[tuple[int, float]] = []
+    quality_trace: list[tuple[int, object]] = []
     opt = Adam(model.params, lr)
     state: MaskState | None = None
     prev_kept = None
@@ -182,7 +182,7 @@ def run_progressive_soft(
             "churn": churn,
         })
         if quality_eval is not None:
-            quality_trace.append((t, float(quality_eval(model))))
+            quality_trace.append((t, quality_eval(model)))
     return rows, quality_trace, state
 
 

@@ -1,7 +1,10 @@
 import builtins
 import io
+import itertools
 import json
+import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -43,6 +46,31 @@ def twice_named_container() -> bytes:
         raw = name.encode("utf-8")
         body += struct.pack(f"<H{len(raw)}sBB{arr.ndim}Q", len(raw), raw, 0,
                             arr.ndim, *arr.shape) + arr.astype("<f8").tobytes()
+    return body + struct.pack("<Q", zlib.crc32(body))
+
+
+def reference_container(tensors: dict, meta: dict | None = None) -> bytes:
+    """The documented version-2 layout built whole: every header and
+    float64 payload joined with ``b"".join``, then the CRC-32 trailer."""
+    items = [(name, 0, np.asarray(arr, dtype="<f8"))
+             for name, arr in tensors.items()]
+    if meta is not None:
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        items.append(("__meta__json", 1, np.frombuffer(blob, np.uint8)))
+    parts = [MAGIC, struct.pack("<II", 2, len(items))]
+    for name, code, arr in items:
+        raw = name.encode("utf-8")
+        parts += [struct.pack(f"<H{len(raw)}sBB{arr.ndim}Q", len(raw), raw,
+                              code, arr.ndim, *arr.shape), arr.tobytes()]
+    body = b"".join(parts)
+    return body + struct.pack("<Q", zlib.crc32(body))
+
+
+def claiming_container(dims: tuple, payload: bytes) -> bytes:
+    """A CRC-valid version-2 file with one float64 tensor ``w`` whose header
+    claims ``dims`` and whose payload is ``payload``."""
+    body = MAGIC + struct.pack("<II", 2, 1) + struct.pack(
+        f"<H1sBB{len(dims)}Q", 1, b"w", 0, len(dims), *dims) + payload
     return body + struct.pack("<Q", zlib.crc32(body))
 
 
@@ -280,3 +308,111 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
     tensors, meta = load_checkpoint(path)
     assert meta == {"stage": "old"}
+
+
+def _tensor_kinds():
+    rng = make_rng(0, "ckpt-kinds")
+    return {
+        "f32": rng.normal(size=(3, 5)).astype(np.float32),
+        "f64": rng.normal(size=(4, 2)),
+        "scalar": np.array(-2.5, np.float32),
+        "empty": np.zeros((0, 3)),
+        "transposed": rng.normal(size=(3, 4)).astype(np.float32).T,
+    }
+
+
+@pytest.mark.parametrize("meta", [None, {"stage": "pretrain", "iteration": 7}])
+@pytest.mark.parametrize("kind", [*_tensor_kinds(), "all"])
+def test_streamed_bytes_match_the_joined_container(tmp_path, kind, meta):
+    tensors = _tensor_kinds()
+    if kind != "all":
+        tensors = {kind: tensors[kind]}
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, tensors, meta)
+    assert path.read_bytes() == reference_container(tensors, meta)
+
+    loaded, got_meta = load_checkpoint(path)
+    assert got_meta == (meta or {})
+    assert list(loaded) == list(tensors)
+    for name, arr in loaded.items():
+        want = np.asarray(tensors[name], dtype=np.float64)
+        assert arr.dtype == np.float64 and arr.shape == want.shape
+        assert arr.tobytes() == want.tobytes()
+        assert arr.flags.c_contiguous and arr.flags.aligned
+        assert arr.flags.writeable
+    for a, b in itertools.combinations(loaded.values(), 2):
+        assert not np.shares_memory(a, b)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("direction", ["save", "load"])
+def test_save_and_load_peaks_stay_near_one_tensor_and_the_payload(
+        tmp_path, direction):
+    """numpy reports array buffers to tracemalloc. Save holds one tensor's
+    float64 copy at a time; load holds the tensors it returns and one
+    checksum read buffer."""
+    rng = make_rng(0, "ckpt-peak")
+    tensors = {f"t{i}": rng.normal(size=(256, 256)).astype(np.float32)
+               for i in range(16)}
+    payload = sum(a.size for a in tensors.values()) * 8
+    path = tmp_path / "big.ckpt"
+    if direction == "save":
+        assert _traced_peak(lambda: save_checkpoint(path, tensors)) \
+            < 0.25 * payload
+    else:
+        save_checkpoint(path, tensors)
+        assert _traced_peak(lambda: load_checkpoint(path)) \
+            < payload + 1.25 * 2**20
+
+
+class _ShortPayloadReads(io.BufferedReader):
+    """Reader that fills each array it reads into but for its last byte."""
+
+    def readinto(self, buf):
+        if isinstance(buf, np.ndarray) and buf.nbytes > 0:
+            buf = buf[:-1]
+        return super().readinto(buf)
+
+
+@pytest.mark.parametrize("case", ["past the trailer", "past int64",
+                                  "short read"])
+def test_oversized_or_short_payload_rejected_before_allocation(
+        tmp_path, monkeypatch, case):
+    path = tmp_path / "claim.ckpt"
+    payload = np.arange(2.0).tobytes()
+    dims = {"past the trailer": (1 << 24,),
+            # int64 products wrap to 2, the length the payload holds
+            "past int64": (2**63 + 1, 2),
+            "short read": (2,)}[case]
+    path.write_bytes(claiming_container(dims, payload))
+    if case == "short read":
+        real_open = builtins.open
+
+        def short_open(file, mode="r", *args, **kwargs):
+            if mode != "rb":
+                return real_open(file, mode, *args, **kwargs)
+            return _ShortPayloadReads(real_open(file, "rb", buffering=0))
+
+        monkeypatch.setattr(builtins, "open", short_open)
+        monkeypatch.setattr(io, "open", short_open)
+        match = "malformed container: tensor 'w' is cut short: 15 of 16 bytes"
+    else:
+        match = (f"malformed container: tensor 'w' claims "
+                 f"{8 * math.prod(dims)} bytes, 16 remain before the trailer")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

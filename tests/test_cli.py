@@ -80,7 +80,8 @@ def test_pretrain_then_prune_and_evaluate(capsys, small_cfg_path):
     evaluated = json.loads(out.out)
     # stage isolation: metrics recomputed from the checkpoint match the
     # metrics recorded when the run produced it
-    for key in ("frechet", "ssim", "nonzero_params", "macs_sparse"):
+    for key in ("frechet", "ssim", "mode_precision", "modes",
+                "nonzero_params", "macs_sparse"):
         assert evaluated["metrics"][key] == report["metrics"][key]
 
 
@@ -525,6 +526,7 @@ def test_grid_runs_each_distinct_arm_once_per_seed(capsys, small_cfg_path,
     assert {(r["method"], r["seed"]) for r in traces} == {
         (m, s) for m in ("gradient-flow", "taylor") for s in "01"}
     assert len(traces) == 4 * cfg.plan_m_iters
+    assert all(0.0 <= float(r["mode_precision"]) <= 1.0 for r in traces)
 
 
 def test_grid_medians_keep_experiments_apart(capsys, small_cfg_path,
@@ -553,16 +555,16 @@ def test_grid_prints_paired_counts(capsys, small_cfg_path, tmp_path):
                         "--out", str(tmp_path))
     assert code == 0
     summary = json.loads(out.out)
+    fields = ("frechet", "ssim", "mode_precision", "modes")
     value = {(r["experiment"], r["method"], r["seed"], field): float(r[field])
-             for r in read_csv(summary["results_csv"])
-             for field in ("frechet", "ssim")}
+             for r in read_csv(summary["results_csv"]) for field in fields}
     want = []
     for experiment, ours, others in (
             ("table1", "gradient-flow", ["dense", "magnitude", "taylor"]),
             ("table2", "+progressive-soft",
              ["dense", "iterative/magnitude", "iterative/taylor",
               "iterative/gradient-flow", "+soft", "+progressive"])):
-        for field in ("frechet", "ssim"):
+        for field in fields:
             for other in others:
                 wins = 0
                 for seed in "01":
