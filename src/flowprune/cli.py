@@ -28,6 +28,7 @@ from .checkpoint import CheckpointError, save_checkpoint
 from .config import ConfigError, RunConfig
 from .diffusion import TrainingDiverged, sample_ddim
 from .pipeline import (
+    BEATS,
     GRID,
     build_model,
     build_plan,
@@ -161,8 +162,7 @@ def cmd_grid(args) -> dict:
         "command": "grid",
         "results_csv": out["results_csv"],
         "trace_csv": out["trace_csv"],
-        "median_frechet": medians(out["rows"], "frechet"),
-        "median_ssim": medians(out["rows"], "ssim"),
+        **{f"median_{field}": medians(out["rows"], field) for field in BEATS},
         "paired": paired_counts(out["rows"]),
         "rows": len(out["rows"]),
     }

@@ -105,6 +105,10 @@ def _blur(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QualityReport:
+    """``pipeline.evaluate_model``'s return value: one quality read's columns,
+    the model's efficiency counts and its seeds. It stays a class, not a
+    dict, because the benchmark reads its attributes."""
+
     frechet: float
     ssim: float
     mode_precision: float

@@ -8,7 +8,10 @@ report. ``run_grid`` runs ``GRID``, whose rows are Table 1's criteria, Table
 mode per seed, all from the seed's one pretrained checkpoint in
 ``<out_dir>/pretrain``. An arm is a result row: experiment, method label,
 criterion and schedule mode; ``build_plan`` alone decides the structural
-regime every arm shares.
+regime every arm shares. One ``measure`` call is one quality read: the dense
+row and each arm's row read ``eval_samples`` points over ``eval_substeps``
+from ``eval_seed``, and a Fig 2 trace point ``trace_samples`` points over
+``trace_substeps`` from ``eval_seed + 1``.
 """
 
 from __future__ import annotations
@@ -212,40 +215,33 @@ def load_stage_model(cfg: RunConfig, seed: int, path) -> NoisePredictor:
     return model
 
 
+def measure(cfg: RunConfig, model: NoisePredictor, n: int, substeps: int,
+            noise_seed: int, dense: np.ndarray | None = None
+            ) -> tuple[np.ndarray, dict]:
+    """``n`` DDIM samples of ``model`` over ``substeps`` from ``noise_seed``
+    and their quality columns; ``ssim`` is 1.0 without ``dense``."""
+    samples = sample_ddim(model, build_schedule(cfg), n, substeps,
+                          noise_seed=noise_seed)
+    frechet = frechet_distance(samples, eval_reference(cfg, n))
+    ssim = 1.0 if dense is None else consistency_ssim(dense, samples)
+    mode_precision, modes = mode_quality(samples)
+    return samples, {"frechet": frechet, "ssim": ssim,
+                     "mode_precision": mode_precision, "modes": modes}
+
+
 def dense_sample_cache(cfg: RunConfig, model: NoisePredictor) -> np.ndarray:
-    return sample_ddim(model, build_schedule(cfg), cfg.eval_samples,
-                       cfg.eval_substeps, noise_seed=cfg.eval_seed)
+    return measure(cfg, model, cfg.eval_samples, cfg.eval_substeps,
+                   cfg.eval_seed)[0]
 
 
 def evaluate_model(cfg: RunConfig, model: NoisePredictor,
                    dense_samples: np.ndarray | None,
                    seed: int) -> QualityReport:
-    """QualityReport for one model; SSIM pairs against the dense samples
-    generated from the identical noise seed."""
-    samples = sample_ddim(model, build_schedule(cfg), cfg.eval_samples,
-                          cfg.eval_substeps, noise_seed=cfg.eval_seed)
-    return _quality(cfg, model, samples, dense_samples, seed)
-
-
-def _quality(cfg: RunConfig, model: NoisePredictor, samples: np.ndarray,
-             dense_samples: np.ndarray | None, seed: int) -> QualityReport:
-    """QualityReport for ``model`` from its evaluation samples; without
-    ``dense_samples`` the model is its own SSIM reference."""
-    ref = eval_reference(cfg, cfg.eval_samples)
-    fd = frechet_distance(samples, ref)
-    if dense_samples is None:
-        ssim_val = 1.0
-    else:
-        ssim_val = consistency_ssim(dense_samples, samples)
-    mode_precision, modes = mode_quality(samples)
-    return QualityReport(
-        frechet=fd,
-        ssim=ssim_val,
-        mode_precision=mode_precision,
-        modes=modes,
-        **efficiency(model),
-        seeds=(seed, cfg.eval_seed),
-    )
+    """QualityReport of one read at the evaluation settings."""
+    _, columns = measure(cfg, model, cfg.eval_samples, cfg.eval_substeps,
+                         cfg.eval_seed, dense_samples)
+    return QualityReport(**columns, **efficiency(model),
+                         seeds=(seed, cfg.eval_seed))
 
 
 def _write_csv(path, fields: list[str], rows: list[dict]) -> str:
@@ -300,13 +296,11 @@ def prune_run(
 
     trace_eval = None
     if quality_trace:
-        ref = eval_reference(cfg, cfg.trace_samples)
-
         def trace_eval(m):
-            got = sample_ddim(m, sched, cfg.trace_samples, cfg.trace_substeps,
-                              noise_seed=cfg.eval_seed + 1)
-            return {"frechet": frechet_distance(got, ref),
-                    "mode_precision": mode_quality(got)[0]}
+            # the trace keeps only the columns trace.csv names
+            _, columns = measure(cfg, m, cfg.trace_samples,
+                                 cfg.trace_substeps, cfg.eval_seed + 1)
+            return {f: columns[f] for f in TRACE_FIELDS if f in columns}
 
     t0 = time.perf_counter()
     diag_rows, trace, _ = run_progressive_soft(
@@ -392,15 +386,17 @@ def run_grid(cfg: RunConfig, arms: list[Arm], out_root) -> dict:
         pre_path = pretrain(cfg, seed)
         pre_wall = time.perf_counter() - t0
         dense_model = load_stage_model(cfg, seed, pre_path)
-        dense_samples = dense_sample_cache(cfg, dense_model)
-        dense_quality = _quality(cfg, dense_model, dense_samples, None, seed)
+        dense_samples, dense_columns = measure(
+            cfg, dense_model, cfg.eval_samples, cfg.eval_substeps,
+            cfg.eval_seed)
+        dense_metrics = {**dense_columns, **efficiency(dense_model)}
         experiments: set[str] = set()
         reports: dict[tuple, dict] = {}
         for arm in arms:
             if arm.experiment not in experiments:
                 experiments.add(arm.experiment)
                 rows.append(result_row(arm.experiment, "dense", "-", "-", seed,
-                                       dense_quality.as_dict(), pre_wall))
+                                       dense_metrics, pre_wall))
             key = (arm.criterion, arm.mode)
             if key not in reports:
                 reports[key] = prune_run(
@@ -436,14 +432,14 @@ def medians(rows: list[dict], field: str) -> dict:
 
 # how one seed's value beats another's: lower Frechet; higher SSIM, mode
 # precision and modes
-_BEATS = {"frechet": operator.lt, "ssim": operator.gt,
-          "mode_precision": operator.gt, "modes": operator.gt}
+BEATS = {"frechet": operator.lt, "ssim": operator.gt,
+         "mode_precision": operator.gt, "modes": operator.gt}
 
 
 def paired_counts(rows: list[dict]) -> list[str]:
     """Table 1's and Table 2's rows against their table's
     gradient-flow/progressive-soft row, seed by seed: for each measure of
-    ``_BEATS`` and each other row, "<experiment> <metric>: A beats B on k of n
+    ``BEATS`` and each other row, "<experiment> <metric>: A beats B on k of n
     seeds". A tie beats neither."""
     lines = []
     for experiment in ("table1", "table2"):
@@ -452,7 +448,7 @@ def paired_counts(rows: list[dict]) -> list[str]:
                 == ("gradient-flow", "progressive-soft")}
         a = next(iter(ours.values()))["method"]
         others = dict.fromkeys(r["method"] for r in table if r["method"] != a)
-        for field, beats in _BEATS.items():
+        for field, beats in BEATS.items():
             for b in others:
                 pairs = [(float(ours[r["seed"]][field]), float(r[field]))
                          for r in table if r["method"] == b]

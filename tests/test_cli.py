@@ -480,20 +480,42 @@ def read_csv(path):
 def test_grid_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,
                                                     tmp_path, monkeypatch):
     cfg, path = two_seed_config(small_cfg_path, tmp_path)
-    evaluated = []
-    real = pipeline.sample_ddim
+    sampled, evaluated, reads = [], [], []
+    real_sample, real_measure = pipeline.sample_ddim, pipeline.measure
+
+    def unpruned(model):
+        return all((m == 1).all() for m in model.masks.values())
 
     def counting(model, sched, n, *args, **kwargs):
+        sampled.append(n)
         if n == cfg.eval_samples:  # not a trace
-            evaluated.append(all((m == 1).all() for m in model.masks.values()))
-        return real(model, sched, n, *args, **kwargs)
+            evaluated.append(unpruned(model))
+        return real_sample(model, sched, n, *args, **kwargs)
+
+    def measuring(run_cfg, model, n, *args, **kwargs):
+        assert n in (cfg.eval_samples, cfg.trace_samples)
+        reads.append("T" if n == cfg.trace_samples
+                     else "D" if unpruned(model) else "A")
+        return real_measure(run_cfg, model, n, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "sample_ddim", counting)
+    monkeypatch.setattr(pipeline, "measure", measuring)
     code, out = run_cli(capsys, "grid", "--config", str(path),
                         "--out", str(tmp_path))
     assert code == 0
     # per seed, one dense pass, then one per distinct arm
     assert evaluated == 2 * ([True] + 9 * [False])
+    # every read is a measure call: per seed the dense read, then each
+    # distinct arm's run, a traced run's trace reads before its arm read
+    runs = list(dict.fromkeys((a.criterion, a.mode) for a in pipeline.GRID))
+    traced = {(a.criterion, a.mode) for a in pipeline.GRID
+              if a.experiment == "fig2"}
+    seed_reads = "D" + "".join("T" * cfg.plan_m_iters * (run in traced) + "A"
+                               for run in runs)
+    assert seed_reads.count("A") == 9
+    assert seed_reads.count("T") == 2 * cfg.plan_m_iters
+    assert "".join(reads) == 2 * seed_reads
+    assert len(sampled) == len(reads)
     dense = [r for r in read_csv(json.loads(out.out)["results_csv"])
              if r["method"] == "dense"]
     assert [(r["experiment"], r["seed"]) for r in dense] == [
@@ -537,7 +559,10 @@ def test_grid_medians_keep_experiments_apart(capsys, small_cfg_path,
     assert code == 0
     summary = json.loads(out.out)
     rows = read_csv(summary["results_csv"])
-    for field in ("frechet", "ssim"):
+    fields = ("frechet", "ssim", "mode_precision", "modes")
+    assert {k for k in summary if k.startswith("median_")} == {
+        f"median_{field}" for field in fields}
+    for field in fields:
         medians = summary[f"median_{field}"]
         for experiment in ("table1", "fig2"):
             # table1's one-shot taylor and fig2's progressive-soft taylor
@@ -768,6 +793,9 @@ def test_trace_compares_against_trace_samples_reference_points(
     # each trace point, then the evaluation
     traced = len(report["quality_trace"])
     assert traced > 0
+    # the trace keeps only trace.csv's columns of each read
+    assert all(set(q) == {"frechet", "mode_precision"}
+               for _, q in report["quality_trace"])
     assert sizes == [(1200, 1200)] * traced + [(50, 50)]
 
 
