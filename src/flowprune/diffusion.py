@@ -31,11 +31,12 @@ The data math (``noisy_sample``, the embedding table) stays float64.
 ``Adam`` keeps the training state flat. Building it concatenates the
 parameters, in dict order, into one contiguous vector and rebinds each
 ``params[name]`` to its view of that vector; its moments, the gradient and
-two scratch vectors share the layout. A step copies the gradients in and
-runs whole-vector ufuncs in the per-array update's order, so it gives that
-update's bits without allocating. Write parameters in place after that: an
-entry rebound to a new array no longer trains, and ``Adam.step`` raises
-when it finds one.
+two scratch vectors share the layout, and the step count is a 0-d array
+it owns. A step copies the gradients in and runs whole-vector ufuncs in the
+per-array update's order, so it gives that update's bits without
+allocating. Write parameters in place after that, as
+``pipeline.restore_model`` does with Adam's state too: an entry rebound to
+a new array no longer trains, and ``Adam.step`` raises when it finds one.
 
 ``sample_ddim`` runs the compacted predictor in float32. It casts the
 effective weights to float32 once per call, and ``predict`` casts each
@@ -406,9 +407,11 @@ class Adam:
     Construction rebinds each ``params[name]`` to a view of one flat
     parameter vector, in dict order, keeping its values; ``m``, ``v``, the
     gradient and two scratch vectors share that layout (see the module
-    docstring). ``m`` and ``v`` are name -> view mappings. The moments take
-    the parameters' dtype and keep it through :meth:`load_state`, so a
-    resumed step computes what an uninterrupted one would."""
+    docstring). ``m`` and ``v`` are name -> view mappings, and the step
+    count is a 0-d array that ``step_count`` reads. :meth:`state_tensors`
+    names these live arrays, and ``pipeline.restore_model`` writes a
+    checkpoint back into them in their dtype, so a resumed step computes
+    what an uninterrupted one would."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -420,7 +423,7 @@ class Adam:
             raise ValueError(f"Adam needs parameters of one dtype, got "
                              f"{sorted(map(str, dtypes))}")
         self.lr = lr
-        self.step_count = 0
+        self._step = np.zeros((), np.int64)
         self._params = params
         shapes = [p.shape for p in params.values()]
         cuts = np.cumsum([p.size for p in params.values()])[:-1]
@@ -438,17 +441,20 @@ class Adam:
         self.m = views(self._m)
         self.v = views(self._v)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """One update of ``params``, the dict this optimizer flattened, from
-        a gradient for each of its parameters."""
-        if params is not self._params or any(
-                params[n] is not view for n, view in self._views.items()):
-            raise ValueError("Adam steps only the params dict it was built "
-                             "on, with the arrays it bound there")
+    @property
+    def step_count(self) -> int:
+        return int(self._step)
+
+    def step(self, grads: dict[str, np.ndarray]):
+        """One update of the parameters this optimizer flattened, from a
+        gradient for each of them."""
+        if any(self._params[n] is not view for n, view in self._views.items()):
+            raise ValueError("Adam steps only the arrays it bound in its "
+                             "params dict")
         for name, g in self._grads.items():
             np.copyto(g, grads[name])
         b1, b2 = self.BETA1, self.BETA2
-        self.step_count += 1
+        self._step += 1
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         g, m, v, s1, s2 = self._grad, self._m, self._v, self._s1, self._s2
@@ -466,22 +472,8 @@ class Adam:
     def state_tensors(self) -> dict[str, np.ndarray]:
         out = {f"adam.m.{n}": a for n, a in self.m.items()}
         out.update({f"adam.v.{n}": a for n, a in self.v.items()})
-        out["adam.step"] = np.array(float(self.step_count))
+        out["adam.step"] = self._step
         return out
-
-    def load_state(self, tensors: dict[str, np.ndarray]):
-        """Write checkpoint moments into ``m`` and ``v`` in place, cast to
-        their dtype; a moment shaped unlike its parameter raises
-        ``ValueError``."""
-        for key, moments in (("adam.m", self.m), ("adam.v", self.v)):
-            for n, arr in moments.items():
-                name = f"{key}.{n}"
-                got = np.shape(tensors[name])
-                if got != arr.shape:
-                    raise ValueError(f"tensor {name!r} has shape {got}, "
-                                     f"parameter has {arr.shape}")
-                arr[...] = tensors[name]
-        self.step_count = int(tensors["adam.step"])
 
 
 DIVERGENCE_LIMIT = 1e6
@@ -529,7 +521,7 @@ def train(model: NoisePredictor, sched: DiffusionSchedule, data: np.ndarray,
             raise TrainingDiverged(
                 f"loss {value:.3e} at step {k} (stage {stage!r}, seed {seed})"
             )
-        opt.step(model.params, grads)
+        opt.step(grads)
         if k % log_interval == 0 or k == start_step + steps - 1:
             trace.append((k, value))
     return trace

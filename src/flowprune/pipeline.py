@@ -135,24 +135,20 @@ def model_tensors(model: NoisePredictor, opt: Adam | None = None) -> dict:
     return tensors
 
 
-def restore_model(model: NoisePredictor, tensors: dict) -> None:
-    """Load the model's parameters and masks from checkpoint tensors, cast
-    to the model's dtype; a tensor that is missing or shaped unlike the
-    model's raises ``CheckpointError``."""
-
-    def take(name: str, shape: tuple) -> np.ndarray:
+def restore_model(model: NoisePredictor, tensors: dict,
+                  opt: Adam | None = None) -> None:
+    """The inverse of ``model_tensors(model, opt)``: write each checkpoint
+    tensor into the live array of that name, in place and cast to its dtype.
+    A tensor that is missing or shaped unlike its array raises
+    ``CheckpointError``."""
+    for name, arr in model_tensors(model, opt).items():
         if name not in tensors:
             raise CheckpointError(f"missing tensor {name!r}")
-        if tensors[name].shape != shape:
+        if tensors[name].shape != arr.shape:
             raise CheckpointError(f"tensor {name!r} has shape "
-                                  f"{tensors[name].shape}, model has {shape}")
-        return tensors[name]
-
-    for name, arr in model.params.items():
-        arr[...] = take(name, arr.shape)
-    for name, mask in model.masks.items():
-        model.masks[name] = np.array(take(f"{name}.mask", mask.shape),
-                                     mask.dtype)
+                                  f"{tensors[name].shape}, model has "
+                                  f"{arr.shape}")
+        arr[...] = tensors[name]
 
 
 def stage_path(cfg: RunConfig, stage: str, seed: int, run_dir=None) -> Path:

@@ -355,8 +355,7 @@ class TestAcceptance11Determinism:
         model2 = NoisePredictor(dim=2, hidden=12, depth=2, temb_dim=8, seed=0)
         opt2 = Adam(model2.params, 2e-4)
         tensors, _ = load_checkpoint(ck)
-        restore_model(model2, tensors)
-        opt2.load_state(tensors)
+        restore_model(model2, tensors, opt2)
         got = train(model2, sched, data, steps=3, opt=opt2, seed=4,
                     stage="acc11", start_step=9, batch_size=32, log_interval=1)
 

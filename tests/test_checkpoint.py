@@ -220,8 +220,7 @@ def test_resume_bit_identical_next_loss(tmp_path):
     model2 = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)
     opt2 = Adam(model2.params, 2e-4)
     tensors, meta = load_checkpoint(tmp_path / "mid.ckpt")
-    restore_model(model2, tensors)
-    opt2.load_state(tensors)
+    restore_model(model2, tensors, opt2)
     assert meta["step"] == 7
     got_trace = train(model2, sched, data, steps=3, opt=opt2, seed=3,
                       stage="resume", start_step=7, batch_size=16,
@@ -258,8 +257,7 @@ def test_resume_keeps_the_training_precision(tmp_path):
                                    seed=1)
             opt = Adam(model.params, 2e-3)
             tensors, _ = load_checkpoint(tmp_path / "mid.ckpt")
-            restore_model(model, tensors)
-            opt.load_state(tensors)
+            restore_model(model, tensors, opt)
         for state in (model.params, model.masks, opt.m, opt.v):
             assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
         trace = train(model, sched, data, steps=3, opt=opt, seed=3,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowprune import criteria, diffusion, engine, pipeline
+from flowprune.checkpoint import CheckpointError
 from flowprune.criteria import compute_scores, gradient_flow_delta
 from flowprune.datasets import generate
 from flowprune.diffusion import (
@@ -254,7 +255,7 @@ class TestFlatAdam:
         for k in range(20):
             batch = draw_batch(data, sched, 32, make_rng(0, "flat-adam", k))
             _, grads = loss_and_grads(model, sched, batch, grad_mode)
-            opt.step(model.params, grads)
+            opt.step(grads)
             ref.step(grads)
         for mine, theirs in ((model.params, ref.params), (opt.m, ref.m),
                              (opt.v, ref.v)):
@@ -277,7 +278,7 @@ class TestFlatAdam:
         tensors = pipeline.model_tensors(model, opt)
         sched = make_schedule(50, 1e-3, 0.05)
         batch = draw_batch(generate(64, 0), sched, 16, make_rng(1, "views"))
-        opt.step(model.params, loss_and_grads(model, sched, batch)[1])
+        opt.step(loss_and_grads(model, sched, batch)[1])
         for name in model.params:
             assert tensors[name].tobytes() != before[name].tobytes()
             assert np.any(tensors[f"adam.m.{name}"])
@@ -292,27 +293,35 @@ class TestFlatAdam:
             Adam(mixed, 1e-2)
         opt = Adam(model.params, 1e-2)
         with pytest.raises(KeyError, match="out.b"):
-            opt.step(model.params, {n: g for n, g in grads.items()
-                                    if n != "out.b"})
-        with pytest.raises(ValueError):
-            opt.step(dict(model.params), grads)
+            opt.step({n: g for n, g in grads.items() if n != "out.b"})
         model.params["out.b"] = model.params["out.b"].copy()
         with pytest.raises(ValueError):
-            opt.step(model.params, grads)
+            opt.step(grads)
         assert opt.step_count == 0
 
-    def test_load_state_checks_shapes_and_writes_in_place(self):
+    def test_restore_model_checks_shapes_and_writes_in_place(self):
         model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=1)
         opt = Adam(model.params, 1e-2)
-        moments = opt.m["layer1.w"]
-        state = {n: np.full(a.shape, 0.5) for n, a in opt.state_tensors().items()}
+        live = pipeline.model_tensors(model, opt)
+        state = {n: np.full(a.shape, 0.5) for n, a in live.items()}
         state["adam.step"] = np.array(3.0)
-        opt.load_state(state)
-        assert opt.m["layer1.w"] is moments and np.all(moments == 0.5)
-        assert moments.dtype == np.float32 and opt.step_count == 3
-        state["adam.v.layer1.b"] = np.array([5.0])
-        with pytest.raises(ValueError, match="adam.v.layer1.b"):
-            opt.load_state(state)
+        pipeline.restore_model(model, state, opt)
+        for name, arr in pipeline.model_tensors(model, opt).items():
+            assert arr is live[name], name
+        for state_dict in (model.params, model.masks, opt.m, opt.v):
+            for arr in state_dict.values():
+                assert arr.dtype == np.float32 and np.all(arr == 0.5)
+        assert opt.step_count == 3
+        for name, bad, match in (
+                ("adam.step", None, "missing tensor 'adam.step'"),
+                ("adam.v.layer1.b", np.array([5.0]), "adam.v.layer1.b")):
+            broken = dict(state)
+            if bad is None:
+                del broken[name]
+            else:
+                broken[name] = bad
+            with pytest.raises(CheckpointError, match=match):
+                pipeline.restore_model(model, broken, opt)
 
     def test_step_allocates_no_temporaries_at_default_width(self):
         import tracemalloc
@@ -322,10 +331,10 @@ class TestFlatAdam:
         batch = draw_batch(generate(256, 0), sched, 128, make_rng(0, "alloc"))
         _, grads = loss_and_grads(model, sched, batch)
         opt = Adam(model.params, 2e-4)
-        opt.step(model.params, grads)
+        opt.step(grads)
         tracemalloc.start()
         try:
-            opt.step(model.params, grads)
+            opt.step(grads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -369,7 +369,7 @@ def masked_dense_finetune(model, sched, data, plan, seed, steps):
             grads[f"{tag}.b"][d] = 0.0
             grads[nxt[tag]][:, d] = 0.0
         grads["temb.b"][dead["layer0"]] = 0.0
-        opt.step(model.params, grads)
+        opt.step(grads)
         losses.append(value)
     return losses
 
