@@ -4,7 +4,7 @@ MLP.
 The noise predictor is a fully-connected net (4 hidden layers of width 128 by
 default) with a sinusoidal timestep embedding projected and added after the
 first layer. Its forward pass and training loss are built as engine records,
-so gradients and Hessian-vector products of the loss come straight from the
+so gradients of the loss and its Hessian-gradient product come from the
 record. Weight matrices are stored [out, in] in ``params``, each with a
 same-shape mask in ``masks`` under the same name; the forward reads
 weight * mask, so a weight or mask rebound to a new array is what the next
@@ -82,7 +82,6 @@ class DiffusionSchedule:
 
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
 
@@ -93,9 +92,7 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSchedu
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got "
                          f"{beta_start} and {beta_end}")
     beta = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    return DiffusionSchedule(T=T, beta=beta, alpha=alpha,
-                             alpha_bar=np.cumprod(alpha))
+    return DiffusionSchedule(T=T, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
 
 
 @dataclass
@@ -186,12 +183,8 @@ class NoisePredictor:
     # Final projection: structured (group) pruning skips it, or it could
     # delete output coordinates outright.
     @property
-    def output_weight_names(self) -> tuple[str, ...]:
+    def output_weights(self) -> tuple[str, ...]:
         return ("out.w",)
-
-    @property
-    def weight_names(self) -> list[str]:
-        return list(self.masks)
 
     @property
     def bias_names(self) -> list[str]:
@@ -384,10 +377,10 @@ def loss_inputs(model: NoisePredictor, sched: DiffusionSchedule,
 
 
 def loss(model: NoisePredictor, sched: DiffusionSchedule,
-         batch: TrainBatch, masked: bool = True) -> LossContext:
-    """The loss of ``batch`` (see :func:`loss_inputs`), keeping its node
-    values."""
-    rec, feed = loss_inputs(model, sched, batch, masked)
+         batch: TrainBatch) -> LossContext:
+    """The masked loss of ``batch`` (see :func:`loss_inputs`), keeping its
+    node values."""
+    rec, feed = loss_inputs(model, sched, batch)
     values: dict = {}
     value = float(engine.forward(rec, feed, values))
     return LossContext(value=value, record=rec, inputs=feed, values=values)

@@ -6,9 +6,10 @@ add, elementwise multiply, scalar affine, sigmoid, silu, leading-axis sums,
 sum-of-squares and ``stop``, the identity with no gradient. Shape ops act on
 leading axes only: ``broadcast`` adds leading axes and ``sum_axes`` sums them
 away, so each is the other's backward rule. Every backward rule emits nodes
-from the same vocabulary, so a gradient is itself a differentiable graph and
-Hessian-vector products fall out of a second reverse pass (double backprop).
-A central-finite-difference HVP is provided as an independent cross-check.
+from the same vocabulary, so a gradient is itself a differentiable graph.
+The one Hessian product the package takes, H g with g the gradient, falls
+out of a second reverse pass (double backprop); central finite differences
+of the gradient along g are provided as an independent cross-check.
 
 A record interns its nodes: an op other than ``input`` or ``const`` whose
 ``(op, args, attrs)`` matches an existing node returns that node. The
@@ -49,9 +50,9 @@ such a dict by making every node a target, and ``gradient`` consumes it, as
 training's forward -> gradient chain does. Reuse gives the same bits as a
 fresh replay. The values hold for exactly the feed they came from: an input
 fed a different array raises ``ValueError``, but an array changed in place
-is not detected. Every HVP replays without a dict; H g without ``v`` reads
-the gradient through ``stop`` nodes, so forward, gradient and double
-backward are one plan and no caller holds the first two.
+is not detected. The HVP replays without a dict: H g reads the gradient
+through ``stop`` nodes, so forward, gradient and double backward are one
+plan and no caller holds the first two.
 """
 
 from __future__ import annotations
@@ -191,17 +192,10 @@ class Record:
         return self.nodes[ref.nid]
 
     def input(self, name: str, shape: Iterable[int]) -> Ref:
-        """Declare a named input. Re-declaring with the same shape is a no-op."""
-        shape = tuple(int(s) for s in shape)
+        """Declare a named input; a name is declared once."""
         if name in self.inputs:
-            nid = self.inputs[name]
-            if self.nodes[nid].shape != shape:
-                raise ValueError(
-                    f"input {name!r} re-declared with shape {shape}, "
-                    f"was {self.nodes[nid].shape}"
-                )
-            return Ref(self, nid)
-        ref = self._append("input", (), (name,), shape)
+            raise ValueError(f"input {name!r} is already declared")
+        ref = self._append("input", (), (name,), tuple(int(s) for s in shape))
         self.inputs[name] = ref.nid
         return ref
 
@@ -490,24 +484,20 @@ class Record:
             raise KeyError(f"unknown parameter name(s): {missing}")
         return tuple(self.inputs[n] for n in names), names
 
-    def _ensure_hvp(self, wrt: Iterable[str],
-                    of_gradient: bool = False) -> dict[str, int]:
-        """Name -> node id of H v, with v fed as ``__hvp_v:<name>`` inputs
-        or, ``of_gradient``, read from the gradient through ``stop``."""
+    def _ensure_hvp(self, wrt: Iterable[str]) -> dict[str, int]:
+        """Name -> node id of H g: the gradient of sum(g * stop(g)), so the
+        second reverse pass holds g constant."""
         wrt_ids, names = self._wrt_ids(wrt)
         if not names:
             raise ValueError("HVP needs at least one parameter name")
-        key = (self.output, wrt_ids, of_gradient)
+        key = (self.output, wrt_ids)
         if key in self._hvp_cache:
             return self._hvp_cache[key]
         grads = self._build_grad(self.output, wrt_ids)
         phi = None
-        for name, wid in zip(names, wrt_ids):
-            if of_gradient:
-                v = self.stop(Ref(self, grads[wid]))
-            else:
-                v = self.input(f"__hvp_v:{name}", self.nodes[wid].shape)
-            term = self.sum_axes(self.mul(Ref(self, grads[wid]), v))
+        for wid in wrt_ids:
+            g = Ref(self, grads[wid])
+            term = self.sum_axes(self.mul(g, self.stop(g)))
             phi = term if phi is None else self.add(phi, term)
         hv = self._build_grad(phi.nid, wrt_ids)
         result = {name: hv[wid] for name, wid in zip(names, wrt_ids)}
@@ -569,45 +559,32 @@ def hessian_vector_product(
     record: Record,
     inputs: Mapping[str, np.ndarray],
     wrt: Iterable[str],
-    v: Mapping[str, np.ndarray] | None = None,
     method: str = "exact",
 ) -> dict[str, np.ndarray]:
-    """H @ v for the Hessian of the scalar output w.r.t. the named inputs;
-    without ``v``, H @ g for the gradient g at ``inputs``.
+    """H @ g for the Hessian H and gradient g of the scalar output w.r.t.
+    the named inputs, at ``inputs``.
 
     ``method="exact"`` differentiates the gradient graph (double backprop)
-    in one replay that releases each node after its last use. H @ g reads g
-    through ``stop`` nodes in that same replay, so it has the bits of H @ v
-    with v the separately computed gradient. ``method="fd"`` uses central
-    differences of the gradient along ``v`` with step
+    in one replay that releases each node after its last use; g enters the
+    second pass through ``stop`` nodes of that same replay. ``method="fd"``
+    takes central differences of the gradient along g with step
     ``1e-4 * (1 + max|theta|)``.
     """
     _require_output(record)
     _, names = record._wrt_ids(wrt)
-    if v is None and method == "fd":
-        v = gradient(record, inputs, names)
-    feed = dict(inputs)
-    for name in names if v is not None else ():
-        if name not in v:
-            raise KeyError(f"v missing entry for {name!r}")
-        vs = np.shape(v[name])
-        ps = record.nodes[record.inputs[name]].shape
-        if vs != ps:
-            raise ValueError(f"v[{name!r}] has shape {vs}, parameter has {ps}")
-        feed[f"__hvp_v:{name}"] = v[name]
-
     if method == "exact":
-        hv = record._ensure_hvp(names, of_gradient=v is None)
-        vals = record.evaluate(tuple(hv[name] for name in names), feed)
+        hv = record._ensure_hvp(names)
+        vals = record.evaluate(tuple(hv[name] for name in names), inputs)
         return {name: _check_finite(vals[hv[name]], f"hvp[{name}]")
                 for name in names}
     if method == "fd":
+        g = gradient(record, inputs, names)
         theta_inf = max((float(np.max(np.abs(_as_f64(inputs[n]))))
                          for n in names), default=0.0)
         fd_step = 1e-4 * (1.0 + theta_inf)
         plus, minus = dict(inputs), dict(inputs)
         for name in names:
-            base, vv = _as_f64(inputs[name]), _as_f64(v[name])
+            base, vv = _as_f64(inputs[name]), _as_f64(g[name])
             plus[name] = base + fd_step * vv
             minus[name] = base - fd_step * vv
         g_plus = gradient(record, plus, names)

@@ -6,8 +6,10 @@ this package. The ring mixture is standardized to mean 0 and covariance I, so
 Frechet cannot tell it from a Gaussian; mode precision and modes captured
 read the samples against the mixture's modes instead. Consistency is SSIM
 between outputs of two models sampled from identical noise, each 2-D point
-set rasterized to a 32x32 binned kernel-density image first. Efficiency is parameter and MAC counting on the
-compacted network, the one sampling runs.
+set first binned into a ``KDE_BINS`` x ``KDE_BINS`` histogram over
+[-KDE_EXTENT, KDE_EXTENT]^2 and blurred into a kernel-density image by a
+Gaussian of ``KDE_BLUR`` bins. Efficiency is parameter and MAC counting on
+the compacted network, the one sampling runs.
 
 SSIM's window mean and the rasters' Gaussian blur are numpy ports of
 ``scipy.ndimage.uniform_filter`` and ``gaussian_filter`` in their default
@@ -195,15 +197,6 @@ def _histogram(points: np.ndarray) -> np.ndarray:
     hist, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=KDE_BINS,
                                 range=[extent, extent])
     return hist
-
-
-def kde_raster(points: np.ndarray) -> np.ndarray:
-    """Binned kernel-density image of a 2-D point set (unnormalized):
-    ``KDE_BINS`` bins a side over [-KDE_EXTENT, KDE_EXTENT]^2, blurred by a
-    Gaussian of ``KDE_BLUR`` bins truncated at 4 sigma. The blur is a numpy
-    port of ``scipy.ndimage.gaussian_filter`` in reflect mode, bit-identical
-    to it."""
-    return _blur(_histogram(points))
 
 
 def consistency_ssim(samples_ref: np.ndarray, samples_cmp: np.ndarray) -> float:

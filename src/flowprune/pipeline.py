@@ -140,14 +140,16 @@ def restore_model(model: NoisePredictor, tensors: dict,
     """The inverse of ``model_tensors(model, opt)``: write each checkpoint
     tensor into the live array of that name, in place and cast to its dtype.
     A tensor that is missing or shaped unlike its array raises
-    ``CheckpointError``."""
-    for name, arr in model_tensors(model, opt).items():
+    ``CheckpointError`` before any array is written."""
+    live = model_tensors(model, opt)
+    for name, arr in live.items():
         if name not in tensors:
             raise CheckpointError(f"missing tensor {name!r}")
         if tensors[name].shape != arr.shape:
             raise CheckpointError(f"tensor {name!r} has shape "
                                   f"{tensors[name].shape}, model has "
                                   f"{arr.shape}")
+    for name, arr in live.items():
         arr[...] = tensors[name]
 
 

@@ -98,7 +98,6 @@ class PrunePlan:
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    t: int
     s_t: float
     p_t: float
 
@@ -111,7 +110,7 @@ def schedule_at(plan: PrunePlan, t: int) -> ScheduleStep:
     ramping = t < plan.n_iters
     s_t = t * plan.s / plan.n_iters if ramp_s and ramping else plan.s
     p_t = 1.0 - t / plan.n_iters if ramp_p and ramping else 0.0
-    return ScheduleStep(t, s_t, p_t)
+    return ScheduleStep(s_t, p_t)
 
 
 def energy_flow(state: MaskState) -> float:
@@ -194,7 +193,7 @@ def _update_masks(model: NoisePredictor, scores: dict[str, np.ndarray],
     grouped = granularity != "element"
     return apply_mask_update(
         model.masks, scores, s_t, p_t, granularity=granularity,
-        exclude=model.output_weight_names if grouped else (),
+        exclude=model.output_weights if grouped else (),
     )
 
 

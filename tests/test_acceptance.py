@@ -73,9 +73,9 @@ class TestAcceptance1HVPOracle:
         ctx = loss(model.float64(), sched, batch)
         names = sorted(model.params)
         g = engine.gradient(ctx.record, ctx.inputs, names)
-        # H g as scoring computes it: one replay, without v
+        # H g as scoring computes it: one replay
         hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names)
-        hg_fd = engine.hessian_vector_product(ctx.record, ctx.inputs, names, g,
+        hg_fd = engine.hessian_vector_product(ctx.record, ctx.inputs, names,
                                               method="fd")
 
         # explicit Hessian, column by column via gradient central differences

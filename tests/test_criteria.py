@@ -11,8 +11,8 @@ from flowprune.criteria import (
     taylor_scores_from_record,
 )
 from flowprune.datasets import generate
-from flowprune.diffusion import (Adam, NoisePredictor, loss, make_schedule,
-                                 train)
+from flowprune.diffusion import (Adam, NoisePredictor, loss, loss_inputs,
+                                 make_schedule, train)
 from flowprune.masking import apply_mask_update
 from flowprune.seeding import make_rng
 
@@ -130,11 +130,10 @@ class TestGradientFlowQuadratic:
         exact = compute_scores("gradient-flow", model, sched, batches)
         # model-level oracle: finite-difference H g on the same record,
         # times the effective weights
-        names = model.weight_names
-        ctx = loss(model.float64(), sched, batches[0], masked=False)
-        g = engine.gradient(ctx.record, ctx.inputs, names)
-        hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names, g,
-                                           method="fd")
+        names = list(model.masks)
+        rec, feed = loss_inputs(model.float64(), sched, batches[0],
+                                masked=False)
+        hg = engine.hessian_vector_product(rec, feed, names, method="fd")
         for n in names:
             a, b = exact[n], model.params[n] * model.masks[n] * hg[n]
             denom = max(float(np.max(np.abs(a))), 1e-10)
@@ -219,8 +218,8 @@ class TestDeterminismAndMasks:
             np.testing.assert_array_equal(s["layer1.w"][:4], 0.0)
 
     def test_gradient_flow_matches_fresh_replays(self):
-        """One H g replay per batch gives the bits of separate forward,
-        gradient and HVP replays."""
+        """The scores are the bits of one H g replay per batch on a fresh
+        record, times the effective weights, averaged."""
         model = NoisePredictor(dim=2, hidden=16, depth=3, temb_dim=8,
                                seed=4).float64()
         model.masks["layer1.w"] = make_rng(5, "m").uniform(
@@ -231,13 +230,12 @@ class TestDeterminismAndMasks:
                                 batch_size=32)
         got = compute_scores("gradient-flow", model, sched, batches)
 
-        names = model.weight_names
+        names = list(model.masks)
+        model._records = {}  # build the loss record and its H g anew
         want = {n: np.zeros_like(model.params[n]) for n in names}
         for batch in batches:
-            ctx = loss(model, sched, batch, masked=False)
-            g = engine.gradient(ctx.record, ctx.inputs, names)
-            hg = engine.hessian_vector_product(ctx.record, ctx.inputs, names,
-                                               g)
+            rec, feed = loss_inputs(model, sched, batch, masked=False)
+            hg = engine.hessian_vector_product(rec, feed, names)
             for n in names:
                 want[n] += model.params[n] * model.masks[n] * hg[n]
         for n in names:
@@ -260,7 +258,7 @@ class TestDeterminismAndMasks:
 
     def test_all_zero_scores_rejected(self):
         model = NoisePredictor(dim=2, hidden=4, depth=1, temb_dim=4, seed=0)
-        for w in model.weight_names:
+        for w in model.masks:
             model.params[w][...] = 0.0
         sched = make_schedule(20, 0.01, 0.05)
         with pytest.raises(ValueError, match="all zero"):
@@ -301,7 +299,7 @@ def test_float32_replays_rank_as_float64_replays(trained, criterion):
     for n, a in wide.items():
         assert float(np.abs(narrow[n] - a).max()) <= 1e-4 * top
     for granularity, exclude in (("element", ()),
-                                 ("row-group", model.output_weight_names)):
+                                 ("row-group", model.output_weights)):
         kept = []
         for scores in (narrow, wide):
             masks = {n: np.ones_like(m) for n, m in model.masks.items()}

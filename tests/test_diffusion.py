@@ -235,9 +235,9 @@ def compacted(seed=0):
     at s = 0.5."""
     model = NoisePredictor(dim=2, hidden=32, depth=3, temb_dim=8, seed=seed)
     scores = {n: make_rng(seed, "rows").uniform(size=model.params[n].shape)
-              for n in model.weight_names}
+              for n in model.masks}
     apply_mask_update(model.masks, scores, 0.5, 0.0, granularity="row-group",
-                      exclude=model.output_weight_names)
+                      exclude=model.output_weights)
     small = model.compact()
     assert small is not model
     return small
@@ -312,16 +312,23 @@ class TestFlatAdam:
             for arr in state_dict.values():
                 assert arr.dtype == np.float32 and np.all(arr == 0.5)
         assert opt.step_count == 3
+        # a rejected restore writes nothing: the check precedes every write
+        other = {n: np.full(a.shape, 0.25) for n, a in live.items()}
+        other["adam.step"] = np.array(7.0)
+        before = {n: a.tobytes() for n, a in live.items()}
         for name, bad, match in (
                 ("adam.step", None, "missing tensor 'adam.step'"),
                 ("adam.v.layer1.b", np.array([5.0]), "adam.v.layer1.b")):
-            broken = dict(state)
+            broken = dict(other)
             if bad is None:
                 del broken[name]
             else:
                 broken[name] = bad
             with pytest.raises(CheckpointError, match=match):
                 pipeline.restore_model(model, broken, opt)
+            for n, arr in pipeline.model_tensors(model, opt).items():
+                assert arr is live[n] and arr.tobytes() == before[n], n
+            assert opt.step_count == 3
 
     def test_step_allocates_no_temporaries_at_default_width(self):
         import tracemalloc
@@ -660,9 +667,9 @@ def row_pruned(s, seed=0):
     rng = make_rng(seed, "compact")
     for name in model.bias_names:
         model.params[name][...] = rng.normal(scale=0.5, size=model.params[name].shape)
-    scores = {n: rng.uniform(size=model.params[n].shape) for n in model.weight_names}
+    scores = {n: rng.uniform(size=model.params[n].shape) for n in model.masks}
     apply_mask_update(model.masks, scores, s, 0.0, granularity="row-group",
-                      exclude=model.output_weight_names)
+                      exclude=model.output_weights)
     return model
 
 

@@ -15,7 +15,6 @@ from flowprune.metrics import (
     consistency_ssim,
     count_macs,
     frechet_distance,
-    kde_raster,
     mode_quality,
     ssim,
 )
@@ -192,19 +191,13 @@ class TestConsistency:
 
     @pytest.mark.parametrize("shape", [(4, 64), (100, 3), (1000,)])
     def test_rejects_what_is_not_a_point_set(self, shape):
-        # kde_raster reads two coordinates, so a third would drop silently
+        # the raster reads two coordinates, so a third would drop silently
         pts = make_rng(11, "cons").normal(size=(1000, 2))
         other = make_rng(11, "cons", 1).normal(size=shape)
         with pytest.raises(ValueError, match=r"shape \[n, 2\]"):
             consistency_ssim(pts, other)
         with pytest.raises(ValueError, match=r"shape \[n, 2\]"):
             consistency_ssim(other, pts)
-
-    def test_kde_raster_shape(self):
-        pts = make_rng(12, "cons").normal(size=(500, 2))
-        r = kde_raster(pts)
-        assert r.shape == (32, 32)
-        assert np.all(r >= 0)
 
 
 def scipy_ssim(a, b):
@@ -284,7 +277,8 @@ class TestScipyOracle:
         for _ in range(40):
             ref = point_set(rng, int(rng.integers(3, 2000)))
             cmp = ref + rng.normal(size=ref.shape) * rng.uniform(0.01, 1.0)
-            assert same_bits(kde_raster(ref), scipy_kde_raster(ref))
+            assert same_bits(metrics._blur(metrics._histogram(ref)),
+                             scipy_kde_raster(ref))
             assert (consistency_ssim(ref, cmp).hex()
                     == scipy_consistency_ssim(ref, cmp).hex())
 

@@ -73,7 +73,7 @@ class TestScheduleAt:
 
     def test_ablation_modes(self):
         it = plan_ps(mode="iterative")
-        assert schedule_at(it, 1) == schedule_at(it, 1).__class__(1, 0.5, 0.0)
+        assert schedule_at(it, 1) == schedule_at(it, 1).__class__(0.5, 0.0)
         soft = plan_ps(mode="iterative+soft")
         step = schedule_at(soft, 5)
         assert step.s_t == 0.5 and step.p_t == 0.5
@@ -214,8 +214,8 @@ class TestDriver:
         rows, _, _ = run_progressive_soft(model, sched, data, plan, seed=0,
                                           lr=2e-4,
                                           **score_inputs(sched, data, plan))
-        ranked = [model.params[n].shape[0] for n in model.weight_names
-                  if n not in model.output_weight_names]
+        ranked = [model.params[n].shape[0] for n in model.masks
+                  if n not in model.output_weights]
         assert len(ranked) == 3
         for row in rows:
             pruned = sum(int(np.floor(row["s_t"] * r)) for r in ranked)
@@ -278,11 +278,11 @@ class TestDriver:
         state, diag = final_hard_prune(model, sched, plan, batches)
         assert soft_sparsity(
             {n: m for n, m in model.masks.items()
-             if n not in model.output_weight_names}, 0.0
+             if n not in model.output_weights}, 0.0
         ) == pytest.approx(0.5, abs=0.1)
         # row purity
         for n, m in model.masks.items():
-            if n in model.output_weight_names:
+            if n in model.output_weights:
                 np.testing.assert_array_equal(m, 1.0)
                 continue
             for row in m:
@@ -336,9 +336,9 @@ def pruned_for_finetune(s, seed=0):
         model.params[name][...] = rng.normal(scale=0.5,
                                              size=model.params[name].shape)
     scores = {n: rng.uniform(size=model.params[n].shape)
-              for n in model.weight_names}
+              for n in model.masks}
     apply_mask_update(model.masks, scores, s, 0.0, granularity="row-group",
-                      exclude=model.output_weight_names)
+                      exclude=model.output_weights)
     temb_kept = np.flatnonzero(model.masks["temb.w"][:, 0] == 1.0)
     model.masks["layer0.w"][temb_kept[0]] = 0.0
     return model
@@ -444,7 +444,7 @@ class TestCompactFinetune:
         rng = make_rng(2, "ft-element")
         apply_mask_update(model.masks,
                           {n: rng.uniform(size=model.params[n].shape)
-                           for n in model.weight_names}, 0.5, 0.0)
+                           for n in model.masks}, 0.5, 0.0)
         assert model.compact() is model
         ref = copy.deepcopy(model)
         plan = PrunePlan(s=0.5, **FT_PLAN)
