@@ -21,18 +21,20 @@ stratified evenly over [0, T), so the batch seed fully determines the
 scores. ``pipeline.prune_run`` draws one such set per run, and every mask
 update and the hard prune of that run score on it.
 
-``compute_scores`` replays in the precision of the model it is given: a
-trained model is float32, so Taylor's gradient and gradient-flow's H g are
-float32, and a ``float64()`` copy, as the oracles build, replays in float64.
-The ranking arithmetic is float64 either way. The effective weights
-weight * mask are formed in float64, exact for float32 operands; each
-batch's product with g or H g is formed in float64 and added into float64
-scores, so magnitude scores do not depend on the model's precision.
-``gradient_flow_delta``, a diagnostic rather than a ranking, works on a
-float64 copy. Neither leaves the model's own arrays changed. Each batch is
-one engine replay that frees every node after its last use: H g for
-gradient-flow, the gradient for Taylor and the gradient norm. No batch
-keeps its forward values for a later call.
+``compute_scores`` and ``gradient_flow_delta`` replay in the precision of
+the model they are given: a trained model is float32, so Taylor's gradient,
+gradient-flow's H g and the gradient norm's gradient are float32, and a
+``float64()`` copy, as the oracles build, replays in float64. The ranking
+arithmetic is float64 either way. The effective weights weight * mask are
+formed in float64, exact for float32 operands; each batch's product with g
+or H g is formed in float64 and added into float64 scores, so magnitude
+scores do not depend on the model's precision. The gradient norm squares
+and sums each gradient in float64, exact squares of float32 entries.
+Neither leaves the model's own arrays changed. Each batch is one engine
+replay that frees every node after its last use: H g for gradient-flow,
+the gradient for Taylor and the gradient norm. No batch keeps its forward
+values for a later call, and a float32 model's replays recycle float32
+buffers only.
 """
 
 from __future__ import annotations
@@ -92,15 +94,18 @@ def gradient_flow_scores_from_record(record, inputs, names,
 
 
 def gradient_flow_delta_from_record(record, inputs, names) -> float:
+    """Squared norm of the gradient, each square and sum in float64."""
     grads = engine.gradient(record, inputs, names)
-    return float(sum(np.sum(g * g) for g in grads.values()))
+    return float(sum(np.sum(np.square(g, dtype=np.float64))
+                     for g in grads.values()))
 
 
 def gradient_flow_delta(model: NoisePredictor, sched: DiffusionSchedule,
                         batch: TrainBatch) -> float:
-    """Squared gradient norm of the loss over all trainable parameters, in
-    float64."""
-    rec, feed = loss_inputs(model.float64(), sched, batch)
+    """Squared gradient norm of the masked loss over all trainable
+    parameters. The gradient replays in the precision of ``model``, and
+    its squares are summed in float64."""
+    rec, feed = loss_inputs(model, sched, batch)
     return gradient_flow_delta_from_record(rec, feed, list(model.params))
 
 
@@ -134,9 +139,10 @@ def compute_scores(criterion: str, model: NoisePredictor,
         scores = {n: np.zeros_like(pre) for n, pre in prefactor.items()}
         for batch in batches:
             rec, feed = loss_inputs(model, sched, batch, masked=taylor)
-            per = scorer(rec, feed, list(scores), prefactor=prefactor)
-            for n in scores:
-                scores[n] += per[n]
+            # unbound, so the products free before the next batch replays
+            for n, product in scorer(rec, feed, list(scores),
+                                     prefactor=prefactor).items():
+                scores[n] += product
         scores = {n: s / len(batches) for n, s in scores.items()}
     else:
         raise ValueError(f"unknown criterion {criterion!r}")

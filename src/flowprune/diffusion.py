@@ -23,9 +23,9 @@ unpruned model compacts to itself, so its samples do not change.
 Parameters, masks and Adam's moments are float32 (``TRAIN_DTYPE``), and
 ``loss_inputs`` casts its float64 noisy input, embedding and noise to the
 parameters' dtype, so every training step replays its record, gradient
-included, in float32. Taylor and gradient-flow scores replay in float32
-too, and form their float64 scores from float64 effective weights; the
-gradient-norm diagnostic and the oracles run on ``float64()`` copies.
+included, in float32. Taylor and gradient-flow scores and the gradient-norm
+diagnostic replay in float32 too, and sum their results in float64; only
+the oracles and tests run on ``float64()`` copies.
 The data math (``noisy_sample``, the embedding table) stays float64.
 
 ``Adam`` keeps the training state flat. Building it concatenates the
@@ -194,9 +194,9 @@ class NoisePredictor:
         return sum(self.params[n].size for n in self.bias_names)
 
     def float64(self) -> "NoisePredictor":
-        """A copy with float64 parameters and masks, for the gradient-norm
-        diagnostic and the oracles. It shares this predictor's records, which replay in the
-        precision of their feed."""
+        """A copy with float64 parameters and masks, for the oracles and
+        tests; no run path makes one. It shares this predictor's records,
+        which replay in the precision of their feed."""
         wide = copy.copy(self)
         wide.params = {n: a.astype(np.float64) for n, a in self.params.items()}
         wide.masks = {n: m.astype(np.float64) for n, m in self.masks.items()}

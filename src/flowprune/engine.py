@@ -22,9 +22,9 @@ replays as float32; every other input is converted to float64, and consts
 are float64. The gradient seed is the output's own ``affine(out, 0, 1)``,
 so it takes the output's dtype: a record fed only float32 arrays runs its
 forward, gradient and HVP in single precision end to end (training,
-scoring and the DDIM sampler do), and one fed float64 arrays runs in
-float64 throughout, its Python-float ``affine`` scales never rounded to
-float32 (the gradient-norm diagnostic and the oracles do).
+scoring, the gradient-norm diagnostic and the DDIM sampler do), and one
+fed float64 arrays runs in float64 throughout, its Python-float ``affine``
+scales never rounded to float32 (the oracles do).
 
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.

@@ -162,9 +162,10 @@ def run_progressive_soft(
             grad_mode="dense",
         )
         step = schedule_at(plan, t)
-        scores = compute_scores(plan.criterion, model, sched, batches)
-        state = _update_masks(model, scores, step.s_t, step.p_t,
-                              plan.granularity)
+        # scores go straight in, so none outlive the update
+        state = _update_masks(
+            model, compute_scores(plan.criterion, model, sched, batches),
+            step.s_t, step.p_t, plan.granularity)
         # units whose kept/pruned status changed since the last update
         churn = state.pruned_units if prev_kept is None else sum(
             int(np.count_nonzero(prev_kept[n] != k))

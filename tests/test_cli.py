@@ -846,6 +846,32 @@ def test_prune_run_draws_a_score_set_and_a_diagnostic_batch(
                      (3_000_010, 1, size)]
 
 
+def test_prune_run_recycles_float32_buffers_only(small_cfg_path, tmp_path,
+                                                 monkeypatch):
+    """Training, scoring and the gradient norm all replay the float32
+    model, so after a gradient-flow prune run no record of the model
+    holds a free-list buffer of another dtype."""
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.plan_criterion = "gradient-flow"
+    models = []
+    real = pipeline.load_stage_model
+
+    def loading(*args):
+        models.append(real(*args))
+        return models[-1]
+
+    monkeypatch.setattr(pipeline, "load_stage_model", loading)
+    pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
+    pipeline.prune_run(cfg, 0, pre, tmp_path / "prune")
+    (model,) = models
+    score_key = ("loss", pipeline.build_plan(cfg).score_batch_size)
+    assert score_key in model._records
+    pools = {key: {dtype for (_, dtype), bufs in rec._free.items() if bufs}
+             for key, rec in model._records.items()}
+    assert pools[score_key]
+    assert all(dtypes <= {np.dtype(np.float32)} for dtypes in pools.values())
+
+
 def test_hard_prune_ranks_on_the_soft_loops_score_set(small_cfg_path,
                                                        tmp_path, monkeypatch):
     from flowprune import scheduler

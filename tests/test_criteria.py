@@ -317,19 +317,18 @@ ACTIVATION = 256 * 128 * 4
     pytest.param(lambda *a: compute_scores("gradient-flow", *a), 70,
                  id="gradient-flow"),
     pytest.param(lambda *a: compute_scores("taylor", *a), 35, id="taylor"),
-    # 24 float64 activations: the gradient norm replays a float64 copy
-    pytest.param(lambda m, s, b: gradient_flow_delta(m, s, b[0]), 2 * 24,
+    pytest.param(lambda m, s, b: gradient_flow_delta(m, s, b[0]), 24,
                  id="delta"),
 ])
 def test_scoring_peak_memory(score, activations):
     """Scoring keeps no chain of node values: each batch is one replay that
-    frees every node after its last use. Taylor and gradient-flow replay a
-    float32 model in float32, and the gradient norm replays a float64 copy.
-    A first call, graph building included, peaks at about 62 float32
-    activations for gradient-flow and 30.5 for Taylor (bounds 70 and 35,
-    13 % and 15 % headroom), and the gradient norm at 16 float64 ones
-    (bound 24, 50 % headroom). Replaying the scores in float64
-    peaked at 112 and 49."""
+    frees every node after its last use. Taylor, gradient-flow and the
+    gradient norm replay a float32 model in float32. A first call, graph
+    building included, peaks at about 54.6 float32 activations for
+    gradient-flow, 27.0 for Taylor and 21.0 for the gradient norm (bounds
+    70, 35 and 24: 28 %, 30 % and 14 % headroom). Replaying the scores in
+    float64 peaked at 112 and 49, and the gradient norm's float64 replay
+    at 35.6."""
     import tracemalloc
 
     model = NoisePredictor(dim=2, seed=0)
