@@ -348,8 +348,9 @@ class LossContext:
 
     ``values`` holds the forward pass's node values for ``inputs``; pass it to
     ``engine.gradient`` on the same inputs to skip replaying the forward, as
-    training does. The gradient consumes it: it drops each forward value
-    after its last reader and recycles the buffer, so ``values`` is spent
+    training does. The gradient consumes it: each forward value dies at
+    its last reader, which may write into its buffer (the forward, whose
+    every node is a target, writes none in place), so ``values`` is spent
     once its gradients are taken. Scoring keeps no values: it replays the
     record and feed of :func:`loss_inputs`, freeing as it goes.
     """

@@ -33,19 +33,21 @@ Every replay follows one rule. It drops each non-target value right after
 its last reader in the plan, a view (``transpose``, ``broadcast``, ``stop``)
 counting as a reader of the array it views and dropping first, so a
 large-batch replay holds a few live activations instead of all of them. A
-dropped, non-scalar value of an allocating op (matmul, add, mul, affine,
-sigmoid or silu) goes on the record's free list for its (shape, dtype) when
-it owns its memory and the replay holds the only reference; every such op
-pops a matching buffer and writes into it, so the second and later DDIM or
-training steps allocate no activation. Each op runs the same ufuncs either
-way, so a recycled replay gives the same bits. A replay pops before it
+non-scalar value of an allocating op (matmul, add, mul, affine, sigmoid or
+silu) is the replay's to reuse when it owns its memory and nothing else
+holds it. An add, mul, affine or sigmoid writes into such an argument if
+it dies at that node with the result's dtype (silu and matmul never do);
+any other allocating op pops a buffer of its (shape, dtype) from the
+record's free list, where a dropped reusable value goes, so the second and
+later DDIM or training steps allocate no activation. Each op runs the same
+ufuncs either way, so the bits do not change. A replay pops before it
 allocates, so the list holds at most as many buffers per (shape, dtype) as
 one replay, or one forward -> gradient chain, takes. A target set's plan and
 drop points are computed once and cached together.
 
 A replay may start from a ``values`` dict (node id -> array) that an
 earlier replay on the same inputs filled: it skips the nodes in it and
-drops and recycles them like its own. ``forward`` keeps its whole plan in
+drops and reuses them like its own. ``forward`` keeps its whole plan in
 such a dict by making every node a target, and ``gradient`` consumes it, as
 training's forward -> gradient chain does. Reuse gives the same bits as a
 fresh replay. The values hold for exactly the feed they came from: an input
@@ -111,9 +113,13 @@ def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(x, np.add(1.0, _exp_neg(x, out), out=out), out=out)
 
 
-# Ops whose value is a new array: written into a free-list buffer, and put
-# back on the list when a replay drops it as its sole owner.
+# Ops whose value is a new array: written into a dying argument's buffer or
+# a free-list buffer, and put back on the list when a replay drops it as its
+# sole owner.
 _ALLOCATING = frozenset(("matmul", "add", "mul", "affine", "sigmoid", "silu"))
+# Those that may write into a dying argument: silu writes exp(-x) into its
+# result before it divides x by it, and matmul reads a row per entry.
+_IN_PLACE = frozenset(("add", "mul", "affine", "sigmoid"))
 # Ops whose value shares its argument's memory.
 _VIEWS = frozenset(("transpose", "broadcast", "stop"))
 
@@ -321,7 +327,8 @@ class Record:
     ) -> dict:
         """Node id -> value for ``targets``, replayed by the module's one
         rule: each non-target value is dropped after its last reader and,
-        when the replay solely owns it, recycled. ``values``, a dict an
+        when the replay solely owns it, written over by that reader or
+        recycled. ``values``, a dict an
         earlier call on ``inputs`` filled, is reused and consumed in place
         the same way; an input fed a different array than the one in it
         raises ``ValueError``."""
@@ -352,8 +359,8 @@ class Record:
             elif nid in vals:
                 pass
             elif op in _ALLOCATING:
-                vals[nid] = _allocating(
-                    node, vals, self._take(node, vals) if node.shape else None)
+                vals[nid] = _allocating(node, vals, self._take(
+                    node, vals, drop) if node.shape else None)
             elif op == "const":
                 vals[nid] = self.consts[nid]
             elif op == "stop":
@@ -369,22 +376,35 @@ class Record:
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
             for dead in drop:
-                value = vals.pop(dead)
-                dropped = self.nodes[dead]
-                # sole owner: ``value`` and getrefcount's own argument
-                if (dropped.op in _ALLOCATING and dropped.shape
-                        and value.base is None
-                        and sys.getrefcount(value) == 2):
-                    self._free.setdefault((value.shape, value.dtype),
-                                          []).append(value)
+                # an argument this node wrote into is held twice: not owned
+                if self._owned(dead, vals):
+                    key = (vals[dead].shape, vals[dead].dtype)
+                    self._free.setdefault(key, []).append(vals.pop(dead))
+                else:
+                    del vals[dead]
         return vals
 
-    def _take(self, node: Node, vals: dict) -> np.ndarray:
-        """A free buffer of ``node``'s shape and result dtype, or a new
-        one."""
+    def _owned(self, nid: int, vals: dict) -> bool:
+        """Whether ``vals[nid]`` is a non-scalar value of an allocating op
+        that owns its memory and that nothing but ``vals`` holds."""
+        node = self.nodes[nid]
+        # ``vals`` and getrefcount's own argument
+        return (node.op in _ALLOCATING and bool(node.shape)
+                and vals[nid].base is None
+                and sys.getrefcount(vals[nid]) == 2)
+
+    def _take(self, node: Node, vals: dict, drop: tuple) -> np.ndarray:
+        """A buffer of ``node``'s shape and result dtype: an argument's,
+        when the argument dies here and the replay solely owns it, else a
+        free one or a new one."""
         dtype = vals[node.args[0]].dtype
         if len(node.args) == 2:
             dtype = np.promote_types(dtype, vals[node.args[1]].dtype)
+        if node.op in _IN_PLACE:
+            for arg in node.args:
+                if (arg in drop and self._owned(arg, vals)
+                        and vals[arg].dtype == dtype):
+                    return vals[arg]
         free = self._free.get((node.shape, dtype))
         return free.pop() if free else np.empty(node.shape, dtype)
 
@@ -542,7 +562,7 @@ def gradient(
 
     ``values`` from an earlier :func:`forward` on the same inputs is
     consumed: its nodes are not evaluated again, and each is dropped and
-    recycled after its last reader in the gradient's plan.
+    reused after its last reader in the gradient's plan.
     """
     out = _require_output(record)
     wrt_ids, names = record._wrt_ids(wrt)

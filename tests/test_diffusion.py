@@ -815,16 +815,18 @@ class TestFreeListIsBounded:
 @pytest.fixture
 def engine_calls(monkeypatch):
     """The shape and dtype of each buffer a replay takes fresh rather than
-    from a free list, and the arrays that ``engine.gradient`` and
-    ``engine.hessian_vector_product`` return, each appended call by call.
-    Holding the fresh buffers would keep them off the free list."""
+    from a free list or a dying argument, and the arrays that
+    ``engine.gradient`` and ``engine.hessian_vector_product`` return, each
+    appended call by call. Holding the fresh buffers would keep them off
+    the free list."""
     fresh, returned = [], []
     real_take = engine.Record._take
 
-    def take(self, node, vals):
+    def take(self, node, vals, drop):
         waiting = sum(map(len, self._free.values()))
-        buf = real_take(self, node, vals)
-        if sum(map(len, self._free.values())) == waiting:
+        buf = real_take(self, node, vals, drop)
+        if (sum(map(len, self._free.values())) == waiting
+                and not any(buf is vals[arg] for arg in node.args)):
             fresh.append((buf.shape, buf.dtype.str))
         return buf
 

@@ -609,3 +609,110 @@ class TestFreeList:
             assert out.tobytes() == (f * f).T.tobytes()
             assert vals[t.nid].tobytes() == (f * f).T.tobytes()
             assert vals[y.nid].tobytes() == (f + f).tobytes()
+
+
+def np_affine(x, scale, shift):
+    return np.add(np.multiply(x, scale), shift)
+
+
+def np_sigmoid(x):
+    return np.divide(1.0, np.add(1.0, np.exp(np.negative(x))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestInPlace:
+    """add, mul, affine and sigmoid may write into the buffer of an
+    argument that dies at their node; no array that anything else still
+    reads is overwritten. Each case compares bytes with numpy run on fresh
+    arrays."""
+
+    def test_values_the_caller_holds_survive_the_gradient(self, dtype):
+        rec, feed = wide_record_and_feed(dtype, batch=16, width=8)
+        rec.set_output(rec.sum_sq(Ref(rec, rec.output)))
+        values = {}
+        forward(rec, feed, values)
+        held = {nid: values[nid] for nid in values
+                if rec.nodes[nid].op in ("add", "mul", "affine", "sigmoid")}
+        assert len(held) == 5
+        gradient(rec, feed, ["w1", "b1", "w2"], values)
+        pre1 = np.matmul(feed["x"], feed["w1"].T) + feed["b1"]
+        pre2 = np.matmul(engine.silu(pre1), feed["w2"].T) + feed["b2"]
+        h = np_sigmoid(pre2)
+        want = [pre1, pre2, h, h * h, np_affine(h * h, 2.0, -0.5)]
+        for nid, expected in zip(sorted(held), want):
+            assert held[nid].tobytes() == expected.tobytes()
+
+    def test_mul_of_a_dying_value_by_itself(self, dtype):
+        rec = Record()
+        a = rec.affine(rec.input("x", (64, 8)), 2.0, 1.0)
+        rec.set_output(rec.mul(a, a))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.normal(size=(64, 8)).astype(dtype)
+            expected = np_affine(x, 2.0, 1.0) * np_affine(x, 2.0, 1.0)
+            assert forward(rec, {"x": x}).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("view", ["transpose", "broadcast"])
+    def test_an_argument_a_later_view_reads_is_kept(self, dtype, view):
+        rec = Record()
+
+        def on_record(ref):
+            return (rec.transpose(ref) if view == "transpose"
+                    else rec.broadcast(ref, (3, 8, 8)))
+
+        def on_array(arr):
+            return (arr.T if view == "transpose"
+                    else np.broadcast_to(arr, (3, 8, 8)))
+
+        a = rec.affine(rec.input("x", (8, 8)), 2.0, 1.0)
+        v = on_record(a)  # a view of a, built before a's last direct reader
+        rec.set_output(rec.mul(v, on_record(rec.sigmoid(a))))
+        x = np.random.default_rng(6).normal(size=(8, 8)).astype(dtype)
+        ax = np_affine(x, 2.0, 1.0)
+        expected = on_array(ax) * on_array(np_sigmoid(ax))
+        for _ in range(2):
+            assert forward(rec, {"x": x}).tobytes() == expected.tobytes()
+
+    def test_a_target_is_never_donated(self, dtype):
+        rec = Record()
+        a = rec.affine(rec.input("x", (32, 4)), 3.0, -1.0)
+        s = rec.sigmoid(a)
+        y = rec.add(s, s)
+        x = np.random.default_rng(7).normal(size=(32, 4)).astype(dtype)
+        ax = np_affine(x, 3.0, -1.0)
+        for _ in range(2):
+            got = rec.evaluate((a.nid, s.nid, y.nid), {"x": x})
+            assert got[a.nid].tobytes() == ax.tobytes()
+            assert got[s.nid].tobytes() == np_sigmoid(ax).tobytes()
+            assert got[y.nid].tobytes() == (np_sigmoid(ax) * 2).tobytes()
+
+    def test_a_narrower_argument_does_not_take_a_wider_result(self, dtype):
+        rec = Record()
+        a = rec.affine(rec.input("x", (16, 4)), 0.5, 0.25)
+        c = np.random.default_rng(8).normal(size=(16, 4))
+        rec.set_output(rec.add(a, rec.const(c)))
+        x = np.random.default_rng(9).normal(size=(16, 4)).astype(dtype)
+        expected = np_affine(x, 0.5, 0.25) + c
+        for _ in range(2):
+            got = forward(rec, {"x": x})
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+
+    def test_the_bias_add_writes_into_the_matmul(self, dtype):
+        """The matmul's buffer dies at the bias add, which writes into it,
+        so no replay of ``linear`` leaves a buffer on the free list, and
+        the output of each replay is a buffer no later replay reuses."""
+        rec = Record()
+        rec.set_output(rec.linear(rec.input("x", (32, 6)),
+                                  rec.input("w", (5, 6)),
+                                  rec.input("b", (5,))))
+        rng = np.random.default_rng(10)
+        feed = {"x": rng.normal(size=(32, 6)), "w": rng.normal(size=(5, 6)),
+                "b": rng.normal(size=(5,))}
+        feed = {k: a.astype(dtype) for k, a in feed.items()}
+        expected = (np.matmul(feed["x"], feed["w"].T) + feed["b"]).tobytes()
+        outs = []
+        for _ in range(3):
+            outs.append(forward(rec, feed))
+            assert not any(rec._free.values())
+            assert all(out.tobytes() == expected for out in outs)
