@@ -34,9 +34,9 @@ parameters, in dict order, into one contiguous vector and rebinds each
 two scratch vectors share the layout, and the step count is a 0-d array
 it owns. A step copies the gradients in and runs whole-vector ufuncs in the
 per-array update's order, so it gives that update's bits without
-allocating. Write parameters in place after that, as
-``pipeline.restore_model`` does with Adam's state too: an entry rebound to
-a new array no longer trains, and ``Adam.step`` raises when it finds one.
+allocating. Write parameters in place after that, as a checkpoint load
+does with Adam's state too: an entry rebound to a new array no longer
+trains, and ``Adam.step`` raises when it finds one.
 
 ``sample_ddim`` runs the compacted predictor in float32. It casts the
 effective weights to float32 once per call, and ``predict`` casts each
@@ -402,9 +402,8 @@ class Adam:
     parameter vector, in dict order, keeping its values; ``m``, ``v``, the
     gradient and two scratch vectors share that layout (see the module
     docstring). ``m`` and ``v`` are name -> view mappings, and the step
-    count is a 0-d array that ``step_count`` reads. :meth:`state_tensors`
-    names these live arrays, and ``pipeline.restore_model`` writes a
-    checkpoint back into them in their dtype, so a resumed step computes
+    count is a 0-d array that ``step_count`` reads. A checkpoint load fills
+    the live arrays :meth:`state_tensors` names, so a resumed step computes
     what an uninterrupted one would."""
 
     BETA1 = 0.9

@@ -135,24 +135,6 @@ def model_tensors(model: NoisePredictor, opt: Adam | None = None) -> dict:
     return tensors
 
 
-def restore_model(model: NoisePredictor, tensors: dict,
-                  opt: Adam | None = None) -> None:
-    """The inverse of ``model_tensors(model, opt)``: write each checkpoint
-    tensor into the live array of that name, in place and cast to its dtype.
-    A tensor that is missing or shaped unlike its array raises
-    ``CheckpointError`` before any array is written."""
-    live = model_tensors(model, opt)
-    for name, arr in live.items():
-        if name not in tensors:
-            raise CheckpointError(f"missing tensor {name!r}")
-        if tensors[name].shape != arr.shape:
-            raise CheckpointError(f"tensor {name!r} has shape "
-                                  f"{tensors[name].shape}, model has "
-                                  f"{arr.shape}")
-    for name, arr in live.items():
-        arr[...] = tensors[name]
-
-
 def stage_path(cfg: RunConfig, stage: str, seed: int, run_dir=None) -> Path:
     """Where ``stage``'s checkpoint for ``seed`` is written: in ``run_dir``,
     the directory a ``pretrain`` or ``prune_run`` call writes to, or by
@@ -190,7 +172,7 @@ def pretrain(cfg: RunConfig, seed: int, out_dir=None) -> str:
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
         try:
-            _, meta = load_checkpoint(path)
+            _, meta = load_checkpoint(path, into={})
         except CheckpointError:
             meta = {}
         if meta.get("pretrain_hash") == cfg.pretrain_digest():
@@ -207,9 +189,8 @@ def pretrain(cfg: RunConfig, seed: int, out_dir=None) -> str:
 
 
 def load_stage_model(cfg: RunConfig, seed: int, path) -> NoisePredictor:
-    tensors, _ = load_checkpoint(path)
     model = build_model(cfg, seed)
-    restore_model(model, tensors)
+    load_checkpoint(path, into=model_tensors(model))
     return model
 
 

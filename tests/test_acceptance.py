@@ -33,7 +33,6 @@ from flowprune.metrics import efficiency
 from flowprune.pipeline import (
     Arm,
     model_tensors,
-    restore_model,
     run_grid,
 )
 from flowprune.scheduler import (
@@ -354,8 +353,7 @@ class TestAcceptance11Determinism:
                     stage="acc11", start_step=9, batch_size=32, log_interval=1)
         model2 = NoisePredictor(dim=2, hidden=12, depth=2, temb_dim=8, seed=0)
         opt2 = Adam(model2.params, 2e-4)
-        tensors, _ = load_checkpoint(ck)
-        restore_model(model2, tensors, opt2)
+        load_checkpoint(ck, into=model_tensors(model2, opt2))
         got = train(model2, sched, data, steps=3, opt=opt2, seed=4,
                     stage="acc11", start_step=9, batch_size=32, log_interval=1)
 

@@ -11,7 +11,11 @@ from flowprune import pipeline
 from flowprune.checkpoint import load_checkpoint, save_checkpoint
 from flowprune.cli import _load_config, build_parser, main
 from flowprune.config import RunConfig, dump_kv
-from test_checkpoint import twice_named_container, v1_container
+from test_checkpoint import (
+    reference_container,
+    twice_named_container,
+    v1_container,
+)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,15 @@ def test_version_1_checkpoint_is_checkpoint_error(capsys, small_cfg_path,
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: checkpoint:")
     assert "unsupported version 1" in err_lines[0]
+    # a whole version-2 checkpoint of the model, float64 throughout
+    cfg = RunConfig.load(small_cfg_path)
+    old.write_bytes(reference_container(
+        pipeline.model_tensors(pipeline.build_model(cfg, 0)),
+        {"stage": "pretrain"}, version=2))
+    code, out = run_cli(capsys, "evaluate", "--config", str(small_cfg_path),
+                        "--checkpoint", str(old))
+    assert code == 3
+    assert "unsupported version 2" in one_error_line(out, "error: checkpoint:")
 
 
 def test_tensor_named_twice_is_checkpoint_error(capsys, small_cfg_path,
@@ -224,7 +237,9 @@ def test_non_finite_weight_is_numeric_error(capsys, small_cfg_path, tmp_path):
     cfg.save(path)
     code, out = run_cli(capsys, "pretrain", "--config", str(path))
     assert code == 0
-    tensors, meta = load_checkpoint(json.loads(out.out)["checkpoints"][0])
+    tensors, meta = load_checkpoint(
+        json.loads(out.out)["checkpoints"][0],
+        into=pipeline.model_tensors(pipeline.build_model(cfg, 0)))
     tensors["layer0.w"][0, 0] = np.inf
     bad = tmp_path / "inf.ckpt"
     save_checkpoint(bad, tensors, meta)
@@ -702,7 +717,7 @@ def test_pretrain_retrains_a_float64_era_checkpoint(small_cfg_path, tmp_path,
     assert meta["pretrain_hash"] == cfg.pretrain_digest()
 
 
-@pytest.mark.parametrize("damage", ["flipped-byte", "version-1"])
+@pytest.mark.parametrize("damage", ["flipped-byte", "version-1", "version-2"])
 def test_pretrain_overwrites_a_checkpoint_it_cannot_read(
         capsys, small_cfg_path, tmp_path, damage):
     cfg = RunConfig.load(small_cfg_path)
@@ -717,8 +732,13 @@ def test_pretrain_overwrites_a_checkpoint_it_cannot_read(
         data = bytearray(ckpt.read_bytes())
         data[-12] ^= 0xFF
         ckpt.write_bytes(bytes(data))
-    else:
+    elif damage == "version-1":
         ckpt.write_bytes(v1_container({"layer0.w": np.zeros((12, 2))}))
+    else:
+        # readable but for its version, and hashed for this config
+        ckpt.write_bytes(reference_container(
+            pipeline.model_tensors(pipeline.build_model(cfg, 0)),
+            {"pretrain_hash": cfg.pretrain_digest()}, version=2))
     code, _ = run_cli(capsys, "pretrain", "--config", str(path))
     assert code == 0
     _, meta = load_checkpoint(ckpt)
