@@ -50,9 +50,9 @@ cache. Every row of a step shares its timestep, so ``predict`` takes a
 scalar ``t`` and projects that one embedding row, broadcast to the block.
 Loss records still feed one embedding row per batch row, so training,
 scoring and the HVP replay exactly the records they did. Samples differ
-from a float64 forward by float32 rounding (3e-7 to 5e-7 of their largest
-magnitude on two trained default-width models at 100 steps), and the
-matmuls' rounding also depends on a block's row count.
+from a float64 forward by float32 rounding (4e-7 and 1.3e-6 of their
+largest magnitude on two trained default-width models at 100 steps), and
+the matmuls' rounding also depends on a block's row count.
 """
 
 from __future__ import annotations

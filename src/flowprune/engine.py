@@ -7,6 +7,7 @@ sum-of-squares and ``stop``, the identity with no gradient. Shape ops act on
 leading axes only: ``broadcast`` adds leading axes and ``sum_axes`` sums them
 away, so each is the other's backward rule. Every backward rule emits nodes
 from the same vocabulary, so a gradient is itself a differentiable graph.
+sigmoid is 1/2 + tanh(x/2)/2 and silu is x times it, x/2 * (1 + tanh(x/2)).
 The one Hessian product the package takes, H g with g the gradient, falls
 out of a second reverse pass (double backprop); central finite differences
 of the gradient along g are provided as an independent cross-check.
@@ -99,26 +100,26 @@ def _as_f64(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _exp_neg(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-x), into ``out`` when given; below x = -709 (-88.7 in float32)
-    it overflows to inf, quietly, since sigmoid and SiLU turn that inf into
-    their exact limits 0 and -0.0."""
-    with np.errstate(over="ignore"):
-        return np.exp(np.negative(x, out=out), out=out)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1/2 + tanh(x/2)/2, every pass into ``out`` when it is given. tanh
+    saturates to +-1 without overflowing, so the limits 0 (from x = -20 in
+    float32, -38 in float64) and 1 come out exactly and with no warning."""
+    t = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    return np.add(np.multiply(t, 0.5, out=out), 0.5, out=out)
 
 
 def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x * sigmoid(x), computed as x / (1 + exp(-x)); every pass writes
-    into ``out`` when it is given."""
-    return np.divide(x, np.add(1.0, _exp_neg(x, out), out=out), out=out)
+    """x * sigmoid(x) = x/2 * (1 + tanh(x/2)), -0.0 where the sigmoid is 0;
+    every pass writes into ``out`` when it is given, the last reading x."""
+    return np.multiply(sigmoid(x, out), x, out=out)
 
 
 # Ops whose value is a new array: written into a dying argument's buffer or
 # a free-list buffer, and put back on the list when a replay drops it as its
 # sole owner.
 _ALLOCATING = frozenset(("matmul", "add", "mul", "affine", "sigmoid", "silu"))
-# Those that may write into a dying argument: silu writes exp(-x) into its
-# result before it divides x by it, and matmul reads a row per entry.
+# Those that may write into a dying argument: silu still reads x in its last
+# pass, and matmul reads a row per entry.
 _IN_PLACE = frozenset(("add", "mul", "affine", "sigmoid"))
 # Ops whose value shares its argument's memory.
 _VIEWS = frozenset(("transpose", "broadcast", "stop"))
@@ -139,10 +140,7 @@ def _allocating(node: Node, vals: dict, out: np.ndarray | None) -> np.ndarray:
         scale, shift = node.attrs
         return np.add(np.multiply(vals[args[0]], scale, out=out), shift,
                       out=out)
-    if node.op == "sigmoid":
-        return np.divide(1.0, np.add(1.0, _exp_neg(vals[args[0]], out),
-                                     out=out), out=out)
-    return silu(vals[args[0]], out)
+    return (sigmoid if node.op == "sigmoid" else silu)(vals[args[0]], out)
 
 
 def _broadcast(x: np.ndarray, shape: tuple) -> np.ndarray:
