@@ -171,7 +171,7 @@ class NoisePredictor:
 
         self.params: dict[str, np.ndarray] = {}
         self.masks: dict[str, np.ndarray] = {}
-        sizes = [(f"layer0", dim, hidden), ("temb", temb_dim, hidden)]
+        sizes = [("layer0", dim, hidden), ("temb", temb_dim, hidden)]
         sizes += [(f"layer{k}", hidden, hidden) for k in range(1, depth)]
         sizes += [("out", hidden, dim)]
         for tag, in_n, out_n in sizes:
@@ -246,7 +246,8 @@ class NoisePredictor:
             eps = rec.input("eps", (batch, self.dim))
             eps_hat = self._net(rec, x, temb, self._declare_params(rec))
             diff = rec.add(eps, rec.affine(eps_hat, -1.0))
-            rec.set_output(rec.affine(rec.sum_sq(diff), 1.0 / (batch * self.dim)))
+            rec.set_output(rec.affine(rec.sum_axes(rec.mul(diff, diff)),
+                                      1.0 / (batch * self.dim)))
             self._records[key] = rec
         return self._records[key]
 

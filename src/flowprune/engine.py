@@ -2,30 +2,32 @@
 
 A ``Record`` is an append-only list of primitive operations over named input
 tensors. The vocabulary is deliberately small: matmul, transpose, broadcast,
-add, elementwise multiply, scalar affine, sigmoid, silu, leading-axis sums,
-sum-of-squares and ``stop``, the identity with no gradient. Shape ops act on
-leading axes only: ``broadcast`` adds leading axes and ``sum_axes`` sums them
-away, so each is the other's backward rule. Every backward rule emits nodes
-from the same vocabulary, so a gradient is itself a differentiable graph.
+add, elementwise multiply, scalar affine, sigmoid, silu, leading-axis sums
+and ``stop``, the identity with no gradient. Shape ops act on leading axes
+only: ``broadcast`` adds leading axes and ``sum_axes`` sums them away, so
+each is the other's backward rule. Every backward rule emits nodes from the
+same vocabulary, so a gradient is itself a differentiable graph.
 sigmoid is 1/2 + tanh(x/2)/2 and silu is x times it, x/2 * (1 + tanh(x/2)).
 The one Hessian product the package takes, H g with g the gradient, falls
 out of a second reverse pass (double backprop); central finite differences
-of the gradient along g are provided as an independent cross-check.
+of the gradient along g are provided as an independent cross-check. A leaf
+the output does not reach, or reaches only through ``stop``, gets no
+gradient node: its gradient and its H g read as float64 zeros.
 
-A record interns its nodes: an op other than ``input`` or ``const`` whose
-``(op, args, attrs)`` matches an existing node returns that node. The
-HVP's second reverse pass thus reuses the sigmoids, transposes and other
-nodes the first pass already built instead of computing them again. A node
-computes the same bits under either id, so interning changes no value.
+A record interns its nodes: an op other than ``input`` whose ``(op, args,
+attrs)`` matches an existing node returns that node. The HVP's second
+reverse pass thus reuses the sigmoids, transposes and other nodes the first
+pass already built instead of computing them again. A node computes the
+same bits under either id, so interning changes no value.
 
 A replay runs in the precision of its feed. An input fed as float32
-replays as float32; every other input is converted to float64, and consts
-are float64. The gradient seed is the output's own ``affine(out, 0, 1)``,
-so it takes the output's dtype: a record fed only float32 arrays runs its
-forward, gradient and HVP in single precision end to end (training,
-scoring, the gradient-norm diagnostic and the DDIM sampler do), and one
-fed float64 arrays runs in float64 throughout, its Python-float ``affine``
-scales never rounded to float32 (the oracles do).
+replays as float32; every other input is converted to float64. The
+gradient seed is the output's own ``affine(out, 0, 1)``, so it takes the
+output's dtype: a record fed only float32 arrays runs its forward,
+gradient and HVP in single precision end to end (training, scoring, the
+gradient-norm diagnostic and the DDIM sampler do), and one fed float64
+arrays runs in float64 throughout, its Python-float ``affine`` scales
+never rounded to float32 (the oracles do).
 
 Replaying a record is deterministic: evaluation walks needed nodes in id
 order, so two calls with identical inputs produce identical bits.
@@ -167,10 +169,8 @@ class Record:
     def __init__(self):
         self.nodes: list[Node] = []
         self.inputs: dict[str, int] = {}
-        self.consts: dict[int, np.ndarray] = {}
         self.output: int | None = None
         self._grad_cache: dict[tuple, dict[int, int]] = {}
-        self._hvp_cache: dict[tuple, dict[str, int]] = {}
         self._schedules: dict[tuple, tuple[list[int], list[tuple]]] = {}
         self._free: dict[tuple, list[np.ndarray]] = {}
         self._interned: dict[tuple, int] = {}
@@ -179,14 +179,14 @@ class Record:
 
     def _append(self, op: str, args: tuple, attrs: tuple, shape: tuple) -> Ref:
         """A new node, or the existing one that computes the same
-        ``(op, args, attrs)``; inputs and consts are always new."""
+        ``(op, args, attrs)``; an input is always new."""
         # repr tells a -0.0 attr from 0.0, which compare equal
         key = (op, args, repr(attrs))
         nid = self._interned.get(key)
         if nid is None:
             nid = len(self.nodes)
             self.nodes.append(Node(nid, op, args, attrs, tuple(shape)))
-            if op not in ("input", "const"):
+            if op != "input":
                 self._interned[key] = nid
         return Ref(self, nid)
 
@@ -201,12 +201,6 @@ class Record:
             raise ValueError(f"input {name!r} is already declared")
         ref = self._append("input", (), (name,), tuple(int(s) for s in shape))
         self.inputs[name] = ref.nid
-        return ref
-
-    def const(self, value) -> Ref:
-        arr = _as_f64(value)
-        ref = self._append("const", (), (), arr.shape)
-        self.consts[ref.nid] = arr
         return ref
 
     def matmul(self, a: Ref, b: Ref) -> Ref:
@@ -262,9 +256,6 @@ class Record:
             raise ValueError(f"cannot sum the first {lead} axes of {sa}")
         return self._append("sum_axes", (a.nid,), (tuple(range(lead)),),
                             sa[lead:])
-
-    def sum_sq(self, a: Ref) -> Ref:
-        return self._append("sum_sq", (a.nid,), (), ())
 
     def stop(self, a: Ref) -> Ref:
         """``a``'s value, passed on; no gradient flows back through it."""
@@ -359,8 +350,6 @@ class Record:
             elif op in _ALLOCATING:
                 vals[nid] = _allocating(node, vals, self._take(
                     node, vals, drop) if node.shape else None)
-            elif op == "const":
-                vals[nid] = self.consts[nid]
             elif op == "stop":
                 vals[nid] = vals[node.args[0]]
             elif op == "transpose":
@@ -369,8 +358,6 @@ class Record:
                 vals[nid] = _broadcast(vals[node.args[0]], node.attrs[0])
             elif op == "sum_axes":
                 vals[nid] = np.sum(vals[node.args[0]], axis=node.attrs[0])
-            elif op == "sum_sq":
-                vals[nid] = np.sum(vals[node.args[0]] * vals[node.args[0]])
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
             for dead in drop:
@@ -412,7 +399,7 @@ class Record:
         """Contributions (parent id, grad ref) for one node, built from primitives."""
         out: list[tuple[int, Ref]] = []
         args = node.args
-        if node.op in ("input", "const", "stop"):
+        if node.op in ("input", "stop"):
             return out
         refs = [Ref(self, a) for a in args]
         if node.op == "matmul":
@@ -442,11 +429,6 @@ class Record:
             out.append((args[0], self.mul(g, inner)))
         elif node.op == "sum_axes":
             out.append((args[0], self.broadcast(g, self.nodes[args[0]].shape)))
-        elif node.op == "sum_sq":
-            src = refs[0]
-            src_shape = self.nodes[args[0]].shape
-            gb = self.broadcast(g, src_shape) if src_shape else g
-            out.append((args[0], self.affine(self.mul(gb, src), 2.0, 0.0)))
         else:  # pragma: no cover
             raise ValueError(f"no backward rule for {node.op!r}")
         return out
@@ -454,8 +436,9 @@ class Record:
     def _build_grad(self, out_id: int, wrt_ids: tuple) -> dict[int, int]:
         """Extend the record with gradient nodes of node ``out_id`` w.r.t. leaves.
 
-        Returns leaf id -> grad node id; leaves with no path to the output get
-        zero-constant gradients.
+        Returns leaf id -> grad node id for the leaves the output reaches
+        other than through ``stop``, in ``wrt_ids`` order; the rest have no
+        entry.
         """
         key = (out_id, wrt_ids)
         if key in self._grad_cache:
@@ -486,14 +469,9 @@ class Record:
                 if parent in relevant:
                     contribs.setdefault(parent, []).append(grad_ref)
 
-        result = {}
-        for wid in wrt_ids:
-            if wid in grads:
-                result[wid] = grads[wid].nid
-            else:
-                result[wid] = self.const(np.zeros(self.nodes[wid].shape)).nid
-        self._grad_cache[key] = result
-        return result
+        self._grad_cache[key] = {wid: grads[wid].nid for wid in wrt_ids
+                                 if wid in grads}
+        return self._grad_cache[key]
 
     def _wrt_ids(self, wrt: Iterable[str]) -> tuple:
         names = sorted(set(wrt))
@@ -502,25 +480,16 @@ class Record:
             raise KeyError(f"unknown parameter name(s): {missing}")
         return tuple(self.inputs[n] for n in names), names
 
-    def _ensure_hvp(self, wrt: Iterable[str]) -> dict[str, int]:
-        """Name -> node id of H g: the gradient of sum(g * stop(g)), so the
-        second reverse pass holds g constant."""
-        wrt_ids, names = self._wrt_ids(wrt)
-        if not names:
-            raise ValueError("HVP needs at least one parameter name")
-        key = (self.output, wrt_ids)
-        if key in self._hvp_cache:
-            return self._hvp_cache[key]
-        grads = self._build_grad(self.output, wrt_ids)
+    def _ensure_hvp(self, wrt_ids: tuple) -> dict[int, int]:
+        """Leaf id -> node id of H g, the gradient of sum(g * stop(g)), so
+        the second reverse pass holds g constant. Interning and the gradient
+        cache make a repeat call add no node and return the same ids."""
         phi = None
-        for wid in wrt_ids:
-            g = Ref(self, grads[wid])
+        for gid in self._build_grad(self.output, wrt_ids).values():
+            g = Ref(self, gid)
             term = self.sum_axes(self.mul(g, self.stop(g)))
             phi = term if phi is None else self.add(phi, term)
-        hv = self._build_grad(phi.nid, wrt_ids)
-        result = {name: hv[wid] for name, wid in zip(names, wrt_ids)}
-        self._hvp_cache[key] = result
-        return result
+        return {} if phi is None else self._build_grad(phi.nid, wrt_ids)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -533,6 +502,16 @@ def _require_output(record: Record) -> int:
     if record.output is None:
         raise ValueError("record has no output; call set_output first")
     return record.output
+
+
+def _per_leaf(record: Record, nodes: dict, wrt_ids: tuple, names: list,
+              inputs, what: str, values: dict | None = None) -> dict:
+    """Name -> the value of ``nodes[leaf id]``, the nodes replayed at once
+    and checked finite; float64 zeros for a leaf with no node."""
+    vals = record.evaluate(tuple(nodes.values()), inputs, values)
+    return {name: _check_finite(vals[nodes[wid]], f"{what}[{name}]")
+            if wid in nodes else np.zeros(record.nodes[wid].shape)
+            for wid, name in zip(wrt_ids, names)}
 
 
 def forward(
@@ -564,13 +543,8 @@ def gradient(
     """
     out = _require_output(record)
     wrt_ids, names = record._wrt_ids(wrt)
-    grads = record._build_grad(out, wrt_ids)
-    targets = tuple(grads[w] for w in wrt_ids)
-    vals = record.evaluate(targets, inputs, values)
-    return {
-        name: _check_finite(vals[grads[wid]], f"gradient[{name}]")
-        for name, wid in zip(names, wrt_ids)
-    }
+    return _per_leaf(record, record._build_grad(out, wrt_ids), wrt_ids, names,
+                     inputs, "gradient", values)
 
 
 def hessian_vector_product(
@@ -589,12 +563,12 @@ def hessian_vector_product(
     ``1e-4 * (1 + max|theta|)``.
     """
     _require_output(record)
-    _, names = record._wrt_ids(wrt)
+    wrt_ids, names = record._wrt_ids(wrt)
     if method == "exact":
-        hv = record._ensure_hvp(names)
-        vals = record.evaluate(tuple(hv[name] for name in names), inputs)
-        return {name: _check_finite(vals[hv[name]], f"hvp[{name}]")
-                for name in names}
+        if not names:
+            raise ValueError("HVP needs at least one parameter name")
+        return _per_leaf(record, record._ensure_hvp(wrt_ids), wrt_ids, names,
+                         inputs, "hvp")
     if method == "fd":
         g = gradient(record, inputs, names)
         theta_inf = max((float(np.max(np.abs(_as_f64(inputs[n]))))

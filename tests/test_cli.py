@@ -2,7 +2,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +90,40 @@ def test_pretrain_then_prune_and_evaluate(capsys, small_cfg_path):
     for key in ("frechet", "ssim", "mode_precision", "modes",
                 "nonzero_params", "macs_sparse"):
         assert evaluated["metrics"][key] == report["metrics"][key]
+
+
+# Runs in a fresh interpreter where ``import scipy`` raises ImportError, as
+# on an install of the package's one dependency, numpy; prints each
+# command's name from its summary.
+NUMPY_ALONE = """\
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from flowprune.cli import main
+for command in ("pretrain", "prune", "evaluate"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--config", sys.argv[1]])
+    if code:
+        sys.exit(f"{command} exited {code}")
+    print(json.loads(out.getvalue())["command"])
+"""
+
+
+def test_pretrain_prune_and_evaluate_run_on_numpy_alone(small_cfg_path,
+                                                        tmp_path):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.plan_criterion = "gradient-flow"
+    cfg.out_dir = str(tmp_path / "runs")
+    path = tmp_path / "numpy-alone.cfg"
+    cfg.save(path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NUMPY_ALONE, str(path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["pretrain", "prune", "evaluate"]
 
 
 def test_stages_are_found_where_prune_wrote_them(capsys, small_cfg_path):

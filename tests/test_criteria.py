@@ -18,13 +18,15 @@ from flowprune.seeding import make_rng
 
 
 def quadratic_record(theta=(1.0, 1.0), scale=1.0):
-    """L = scale * 0.5 theta^T diag(2,4) theta with theta as input."""
+    """L = scale * 0.5 theta^T diag(2,4) theta with theta as input and
+    diag(2,4) / 2 fed as ``half_a``."""
     rec = engine.Record()
     th = rec.input("theta", (2,))
-    half_a = rec.const([1.0, 2.0])
+    half_a = rec.input("half_a", (2,))
     out = rec.sum_axes(rec.mul(rec.mul(th, th), half_a))
     rec.set_output(rec.affine(out, scale))
-    return rec, {"theta": np.asarray(theta, dtype=np.float64)}
+    return rec, {"theta": np.asarray(theta, dtype=np.float64),
+                 "half_a": np.array([1.0, 2.0])}
 
 
 class TestMagnitude:
@@ -102,7 +104,7 @@ class TestGradientFlowQuadratic:
         before = gradient_flow_delta_from_record(rec, feed, ["theta"])
         assert before == 20.0
         after = gradient_flow_delta_from_record(
-            rec, {"theta": np.array([0.0, 1.0])}, ["theta"]
+            rec, dict(feed, theta=np.array([0.0, 1.0])), ["theta"]
         )
         assert after == 16.0
         scores = gradient_flow_scores_from_record(rec, feed, ["theta"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowprune import criteria, diffusion, engine, pipeline
 from flowprune.criteria import compute_scores, gradient_flow_delta
@@ -105,9 +107,40 @@ class TestLoss:
         eps = rec.input("eps", (4, 2))
         eps_hat = rec.affine(eps, 1.0)
         diff = rec.add(eps, rec.affine(eps_hat, -1.0))
-        rec.set_output(rec.affine(rec.sum_sq(diff), 1.0 / 8.0))
+        rec.set_output(rec.affine(rec.sum_axes(rec.mul(diff, diff)), 0.125))
         rng = make_rng(0, "stub")
         assert engine.forward(rec, {"eps": rng.normal(size=(4, 2))}) == 0.0
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.sampled_from([1, 7, 32, 128, 256]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_loss_is_the_scaled_sum_of_squares_bit_for_bit(self, seed, size,
+                                                           dtype):
+        """The default loss record's value, from a freeing replay and from
+        a replay that keeps its values, is numpy's sum of d * d over the
+        whole batch, d = eps - eps_hat, times 1 / (size * dim) + 0.0."""
+        model = NoisePredictor(dim=2, seed=0)
+        if dtype is np.float64:
+            model = model.float64()
+        rng = make_rng(seed, "sum-sq")
+        batch = TrainBatch(x0=rng.normal(size=(size, 2)),
+                           t=rng.integers(0, 1000, size),
+                           eps=rng.normal(size=(size, 2)))
+        rec, feed = diffusion.loss_inputs(
+            model, make_schedule(1000, 1e-4, 0.02), batch)
+        total = rec.nodes[rec.nodes[rec.output].args[0]]
+        square = rec.nodes[total.args[0]]
+        assert total.op == "sum_axes" and square.op == "mul"
+        d_id = square.args[0]
+        assert square.args == (d_id, d_id)
+        d = rec.evaluate((d_id,), feed)[d_id]
+        scale = 1.0 / (size * 2)
+        want = np.add(np.multiply(np.sum(d * d), scale), 0.0)
+        got = engine.forward(rec, feed)
+        assert d.dtype == got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert engine.forward(rec, feed, {}).tobytes() == want.tobytes()
 
     def test_zero_predictor_unit_rows(self):
         model = NoisePredictor(dim=2, hidden=8, depth=2, temb_dim=4, seed=0)

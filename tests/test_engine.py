@@ -44,13 +44,24 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b))) / denom if a.size else 0.0
 
 
+def sum_sq(rec, x):
+    """The sum of the squares of ``x``'s entries, a scalar."""
+    return rec.sum_axes(rec.mul(x, x))
+
+
 def quadratic_record():
-    """f(theta) = 0.5 * theta^T diag(2,4) theta built from primitives."""
+    """f(theta) = 0.5 * theta^T diag(2,4) theta built from primitives, with
+    diag(2,4) / 2 an input that :func:`quadratic_feed` supplies."""
     rec = Record()
     theta = rec.input("theta", (2,))
-    half_a = rec.const([1.0, 2.0])
+    half_a = rec.input("half_a", (2,))
     rec.set_output(rec.sum_axes(rec.mul(rec.mul(theta, theta), half_a)))
     return rec
+
+
+def quadratic_feed(theta):
+    return {"theta": np.asarray(theta, dtype=np.float64),
+            "half_a": np.array([1.0, 2.0])}
 
 
 class TestForward:
@@ -71,7 +82,7 @@ class TestForward:
         rec = Record()
         x = rec.input("x", (5, 4))
         w = rec.input("w", (3, 4))
-        rec.set_output(rec.sum_sq(rec.silu(rec.linear(x, w))))
+        rec.set_output(sum_sq(rec, rec.silu(rec.linear(x, w))))
         feed = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(3, 4))}
         a = forward(rec, feed)
         b = forward(rec, feed)
@@ -201,7 +212,7 @@ class TestGradient:
 
     def test_quadratic_closed_form(self):
         rec = quadratic_record()
-        g = gradient(rec, {"theta": [1.0, 1.0]}, ["theta"])
+        g = gradient(rec, quadratic_feed([1.0, 1.0]), ["theta"])
         np.testing.assert_allclose(g["theta"], [2.0, 4.0], rtol=0, atol=0)
 
     def test_non_scalar_output_rejected(self):
@@ -214,17 +225,52 @@ class TestGradient:
     def test_unknown_name_rejected(self):
         rec = quadratic_record()
         with pytest.raises(KeyError):
-            gradient(rec, {"theta": [1.0, 1.0]}, ["nope"])
+            gradient(rec, quadratic_feed([1.0, 1.0]), ["nope"])
 
     def test_disconnected_param_gets_zeros(self):
+        """A leaf with no path to the output has no gradient node: its
+        gradient and its H g are float64 zeros in a float32 or float64
+        replay, and the record gains no node for them however often they
+        are asked for."""
+        for dtype in (np.float32, np.float64):
+            rec = Record()
+            x = rec.input("x", (2,))
+            rec.input("unused", (3,))
+            rec.set_output(sum_sq(rec, x))
+            feed = {"x": np.array([1.0, 2.0], dtype),
+                    "unused": np.ones(3, dtype)}
+            wrt = ["x", "unused"]
+            first = (gradient(rec, feed, wrt),
+                     hessian_vector_product(rec, feed, wrt))
+            size = len(rec.nodes)
+            for got in first + (gradient(rec, feed, wrt),
+                                hessian_vector_product(rec, feed, wrt)):
+                assert got["x"].dtype == dtype
+                assert got["unused"].dtype == np.float64
+                np.testing.assert_array_equal(got["unused"], np.zeros(3))
+            np.testing.assert_array_equal(first[0]["x"], [2.0, 4.0])
+            np.testing.assert_array_equal(first[1]["x"], [4.0, 8.0])
+            assert len(rec.nodes) == size
+            wrt_ids = rec._wrt_ids(wrt)[0]
+            assert rec._build_grad(rec.output, wrt_ids).keys() == {
+                rec.inputs["x"]}
+
+    def test_an_output_no_leaf_reaches(self):
+        """The only leaf reaches the output through ``stop``: its gradient
+        and H g are float64 zeros, and H g builds no second pass."""
         rec = Record()
         x = rec.input("x", (2,))
-        rec.input("unused", (3,))
-        rec.set_output(rec.sum_sq(x))
-        g = gradient(
-            rec, {"x": [1.0, 2.0], "unused": np.ones(3)}, ["x", "unused"]
-        )
-        np.testing.assert_array_equal(g["unused"], np.zeros(3))
+        rec.set_output(sum_sq(rec, rec.stop(x)))
+        feed = {"x": np.array([1.0, 2.0], np.float32)}
+        calls = (lambda: gradient(rec, feed, ["x"]),
+                 lambda: hessian_vector_product(rec, feed, ["x"]))
+        calls[0]()
+        size = len(rec.nodes)
+        for call in calls + calls:
+            got = call()
+            assert got["x"].dtype == np.float64
+            np.testing.assert_array_equal(got["x"], np.zeros(2))
+            assert len(rec.nodes) == size
 
 
 def build_single_op(name):
@@ -234,7 +280,7 @@ def build_single_op(name):
     def wrap(body, shapes):
         rec = Record()
         xs = [rec.input(f"x{i}", s) for i, s in enumerate(shapes)]
-        rec.set_output(rec.sum_sq(body(rec, *xs)))
+        rec.set_output(sum_sq(rec, body(rec, *xs)))
         feed = {
             f"x{i}": rng.uniform(-2.0, 2.0, size=s) for i, s in enumerate(shapes)
         }
@@ -250,7 +296,6 @@ def build_single_op(name):
         "sigmoid": (lambda r, a: r.sigmoid(a), [(3, 4)]),
         "silu": (lambda r, a: r.silu(a), [(3, 4)]),
         "sum_axes": (lambda r, a: r.sum_axes(a, 1), [(3, 4)]),
-        "sum_sq": (lambda r, a: r.sum_sq(a), [(3, 4)]),
     }
     body, shapes = table[name]
     return wrap(body, shapes)
@@ -258,7 +303,7 @@ def build_single_op(name):
 
 ALL_OPS = [
     "matmul", "transpose", "broadcast", "add", "mul", "affine", "sigmoid",
-    "silu", "sum_axes", "sum_sq",
+    "silu", "sum_axes",
 ]
 
 
@@ -270,7 +315,7 @@ def test_all_ops_are_the_record_builders():
     checks it instead). The rest build nothing of their own."""
     public = {name for name, attr in vars(Record).items()
               if callable(attr) and not name.startswith("_")}
-    composite = {"input", "const", "linear", "set_output", "evaluate"}
+    composite = {"input", "linear", "set_output", "evaluate"}
     assert set(ALL_OPS) == public - composite - {"stop"}
 
 
@@ -365,18 +410,19 @@ def test_float64_gradient_keeps_python_scales_in_float64():
     rule, not those of 1/3 rounded to float32."""
     rec = Record()
     x = rec.input("x", (3,))
-    rec.set_output(rec.affine(rec.sum_sq(x), 1.0 / 3.0))
+    rec.set_output(rec.affine(sum_sq(rec, x), 1.0 / 3.0))
     feed = {"x": np.array([0.1, -2.5, 7.0])}
     values, grad_ids = gradient_plan_values(rec, feed, ["x"])
     assert {np.asarray(v).dtype for v in values.values()} == {
         np.dtype(np.float64)}
     got = gradient(rec, feed, ["x"])["x"]
     assert got.tobytes() == values[grad_ids["x"]].tobytes()
-    # backward of affine(sum_sq(x), 1/3): (1.0 * 1/3) * x * 2
-    want = np.full(3, 1.0 / 3.0) * feed["x"] * 2.0
-    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-    rounded = np.full(3, np.float32(1.0 / 3.0), np.float64) * feed["x"] * 2.0
-    assert got.tobytes() != rounded.tobytes()
+    # backward of affine(sum_axes(x * x), 1/3): (1.0 * 1/3) * x, once for
+    # each factor of the product, added
+    part = np.full(3, 1.0 / 3.0) * feed["x"]
+    assert got.dtype == np.float64 and got.tobytes() == (part + part).tobytes()
+    rounded = np.full(3, np.float32(1.0 / 3.0), np.float64) * feed["x"]
+    assert got.tobytes() != (rounded + rounded).tobytes()
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -418,20 +464,22 @@ class TestHVP:
     def test_quadratic_hv_ones(self):
         # the gradient at theta = (1/2, 1/4) is (1, 1)
         rec = quadratic_record()
-        hv = hessian_vector_product(rec, {"theta": [0.5, 0.25]}, ["theta"])
+        hv = hessian_vector_product(rec, quadratic_feed([0.5, 0.25]),
+                                    ["theta"])
         np.testing.assert_allclose(hv["theta"], [2.0, 4.0], atol=1e-12)
 
     def test_quadratic_hg(self):
         rec = quadratic_record()
-        hv = hessian_vector_product(rec, {"theta": [1.0, 1.0]}, ["theta"])
+        hv = hessian_vector_product(rec, quadratic_feed([1.0, 1.0]),
+                                    ["theta"])
         np.testing.assert_allclose(hv["theta"], [4.0, 16.0], atol=1e-12)
 
     def test_zero_v_gives_zeros(self):
         # at the minimum the gradient, the vector H multiplies, is zero
         rec = quadratic_record()
         for method in ("exact", "fd"):
-            hv = hessian_vector_product(rec, {"theta": [0.0, 0.0]}, ["theta"],
-                                        method=method)
+            hv = hessian_vector_product(rec, quadratic_feed([0.0, 0.0]),
+                                        ["theta"], method=method)
             np.testing.assert_array_equal(hv["theta"], [0.0, 0.0])
 
     def test_methods_agree_on_mlp(self):
@@ -468,7 +516,7 @@ class TestHVP:
 class TestGraphExtension:
     def test_forward_unchanged_after_grad_and_hvp(self):
         rec = quadratic_record()
-        feed = {"theta": np.array([1.0, 1.0])}
+        feed = quadratic_feed([1.0, 1.0])
         before = forward(rec, feed)
         gradient(rec, feed, ["theta"])
         hessian_vector_product(rec, feed, ["theta"])
@@ -485,10 +533,6 @@ class TestInterning:
         assert rec.affine(a, 2.0).nid == rec.affine(a, 2.0, 0.0).nid
         assert rec.affine(a, 0.0).nid != rec.affine(a, -0.0).nid
 
-    def test_consts_are_never_shared(self):
-        rec = Record()
-        assert rec.const(0.0).nid != rec.const(0.0).nid
-
     def test_hvp_reuses_the_first_passes_sigmoids(self):
         """The default loss record's HVP plan evaluates no node that the
         gradient plan holds under another id: every SiLU derivative's
@@ -499,8 +543,8 @@ class TestInterning:
         wrt_ids, _ = rec._wrt_ids(names)
         grads = rec._build_grad(rec.output, wrt_ids)
         grad_plan = set(rec._schedule(tuple(grads[w] for w in wrt_ids))[0])
-        hv = rec._ensure_hvp(names)
-        hvp_only = [nid for nid in rec._schedule(tuple(hv[n] for n in names))[0]
+        hv = rec._ensure_hvp(wrt_ids)
+        hvp_only = [nid for nid in rec._schedule(tuple(hv.values()))[0]
                     if nid not in grad_plan]
         ops = [rec.nodes[nid].op for nid in hvp_only]
         assert "sigmoid" not in ops
@@ -515,7 +559,7 @@ def mlp_record_and_feed(seed=7):
     b1 = rec.input("b1", (4,))
     w2 = rec.input("w2", (1, 4))
     h = rec.silu(rec.linear(x, w1, b1))
-    rec.set_output(rec.affine(rec.sum_sq(rec.linear(h, w2)), 1 / 6.0))
+    rec.set_output(rec.affine(sum_sq(rec, rec.linear(h, w2)), 1 / 6.0))
     feed = {
         "x": rng.normal(size=(6, 3)),
         "w1": rng.normal(size=(4, 3)) * 0.5,
@@ -646,7 +690,7 @@ class TestFreeList:
         repeat, a freeing replay on recycled buffers, adds no node and
         returns the first call's bits."""
         rec, feed = wide_record_and_feed(dtype, batch=32, width=8)
-        rec.set_output(rec.sum_sq(Ref(rec, rec.output)))
+        rec.set_output(sum_sq(rec, Ref(rec, rec.output)))
         wrt = ["w1", "b1", "w2", "w3"]
         first = hessian_vector_product(rec, feed, wrt)
         size = len(rec.nodes)
@@ -690,17 +734,19 @@ class TestInPlace:
 
     def test_values_the_caller_holds_survive_the_gradient(self, dtype):
         rec, feed = wide_record_and_feed(dtype, batch=16, width=8)
-        rec.set_output(rec.sum_sq(Ref(rec, rec.output)))
+        rec.set_output(sum_sq(rec, Ref(rec, rec.output)))
         values = {}
         forward(rec, feed, values)
         held = {nid: values[nid] for nid in values
                 if rec.nodes[nid].op in ("add", "mul", "affine", "sigmoid")}
-        assert len(held) == 5
+        assert len(held) == 6
         gradient(rec, feed, ["w1", "b1", "w2"], values)
         pre1 = np.matmul(feed["x"], feed["w1"].T) + feed["b1"]
         pre2 = np.matmul(engine.silu(pre1), feed["w2"].T) + feed["b2"]
         h = np_sigmoid(pre2)
-        want = [pre1, pre2, h, h * h, np_affine(h * h, 2.0, -0.5)]
+        a = np_affine(h * h, 2.0, -0.5)
+        y = np.matmul(a, feed["w3"].T)
+        want = [pre1, pre2, h, h * h, a, y * y]
         for nid, expected in zip(sorted(held), want):
             assert held[nid].tobytes() == expected.tobytes()
 
@@ -752,11 +798,11 @@ class TestInPlace:
         rec = Record()
         a = rec.affine(rec.input("x", (16, 4)), 0.5, 0.25)
         c = np.random.default_rng(8).normal(size=(16, 4))
-        rec.set_output(rec.add(a, rec.const(c)))
+        rec.set_output(rec.add(a, rec.input("c", (16, 4))))
         x = np.random.default_rng(9).normal(size=(16, 4)).astype(dtype)
         expected = np_affine(x, 0.5, 0.25) + c
         for _ in range(2):
-            got = forward(rec, {"x": x})
+            got = forward(rec, {"x": x, "c": c})
             assert got.dtype == np.float64
             assert got.tobytes() == expected.tobytes()
 
