@@ -33,7 +33,6 @@ from .pipeline import (
     build_model,
     build_plan,
     build_schedule,
-    dense_sample_cache,
     evaluate_model,
     load_stage_model,
     medians,
@@ -110,11 +109,11 @@ def cmd_prune(args) -> dict:
     reports = []
     for seed in cfg.seeds:
         pre = pretrain(cfg, seed)
-        dense = load_stage_model(cfg, seed, pre)
-        dense_samples = dense_sample_cache(cfg, dense)
+        dense = evaluate_model(cfg, load_stage_model(cfg, seed, pre), None,
+                               seed, "pretrain")
         out = stage_path(cfg, "finetune", seed).parent
         reports.append(prune_run(cfg, seed, pre, out,
-                                 dense_samples=dense_samples))
+                                 dense_samples=dense.samples))
     return {"command": "prune", "reports": reports}
 
 
@@ -147,10 +146,12 @@ def cmd_evaluate(args) -> dict:
     path, model = _load_checkpoint_arg(args, cfg)
     seed = cfg.seeds[0]
     pre = stage_path(cfg, "pretrain", seed)
+    stage = "pretrain" if pre.exists() and pre.samefile(path) else "finetune"
     dense_samples = None
-    if pre.exists() and not pre.samefile(path):
-        dense_samples = dense_sample_cache(cfg, load_stage_model(cfg, seed, pre))
-    quality = evaluate_model(cfg, model, dense_samples, seed)
+    if pre.exists() and stage != "pretrain":
+        dense_samples = evaluate_model(cfg, load_stage_model(cfg, seed, pre),
+                                       None, seed, "pretrain").samples
+    quality = evaluate_model(cfg, model, dense_samples, seed, stage)
     return {"command": "evaluate", "checkpoint": str(path),
             "metrics": quality.as_dict()}
 
@@ -161,7 +162,7 @@ def cmd_grid(args) -> dict:
     return {
         "command": "grid",
         "results_csv": out["results_csv"],
-        "trace_csv": out["trace_csv"],
+        "reads_csv": out["reads_csv"],
         **{f"median_{field}": medians(out["rows"], field) for field in BEATS},
         "paired": paired_counts(out["rows"]),
         "rows": len(out["rows"]),

@@ -20,7 +20,7 @@ package runs on numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,21 +108,22 @@ def _blur(x: np.ndarray) -> np.ndarray:
 @dataclass
 class QualityReport:
     """``pipeline.evaluate_model``'s return value: one quality read's columns,
-    the model's efficiency counts and its seeds. It stays a class, not a
-    dict, because the benchmark reads its attributes."""
+    the model's efficiency counts, its seeds and the samples read. It stays
+    a class, not a dict, because the benchmark reads its attributes."""
 
     frechet: float
-    ssim: float
+    ssim: float | None
     mode_precision: float
     modes: int
     nonzero_params: int
     dense_params: int
     macs_dense: int
     macs_sparse: int
-    seeds: tuple[int, ...] = field(default_factory=tuple)
+    seeds: list[int] = field(default_factory=list)
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "seeds": list(self.seeds)}
+        return {k: v for k, v in vars(self).items() if k != "samples"}
 
 
 def frechet_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

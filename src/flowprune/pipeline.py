@@ -8,10 +8,9 @@ report. ``run_grid`` runs ``GRID``, whose rows are Table 1's criteria, Table
 mode per seed, all from the seed's one pretrained checkpoint in
 ``<out_dir>/pretrain``. An arm is a result row: experiment, method label,
 criterion and schedule mode; ``build_plan`` alone decides the structural
-regime every arm shares. One ``measure`` call is one quality read: the dense
-row and each arm's row read ``eval_samples`` points over ``eval_substeps``
-from ``eval_seed``, and a Fig 2 trace point ``trace_samples`` points over
-``trace_substeps`` from ``eval_seed + 1``.
+regime every arm shares. Every quality read is one ``evaluate_model`` call
+and one ``READ_FIELDS`` row; a run reads after finetune and after the
+stages its ``reads`` name, and ``run_grid`` writes every read to reads.csv.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ from .scheduler import (
 RESULT_FIELDS = ["experiment", "method", "criterion", "mode", "seed", "frechet",
                  "ssim", "mode_precision", "modes", "nonzero_params",
                  "dense_params", "macs_dense", "macs_sparse", "wall_clock_s"]
-TRACE_FIELDS = ["experiment", "method", "criterion", "seed", "iteration",
-                "frechet", "mode_precision"]
+READ_FIELDS = ["criterion", "mode", "seed", "stage", "iteration", "steps_total",
+               "steps_masked", "frechet", "ssim", "mode_precision", "modes"]
 
 
 def build_dataset(cfg: RunConfig) -> np.ndarray:
@@ -198,11 +197,11 @@ def measure(cfg: RunConfig, model: NoisePredictor, n: int, substeps: int,
             noise_seed: int, dense: np.ndarray | None = None
             ) -> tuple[np.ndarray, dict]:
     """``n`` DDIM samples of ``model`` over ``substeps`` from ``noise_seed``
-    and their quality columns; ``ssim`` is 1.0 without ``dense``."""
+    and their quality columns; ``ssim`` is None without ``dense``."""
     samples = sample_ddim(model, build_schedule(cfg), n, substeps,
                           noise_seed=noise_seed)
     frechet = frechet_distance(samples, eval_reference(cfg, n))
-    ssim = 1.0 if dense is None else consistency_ssim(dense, samples)
+    ssim = None if dense is None else consistency_ssim(dense, samples)
     mode_precision, modes = mode_quality(samples)
     return samples, {"frechet": frechet, "ssim": ssim,
                      "mode_precision": mode_precision, "modes": modes}
@@ -214,18 +213,30 @@ def dense_sample_cache(cfg: RunConfig, model: NoisePredictor) -> np.ndarray:
 
 
 def evaluate_model(cfg: RunConfig, model: NoisePredictor,
-                   dense_samples: np.ndarray | None,
-                   seed: int) -> QualityReport:
-    """QualityReport of one read at the evaluation settings."""
-    _, columns = measure(cfg, model, cfg.eval_samples, cfg.eval_substeps,
-                         cfg.eval_seed, dense_samples)
+                   dense_samples: np.ndarray | None, seed: int,
+                   stage: str = "finetune") -> QualityReport:
+    """The one quality read, of ``model`` after ``stage``. A ``soft_prune``
+    read has no reference; the dense model's ``pretrain`` read is its own."""
+    trace = stage == "soft_prune"
+    n, substeps, noise_seed = (
+        (cfg.trace_samples, cfg.trace_substeps, cfg.eval_seed + 1) if trace
+        else (cfg.eval_samples, cfg.eval_substeps, cfg.eval_seed))
+    samples, columns = measure(cfg, model, n, substeps, noise_seed,
+                               None if trace else dense_samples)
+    if stage == "pretrain":
+        columns["ssim"] = 1.0
     return QualityReport(**columns, **efficiency(model),
-                         seeds=(seed, cfg.eval_seed))
+                         seeds=[seed, noise_seed], samples=samples)
+
+
+def _read_row(quality: QualityReport, *labels) -> dict:
+    return {**dict(zip(READ_FIELDS, labels)),
+            **{f: getattr(quality, f) for f in READ_FIELDS[len(labels):]}}
 
 
 def _write_csv(path, fields: list[str], rows: list[dict]) -> str:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     return str(path)
@@ -242,15 +253,16 @@ def prune_run(
     out_dir,
     arm: Arm | None = None,
     dense_samples: np.ndarray | None = None,
-    quality_trace: bool = False,
+    reads: tuple[str, ...] = (),
 ) -> dict:
     """Full Algorithm-1 pipeline from a pretrained checkpoint.
 
     Draws the run's two score inputs once, for every criterion and mode:
     the score set (stream 0) every mask update and the hard prune rank on,
     and the diagnostic batch (stream 1) every ``grad_flow_delta`` reads.
-    Returns a JSON-ready report with stage checkpoints, metrics,
-    diagnostics and the per-iteration quality trace when requested.
+    ``reads`` adds reads after ``soft_prune`` (each mask update) and
+    ``hard_prune`` to the closing one. Returns a JSON-ready report with
+    checkpoints, diagnostics, ``reads`` rows and the closing ``metrics``.
     """
     t_start = time.perf_counter()
     out_dir = Path(out_dir)
@@ -271,20 +283,23 @@ def prune_run(
         "config_hash": cfg.digest(),
         "stages": {},
         "checkpoints": {"pretrain": str(pretrain_path)},
+        "reads": [],
     }
 
-    trace_eval = None
-    if quality_trace:
-        def trace_eval(m):
-            # the trace keeps only the columns trace.csv names
-            _, columns = measure(cfg, m, cfg.trace_samples,
-                                 cfg.trace_substeps, cfg.eval_seed + 1)
-            return {f: columns[f] for f in TRACE_FIELDS if f in columns}
+    def read(stage: str, t: int, tuned: int = 0) -> QualityReport:
+        # t mask updates and ``tuned`` finetune steps in; no mask before t = 1
+        quality = evaluate_model(cfg, model, dense_samples, seed, stage)
+        report["reads"].append(_read_row(
+            quality, plan.criterion, plan.mode, seed, stage, t,
+            cfg.pretrain_steps + t * plan.interval + tuned,
+            max(t - 1, 0) * plan.interval + tuned))
+        return quality
 
+    soft = (lambda t: read("soft_prune", t)) if "soft_prune" in reads else None
     t0 = time.perf_counter()
-    diag_rows, trace, _ = run_progressive_soft(
+    diag_rows, _ = run_progressive_soft(
         model, sched, data, plan, seed=seed, lr=cfg.train_lr,
-        batches=batches, diag_batch=diag_batch, quality_eval=trace_eval,
+        batches=batches, diag_batch=diag_batch, after_update=soft,
     )
     report["stages"]["soft_prune"] = time.perf_counter() - t0
     report["checkpoints"]["soft_prune"] = save_stage(
@@ -292,8 +307,6 @@ def prune_run(
     report["diagnostics_csv"] = _write_csv(
         out_dir / "diagnostics.csv", DIAG_FIELDS, diag_rows
     )
-    if quality_trace:
-        report["quality_trace"] = trace
 
     t0 = time.perf_counter()
     _, hard_diag = final_hard_prune(model, sched, plan, batches)
@@ -301,6 +314,8 @@ def prune_run(
     report["hard_prune"] = hard_diag
     report["checkpoints"]["hard_prune"] = save_stage(
         out_dir, model, cfg, "hard_prune", seed, plan.m_iters * plan.interval)
+    if "hard_prune" in reads:
+        read("hard_prune", plan.m_iters)
 
     t0 = time.perf_counter()
     finetune(model, sched, data, plan, seed=seed, lr=cfg.train_lr)
@@ -308,19 +323,12 @@ def prune_run(
     report["checkpoints"]["finetune"] = save_stage(
         out_dir, model, cfg, "finetune", seed, plan.total_steps)
 
-    quality = evaluate_model(cfg, model, dense_samples, seed)
-    report["metrics"] = quality.as_dict()
+    report["metrics"] = read("finetune", plan.m_iters,
+                             plan.finetune_steps).as_dict()
     report["wall_clock_s"] = time.perf_counter() - t_start
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
     return report
-
-
-def result_row(experiment: str, method: str, criterion: str, mode: str,
-               seed: int, metrics: dict, wall: float) -> dict:
-    row = {"experiment": experiment, "method": method, "criterion": criterion,
-           "mode": mode, "seed": seed, "wall_clock_s": wall}
-    return {f: row[f] if f in row else metrics[f] for f in RESULT_FIELDS}
 
 
 # The experiment grid, one arm per result row; build_plan sets the regime
@@ -349,54 +357,51 @@ def run_grid(cfg: RunConfig, arms: list[Arm], out_root) -> dict:
     ``out_root/<criterion>_<mode>/seed<N>``, from the pretrained checkpoint
     in ``cfg.out_dir/pretrain`` that every command shares.
 
-    Each seed samples its dense model once and writes one dense row per
-    experiment, then each arm's row from its run's report. Only runs that
-    a ``fig2`` arm reads are traced, into trace.csv. Writes results.csv and
-    trace.csv; returns {"rows": [...], "results_csv", "trace_csv"}.
+    Each seed reads its dense model once; each run reads after its hard
+    prune and, if a ``fig2`` arm names it, every mask update. Writes every
+    read to reads.csv and the closing reads, labelled, to results.csv;
+    returns {"rows": [...], "results_csv", "reads_csv"}.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     traced = {(arm.criterion, arm.mode) for arm in arms
               if arm.experiment == "fig2"}
     rows: list[dict] = []
-    trace_rows: list[dict] = []
+    reads: list[dict] = []
     for seed in cfg.seeds:
         t0 = time.perf_counter()
         pre_path = pretrain(cfg, seed)
         pre_wall = time.perf_counter() - t0
-        dense_model = load_stage_model(cfg, seed, pre_path)
-        dense_samples, dense_columns = measure(
-            cfg, dense_model, cfg.eval_samples, cfg.eval_substeps,
-            cfg.eval_seed)
-        dense_metrics = {**dense_columns, **efficiency(dense_model)}
+        dense = evaluate_model(cfg, load_stage_model(cfg, seed, pre_path),
+                               None, seed, "pretrain")
+        reads.append(_read_row(dense, "-", "-", seed, "pretrain", 0,
+                               cfg.pretrain_steps, 0))
+        dense_row = {**dense.as_dict(), **reads[-1], "method": "dense",
+                     "wall_clock_s": pre_wall}
         experiments: set[str] = set()
         reports: dict[tuple, dict] = {}
         for arm in arms:
             if arm.experiment not in experiments:
                 experiments.add(arm.experiment)
-                rows.append(result_row(arm.experiment, "dense", "-", "-", seed,
-                                       dense_metrics, pre_wall))
+                rows.append({**dense_row, "experiment": arm.experiment})
             key = (arm.criterion, arm.mode)
             if key not in reports:
                 reports[key] = prune_run(
                     cfg, seed, pre_path,
                     out_root / f"{arm.criterion}_{arm.mode}" / f"seed{seed}",
-                    arm=arm, dense_samples=dense_samples,
-                    quality_trace=key in traced)
+                    arm=arm, dense_samples=dense.samples,
+                    reads=("soft_prune", "hard_prune") if key in traced
+                    else ("hard_prune",))
+                reads += reports[key]["reads"]
             report = reports[key]
-            rows.append(result_row(arm.experiment, arm.method, arm.criterion,
-                                   arm.mode, seed, report["metrics"],
-                                   report["wall_clock_s"]))
-            if arm.experiment == "fig2":
-                trace_rows += [{"experiment": "fig2", "method": arm.method,
-                                "criterion": arm.criterion, "seed": seed,
-                                "iteration": t, **q}
-                               for t, q in report["quality_trace"]]
+            rows.append({**report["metrics"], **report["reads"][-1],
+                         "experiment": arm.experiment, "method": arm.method,
+                         "wall_clock_s": report["wall_clock_s"]})
     return {"rows": rows,
             "results_csv": _write_csv(out_root / "results.csv", RESULT_FIELDS,
                                       rows),
-            "trace_csv": _write_csv(out_root / "trace.csv", TRACE_FIELDS,
-                                    trace_rows)}
+            "reads_csv": _write_csv(out_root / "reads.csv", READ_FIELDS,
+                                    reads)}
 
 
 def medians(rows: list[dict], field: str) -> dict:

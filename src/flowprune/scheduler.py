@@ -135,20 +135,18 @@ def run_progressive_soft(
     lr: float,
     batches: list[TrainBatch],
     diag_batch: TrainBatch,
-    quality_eval=None,
-) -> tuple[list[dict], list[tuple[int, object]], MaskState | None]:
+    after_update=None,
+) -> tuple[list[dict], MaskState | None]:
     """Alternate weight training and mask updates for m_iters iterations.
 
     The weights train with Adam at learning rate ``lr``. Every mask update
     ranks on the score set ``batches`` and every ``grad_flow_delta`` reads
     ``diag_batch``, so churn and the delta follow the model, not resampling.
     Returns the diagnostics rows (one per mask update, keyed by
-    ``DIAG_FIELDS``), the quality trace and the last mask state.
-    ``quality_eval(model)``, when given, is called after every mask update
-    and its value recorded in the quality trace as ``(t, value)``.
+    ``DIAG_FIELDS``) and the last mask state. ``after_update(t)``, if
+    given, runs after mask update t, and what it returns is ignored.
     """
     rows: list[dict] = []
-    quality_trace: list[tuple[int, object]] = []
     opt = Adam(model.params, lr)
     state: MaskState | None = None
     prev_kept = None
@@ -181,9 +179,9 @@ def run_progressive_soft(
             "p_t": step.p_t,
             "churn": churn,
         })
-        if quality_eval is not None:
-            quality_trace.append((t, quality_eval(model)))
-    return rows, quality_trace, state
+        if after_update is not None:
+            after_update(t)
+    return rows, state
 
 
 def _update_masks(model: NoisePredictor, scores: dict[str, np.ndarray],

@@ -555,16 +555,18 @@ def test_grid_samples_the_dense_model_once_per_seed(capsys, small_cfg_path,
     code, out = run_cli(capsys, "grid", "--config", str(path),
                         "--out", str(tmp_path))
     assert code == 0
-    # per seed, one dense pass, then one per distinct arm
-    assert evaluated == 2 * ([True] + 9 * [False])
+    # per seed, one dense pass, then two per distinct arm: after its hard
+    # prune and after finetune
+    assert evaluated == 2 * ([True] + 18 * [False])
     # every read is a measure call: per seed the dense read, then each
-    # distinct arm's run, a traced run's trace reads before its arm read
+    # distinct arm's run, a traced run's trace reads before its hard-prune
+    # read, and that before its arm read
     runs = list(dict.fromkeys((a.criterion, a.mode) for a in pipeline.GRID))
     traced = {(a.criterion, a.mode) for a in pipeline.GRID
               if a.experiment == "fig2"}
-    seed_reads = "D" + "".join("T" * cfg.plan_m_iters * (run in traced) + "A"
-                               for run in runs)
-    assert seed_reads.count("A") == 9
+    seed_reads = "D" + "".join("T" * cfg.plan_m_iters * (run in traced)
+                               + "AA" for run in runs)
+    assert seed_reads.count("A") == 2 * 9
     assert seed_reads.count("T") == 2 * cfg.plan_m_iters
     assert "".join(reads) == 2 * seed_reads
     assert len(sampled) == len(reads)
@@ -582,7 +584,7 @@ def test_grid_runs_each_distinct_arm_once_per_seed(capsys, small_cfg_path,
     real = pipeline.prune_run
 
     def counting(cfg, seed, pre, out_dir, arm, **kwargs):
-        runs.append((seed, arm.criterion, arm.mode, kwargs["quality_trace"]))
+        runs.append((seed, arm.criterion, arm.mode, kwargs["reads"]))
         return real(cfg, seed, pre, out_dir, arm, **kwargs)
 
     monkeypatch.setattr(pipeline, "prune_run", counting)
@@ -590,15 +592,19 @@ def test_grid_runs_each_distinct_arm_once_per_seed(capsys, small_cfg_path,
                         "--out", str(tmp_path))
     assert code == 0
     assert len(runs) == 2 * 9 and len(set(runs)) == len(runs)
-    # only the runs a fig2 row reads are traced
-    assert {r[1:3] for r in runs if r[3]} == {
+    # only the runs a fig2 row reads are traced; every run reads after its
+    # hard prune
+    assert {r[1:3] for r in runs if "soft_prune" in r[3]} == {
         ("gradient-flow", "progressive-soft"), ("taylor", "progressive-soft")}
+    assert all("hard_prune" in r[3] for r in runs)
     summary = json.loads(out.out)
     rows = read_csv(summary["results_csv"])
     assert summary["rows"] == len(rows) == 2 * (3 + len(pipeline.GRID))
-    traces = read_csv(summary["trace_csv"])
-    assert {(r["method"], r["seed"]) for r in traces} == {
-        (m, s) for m in ("gradient-flow", "taylor") for s in "01"}
+    traces = [r for r in read_csv(summary["reads_csv"])
+              if r["stage"] == "soft_prune"]
+    assert {(r["criterion"], r["mode"], r["seed"]) for r in traces} == {
+        (c, "progressive-soft", s) for c in ("gradient-flow", "taylor")
+        for s in "01"}
     assert len(traces) == 4 * cfg.plan_m_iters
     assert all(0.0 <= float(r["mode_precision"]) <= 1.0 for r in traces)
 
@@ -846,14 +852,110 @@ def test_trace_compares_against_trace_samples_reference_points(
     monkeypatch.setattr(pipeline, "frechet_distance", recording)
     pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
     report = pipeline.prune_run(cfg, 0, pre, tmp_path / "prune",
-                                quality_trace=True)
+                                reads=("soft_prune",))
     # each trace point, then the evaluation
-    traced = len(report["quality_trace"])
+    traced = sum(r["stage"] == "soft_prune" for r in report["reads"])
     assert traced > 0
-    # the trace keeps only trace.csv's columns of each read
-    assert all(set(q) == {"frechet", "mode_precision"}
-               for _, q in report["quality_trace"])
+    assert [r["stage"] for r in report["reads"]] == (
+        traced * ["soft_prune"] + ["finetune"])
+    # every read is a row of reads.csv's columns
+    assert all(list(r) == pipeline.READ_FIELDS for r in report["reads"])
     assert sizes == [(1200, 1200)] * traced + [(50, 50)]
+
+
+def sha256s(run_dir):
+    """sha256 of every checkpoint and of diagnostics.csv under ``run_dir``."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(run_dir).iterdir())
+            if path.suffix == ".ckpt" or path.name == "diagnostics.csv"}
+
+
+@pytest.mark.parametrize("criterion, mode", [
+    ("gradient-flow", "progressive-soft"),
+    ("magnitude", "one-shot"),
+])
+def test_reads_only_observe(small_cfg_path, tmp_path, criterion, mode):
+    """A run that reads after every stage writes the checkpoints and
+    diagnostics of one that takes the closing read alone."""
+    cfg = RunConfig.load(small_cfg_path)
+    arm = pipeline.Arm("table1", criterion, criterion, mode)
+    pre = pipeline.pretrain(cfg, 0, tmp_path / "pretrain")
+    dense = pipeline.evaluate_model(cfg, pipeline.load_stage_model(cfg, 0, pre),
+                                    None, 0, "pretrain")
+    digests, stages = [], []
+    for name, reads in (("all", ("soft_prune", "hard_prune")), ("closing", ())):
+        report = pipeline.prune_run(cfg, 0, pre, tmp_path / name, arm=arm,
+                                    dense_samples=dense.samples, reads=reads)
+        digests.append(sha256s(tmp_path / name))
+        stages.append([r["stage"] for r in report["reads"]])
+    assert len(digests[0]) == 4 and digests[0] == digests[1]
+    soft = cfg.plan_m_iters if mode != "one-shot" else 0
+    assert stages == [soft * ["soft_prune"] + ["hard_prune", "finetune"],
+                      ["finetune"]]
+
+
+def test_grid_reads_count_the_steps_behind_them(capsys, small_cfg_path,
+                                                tmp_path):
+    cfg, path = two_seed_config(small_cfg_path, tmp_path)
+    code, out = run_cli(capsys, "grid", "--config", str(path),
+                        "--out", str(tmp_path))
+    assert code == 0
+    reads = read_csv(json.loads(out.out)["reads_csv"])
+    runs = {(a.criterion, a.mode): pipeline.build_plan(cfg, a)
+            for a in pipeline.GRID}
+    for seed in "01":
+        stages = [r["stage"] for r in reads if r["seed"] == seed]
+        assert stages.count("pretrain") == 1 and stages[0] == "pretrain"
+        assert stages.count("hard_prune") == stages.count("finetune") == 9
+        assert stages.count("soft_prune") == 2 * cfg.plan_m_iters
+    for r in reads:
+        steps = int(r["steps_total"]) - cfg.pretrain_steps
+        masked, t = int(r["steps_masked"]), int(r["iteration"])
+        # only the soft loop's reads have no dense reference
+        assert (r["ssim"] == "") == (r["stage"] == "soft_prune")
+        if r["stage"] == "pretrain":
+            assert (r["criterion"], r["mode"]) == ("-", "-")
+            assert (steps, masked, t) == (0, 0, 0)
+            continue
+        plan = runs[r["criterion"], r["mode"]]
+        if r["stage"] == "finetune":
+            assert steps == cfg.plan_total_steps
+            t, steps = plan.m_iters, plan.m_iters * plan.interval
+            masked -= plan.finetune_steps
+        elif r["stage"] == "hard_prune":
+            assert t == plan.m_iters
+            # a one-shot arm prunes the pretrained model
+            assert (steps == 0) == (r["mode"] == "one-shot")
+        # the soft loop trains its first interval before any mask
+        assert steps == t * plan.interval
+        assert masked == max(t - 1, 0) * plan.interval
+
+
+def test_evaluate_without_a_pretrain_checkpoint_reads_no_ssim(
+        capsys, small_cfg_path, tmp_path):
+    cfg = RunConfig.load(small_cfg_path)
+    cfg.out_dir = str(tmp_path / "runs")
+    path = tmp_path / "run.cfg"
+    cfg.save(path)
+    assert main(["prune", "--config", str(path)]) == 0
+    capsys.readouterr()
+    copy = tmp_path / "pruned.ckpt"
+    copy.write_bytes(pipeline.stage_path(cfg, "finetune", 0).read_bytes())
+
+    def evaluate():
+        code, out = run_cli(capsys, "evaluate", "--config", str(path),
+                            "--checkpoint", str(copy))
+        assert code == 0
+        return json.loads(out.out)["metrics"]
+
+    with_pretrain = evaluate()
+    pipeline.stage_path(cfg, "pretrain", 0).rename(tmp_path / "moved.ckpt")
+    without = evaluate()
+    assert 0.0 < with_pretrain["ssim"] < 1.0
+    # no reference, so no consistency is claimed; the other columns stand
+    assert without["ssim"] is None
+    assert {k: v for k, v in without.items() if k != "ssim"} == {
+        k: v for k, v in with_pretrain.items() if k != "ssim"}
 
 
 def test_evaluation_reference_does_not_depend_on_trace_samples(

@@ -190,7 +190,7 @@ class TestDriver:
         plan = PrunePlan(s=0.5, total_steps=60, m_iters=6, n_iters=4,
                          interval=5, criterion="magnitude",
                          score_batch_size=32)
-        rows, _, state = run_progressive_soft(
+        rows, state = run_progressive_soft(
             model, sched, data, plan, seed=0, lr=2e-4,
             **score_inputs(sched, data, plan))
         assert len(rows) == 6
@@ -211,9 +211,9 @@ class TestDriver:
         plan = PrunePlan(s=0.5, total_steps=40, m_iters=4, n_iters=3,
                          interval=5, criterion="magnitude",
                          granularity="row-group", score_batch_size=32)
-        rows, _, _ = run_progressive_soft(model, sched, data, plan, seed=0,
-                                          lr=2e-4,
-                                          **score_inputs(sched, data, plan))
+        rows, _ = run_progressive_soft(model, sched, data, plan, seed=0,
+                                       lr=2e-4,
+                                       **score_inputs(sched, data, plan))
         ranked = [model.params[n].shape[0] for n in model.masks
                   if n not in model.output_weights]
         assert len(ranked) == 3
@@ -241,9 +241,9 @@ class TestDriver:
         plan = PrunePlan(s=0.5, total_steps=40, m_iters=4, n_iters=3,
                          interval=5, criterion="magnitude",
                          score_batch_size=32)
-        rows, _, _ = run_progressive_soft(small_model(), sched, data, plan,
-                                          seed=0, lr=2e-4,
-                                          **score_inputs(sched, data, plan))
+        rows, _ = run_progressive_soft(small_model(), sched, data, plan,
+                                       seed=0, lr=2e-4,
+                                       **score_inputs(sched, data, plan))
         churn = [r["churn"] for r in rows]
         assert churn[0] == pruned[0]
         want = [len(a ^ b) for a, b in zip(kept_sets, kept_sets[1:])]
